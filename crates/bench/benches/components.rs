@@ -64,22 +64,21 @@ fn bench_water_fill_into(c: &mut Criterion) {
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
     // Steady-state churn at a fixed pending-set size: schedule, occasionally
-    // cancel, pop — the interpreter's inner-loop mix.
+    // re-arm the wake, pop — the interpreter's inner-loop mix.
     g.bench_function("churn_64pending_10k", |b| {
         b.iter(|| {
             let mut q = EventQueue::with_capacity(128);
             let mut t = 0.0f64;
-            let mut held = Vec::with_capacity(16);
             for i in 0..10_000u32 {
                 t += 0.001;
-                let k = q.schedule(SimTime::from_secs(t), i);
+                q.schedule(SimTime::from_secs(t), i);
                 if i % 4 == 0 {
-                    held.push(k);
+                    let delay = if i % 8 == 0 { 0.0015 } else { 0.01 };
+                    q.set_wake(Some(q.now().after(delay)), u32::MAX);
                 }
-                if q.len() >= 64 {
-                    if let Some(k) = held.pop() {
-                        q.cancel(k);
-                    }
+                // A popped wake is not replaced by an event, so pop until the
+                // pending set is back under its fixed size.
+                while q.len() >= 64 {
                     black_box(q.pop());
                 }
             }
@@ -87,7 +86,7 @@ fn bench_event_queue(c: &mut Criterion) {
             black_box(q.now())
         })
     });
-    // Pure ordered drain: heap throughput without cancellation noise.
+    // Pure ordered drain: heap throughput without wake re-arms.
     g.bench_function("fill_then_drain_10k", |b| {
         b.iter(|| {
             let mut q = EventQueue::with_capacity(10_000);

@@ -159,23 +159,24 @@ fn gate_pfs_burst() -> f64 {
         / flows as f64
 }
 
-/// ns/event for schedule→(cancel 1/4)→pop churn on the slot-map event queue.
+/// ns/event for schedule→(re-arm the wake 1/4)→pop churn on the event queue.
 fn gate_queue_churn() -> f64 {
     let events = 200_000usize;
     best_secs(3, || {
         let mut q = EventQueue::with_capacity(1024);
         let mut t = 0.0f64;
-        let mut pending = Vec::with_capacity(64);
         for i in 0..events {
             t += 0.001;
-            let k = q.schedule(SimTime::from_secs(t), i);
+            q.schedule(SimTime::from_secs(t), i);
             if i % 4 == 0 {
-                pending.push(k);
+                // Re-target the wake, as an engine does after each PFS
+                // change: half the arms fire, half are superseded.
+                let delay = if i % 8 == 0 { 0.0015 } else { 0.01 };
+                q.set_wake(Some(q.now().after(delay)), usize::MAX);
             }
-            if q.len() >= 64 {
-                if let Some(k) = pending.pop() {
-                    q.cancel(k);
-                }
+            // A popped wake is not replaced by an event, so pop until the
+            // pending set is back under its fixed size.
+            while q.len() >= 64 {
                 black_box(q.pop());
             }
         }

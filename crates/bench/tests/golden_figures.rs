@@ -1,9 +1,7 @@
-//! Golden-file test: the scenario registry must regenerate the checked-in
-//! figure CSVs (`results/`) byte-for-byte. The default run covers the
-//! cheap, scale-independent figures (fig01–fig04, 5 CSVs); set
-//! `IOBTS_GOLDEN_FULL=1` to regenerate and compare every figure and
-//! ablation CSV (release build recommended — the sweeps are slow in
-//! debug).
+//! Golden-file tests: the scenario registry must regenerate every
+//! checked-in figure and ablation CSV (`results/`) byte-for-byte, and the
+//! largest and smallest Fig. 7 sweep points of `results_full/` must match
+//! too. Run them in a release build — the sweeps are slow in debug.
 
 use bench::registry::{select, ScenarioCtx};
 use std::path::PathBuf;
@@ -17,25 +15,14 @@ fn registry_regenerates_golden_csvs() {
     let tmp = std::env::temp_dir().join(format!("iobts-golden-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&tmp);
     std::fs::create_dir_all(&tmp).unwrap();
-    // This is the only test in this binary, so the process-global results
-    // override cannot race another test.
+    // This is the only test in this binary that writes CSVs, so the
+    // process-global results override cannot race another test.
     std::env::set_var("IOBTS_RESULTS_DIR", &tmp);
 
-    let full = std::env::var("IOBTS_GOLDEN_FULL").is_ok();
     let ctx = ScenarioCtx::default();
-    let figure_pats: Vec<String> = if full {
-        Vec::new() // empty selection = the whole group
-    } else {
-        ["fig01_02", "fig03", "fig04"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect()
-    };
-    for s in select("figure", &figure_pats).unwrap() {
-        (s.run)(&ctx).unwrap_or_else(|e| panic!("{} failed: {e}", s.name));
-    }
-    if full {
-        for s in select("ablation", &[]).unwrap() {
+    // An empty selection is the whole group.
+    for group in ["figure", "ablation"] {
+        for s in select(group, &[]).unwrap() {
             (s.run)(&ctx).unwrap_or_else(|e| panic!("{} failed: {e}", s.name));
         }
     }
@@ -57,6 +44,26 @@ fn registry_regenerates_golden_csvs() {
         );
         compared += 1;
     }
-    assert!(compared >= 5, "only {compared} CSVs compared");
+    assert!(compared >= 24, "only {compared} CSVs compared");
     let _ = std::fs::remove_dir_all(&tmp);
+}
+
+/// `--full`-scale byte identity: the 96- and 6144-rank rows of Fig. 7
+/// (the 6144-rank runs keep two events per rank pending, the deepest
+/// event queue of the sweep) must match `results_full/`.
+#[test]
+fn full_scale_fig07_rows_match_results_full() {
+    let ranks = [96usize, 6144];
+    let fresh = bench::csv::rows(&bench::scenarios::wacomm_distribution(&ranks));
+    let path = golden_dir().join("../results_full/fig07_wacomm_dist.csv");
+    let golden = std::fs::read_to_string(&path).unwrap();
+    let golden: Vec<&str> = golden
+        .lines()
+        .filter(|l| ranks.iter().any(|n| l.starts_with(&format!("{n},"))))
+        .collect();
+    assert_eq!(golden.len(), 12, "expected six runs per rank count");
+    assert_eq!(
+        fresh, golden,
+        "fig07 --full rows drifted from the checked-in results_full/ CSV"
+    );
 }

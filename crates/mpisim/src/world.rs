@@ -21,8 +21,8 @@ use crate::ops::{FileId, Op, Program, ReqTag};
 use crate::seqmap::SeqMap;
 use pfsim::{BurstBuffer, BurstBufferConfig, Channel, FlowId, FlowSpec, Pfs, PfsConfig};
 use simcore::{
-    rank_phase_stream, stream_rng, EventKey, EventQueue, FaultPlan, Invariant, IoErrorKind, Noise,
-    SimError, SimResult, SimTime, StallSnapshot, StepSeries,
+    rank_phase_stream, stream_rng, EventQueue, FaultPlan, Invariant, IoErrorKind, Noise, SimError,
+    SimResult, SimTime, StallSnapshot, StepSeries,
 };
 use std::collections::HashMap;
 
@@ -518,7 +518,6 @@ pub struct World<H: IoHooks> {
     cfg: WorldConfig,
     queue: EventQueue<Event>,
     pfs: Pfs,
-    pfs_wake: Option<EventKey>,
     ranks: Vec<RankState>,
     limits: Limits,
     hooks: H,
@@ -574,7 +573,6 @@ impl<H: IoHooks> World<H> {
             cfg,
             queue,
             pfs,
-            pfs_wake: None,
             ranks,
             limits,
             hooks,
@@ -707,9 +705,9 @@ impl<H: IoHooks> World<H> {
             // one heap pop streak instead of pop/handle interleaving, so
             // synchronized rank wakes (the common case in bulk-synchronous
             // phases) avoid re-probing the heap top between handlers.
-            // `PfsWake` is excluded — it is the one cancellable event, and
-            // a pre-popped copy would dodge the queue's lazy deletion when
-            // a handler in the same batch cancels it via `resync_pfs`.
+            // `PfsWake` is excluded — it is the queue's re-armable wake, and
+            // a pre-popped copy would still fire after a handler in the
+            // same batch re-arms it via `resync_pfs`.
             let mut batch = std::mem::take(&mut self.batch);
             batch.clear();
             batch.push(ev);
@@ -824,7 +822,6 @@ impl<H: IoHooks> World<H> {
                 self.step_rank(rank);
             }
             Event::PfsWake => {
-                self.pfs_wake = None;
                 self.drain_pfs();
                 self.resync_pfs();
             }
@@ -940,16 +937,11 @@ impl<H: IoHooks> World<H> {
         self.pfs_done = done;
     }
 
-    /// Re-schedules the single PFS wake event at the next completion time.
+    /// Re-arms the queue's wake at the next PFS completion time.
     fn resync_pfs(&mut self) {
-        let target = self.pfs.next_completion();
-        if let Some(key) = self.pfs_wake.take() {
-            self.queue.cancel(key);
-        }
-        if let Some(t) = target {
-            let t = t.max(self.queue.now());
-            self.pfs_wake = Some(self.queue.schedule(t, Event::PfsWake));
-        }
+        let now = self.queue.now();
+        let target = self.pfs.next_completion().map(|t| t.max(now));
+        self.queue.set_wake(target, Event::PfsWake);
     }
 
     // ------------------------------------------------------------------

@@ -12,8 +12,7 @@
 
 use crate::alloc::{water_fill_into, Demand, WaterFillScratch};
 use simcore::{SimTime, StepSeries};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 /// Identifies a single flow (one logical transfer) for completion callbacks.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -99,15 +98,6 @@ impl Default for PfsConfig {
     }
 }
 
-/// One entry of a channel's completion-time index: the absolute time the
-/// group was going to complete at, as computed by the reallocation of
-/// generation `gen`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-struct CtEntry {
-    at: SimTime,
-    gen: u64,
-}
-
 struct ChannelState {
     capacity: f64,
     /// Fault-plan capacity multiplier (1 = healthy, 0 = outage). Kept
@@ -122,18 +112,14 @@ struct ChannelState {
     rates: Vec<f64>,
     /// Resident sort/freeze buffers for the water-fill solve.
     fill: WaterFillScratch,
-    /// Min-heap of absolute completion times for groups with positive rate.
+    /// Earliest absolute completion time over groups with positive rate.
     ///
     /// Rates are piecewise-constant between reallocations, so a group's
-    /// absolute completion time is invariant while an allocation is live;
-    /// the heap top answers `next_completion` in O(1) instead of a scan
-    /// over all groups. Every group mutation goes through `reallocate`,
-    /// which bumps `gen` and rebuilds the index (O(g) heapify into the
-    /// retained buffer) — entries with a stale generation cannot be
-    /// observed, which the peeks assert in debug builds.
-    index: BinaryHeap<Reverse<CtEntry>>,
-    /// Allocation generation, bumped by each reallocation.
-    gen: u64,
+    /// absolute completion time is invariant while an allocation is live.
+    /// Every group mutation goes through `reallocate`, which recomputes
+    /// this minimum, so `next_completion` is a field read instead of a scan
+    /// over all groups.
+    next_done: Option<SimTime>,
 }
 
 impl ChannelState {
@@ -146,19 +132,19 @@ impl ChannelState {
             demands: Vec::new(),
             rates: Vec::new(),
             fill: WaterFillScratch::default(),
-            index: BinaryHeap::new(),
-            gen: 0,
+            next_done: None,
         }
     }
 
-    /// Earliest indexed completion on this channel, if any flow is live and
-    /// not stalled.
-    #[inline]
-    fn next_completion(&self) -> Option<SimTime> {
-        self.index.peek().map(|Reverse(e)| {
-            debug_assert_eq!(e.gen, self.gen, "stale completion-index entry observed");
-            e.at
-        })
+    /// Earliest completion of a group with positive rate, computed from
+    /// `now`; only groups due strictly after `after` count, if given.
+    fn min_completion(&self, now: SimTime, after: Option<SimTime>) -> Option<SimTime> {
+        self.groups
+            .iter()
+            .filter(|g| g.rate > 0.0)
+            .map(|g| now.after(g.remaining / g.rate))
+            .filter(|&at| after.is_none_or(|a| at > a))
+            .min()
     }
 }
 
@@ -414,12 +400,9 @@ impl Pfs {
     /// Earliest future completion across both channels, if any flow is live.
     /// Returns `None` when idle or when all live flows are stalled (rate 0).
     ///
-    /// O(1): both channels answer from their completion-time index.
+    /// O(1): both channels answer from their cached earliest completion.
     pub fn next_completion(&self) -> Option<SimTime> {
-        match (
-            self.channels[0].next_completion(),
-            self.channels[1].next_completion(),
-        ) {
+        match (self.channels[0].next_done, self.channels[1].next_done) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, None) => a,
             (None, b) => b,
@@ -446,9 +429,6 @@ impl Pfs {
             self.now
         );
         loop {
-            // The earliest internal completion comes straight off the index
-            // (the same helper `next_completion` exposes), replacing the
-            // per-step O(groups) scan this loop head used to share with it.
             let step_to = match self.next_completion() {
                 Some(ct) if ct <= t => ct,
                 _ => {
@@ -467,10 +447,10 @@ impl Pfs {
             let time_ulp = step_to.as_secs().abs() * 2.3e-16 + 1e-18;
             for channel in [Channel::Write, Channel::Read] {
                 let idx = channel.index();
-                // Only sweep a channel whose index says a completion is due
-                // now; the other channel's groups cannot have reached zero
-                // (their indexed completions lie strictly in the future).
-                match self.channels[idx].next_completion() {
+                // Only sweep a channel with a completion due now; the other
+                // channel's groups cannot have reached zero (its earliest
+                // completion lies strictly in the future).
+                match self.channels[idx].next_done {
                     Some(due) if due <= step_to => {}
                     _ => continue,
                 }
@@ -495,12 +475,14 @@ impl Pfs {
                 if finished_any {
                     self.reallocate(channel);
                 } else {
-                    // Defensive: the due entry's group did not pass the
-                    // byte-epsilon check (cannot happen — progress_all snaps
-                    // a fully-covered group to exactly zero). Drop the entry
-                    // so the loop is guaranteed to make progress.
+                    // Defensive: the due group did not pass the byte-epsilon
+                    // check (cannot happen — progress_all snaps a
+                    // fully-covered group to exactly zero). Move the cache
+                    // strictly past `step_to` so the loop is guaranteed to
+                    // make progress.
                     debug_assert!(finished_any, "due completion harvested nothing");
-                    self.channels[idx].index.pop();
+                    let ch = &mut self.channels[idx];
+                    ch.next_done = ch.min_completion(step_to, Some(step_to));
                 }
             }
         }
@@ -530,10 +512,10 @@ impl Pfs {
     }
 
     /// Test support: asserts that the incremental allocator state and the
-    /// completion-time index agree with a from-scratch recomputation.
+    /// cached earliest completions agree with a from-scratch recomputation.
     ///
     /// Rates must match *bitwise* (the incremental path runs the same solve
-    /// into resident buffers); indexed completion times may differ from a
+    /// into resident buffers); cached completion times may differ from a
     /// rescan by FP ulps because they were computed against an earlier `now`.
     #[doc(hidden)]
     pub fn validate_invariants(&self) {
@@ -556,32 +538,26 @@ impl Pfs {
                     r
                 );
             }
-            let scan = ch
-                .groups
-                .iter()
-                .filter(|g| g.rate > 0.0)
-                .map(|g| self.now.after(g.remaining / g.rate))
-                .min();
-            match (ch.next_completion(), scan) {
+            match (ch.next_done, ch.min_completion(self.now, None)) {
                 (None, None) => {}
                 (Some(a), Some(b)) => {
                     let (a, b) = (a.as_secs(), b.as_secs());
                     assert!(
                         (a - b).abs() <= 1e-9 * b.abs().max(1.0),
-                        "channel {ci}: indexed completion {a} != rescanned {b}"
+                        "channel {ci}: cached completion {a} != rescanned {b}"
                     );
                 }
-                (a, b) => panic!("channel {ci}: index {a:?} vs rescan {b:?}"),
+                (a, b) => panic!("channel {ci}: cached {a:?} vs rescan {b:?}"),
             }
         }
     }
 
-    /// Recomputes rates on `channel` after a state change, rebuilds the
-    /// channel's completion-time index, and records series.
+    /// Recomputes rates on `channel` after a state change, recomputes the
+    /// channel's earliest completion time, and records series.
     ///
-    /// Allocation-free on the hot path: demands, rates, sort scratch and the
-    /// index buffer are all resident in the channel state. Only the dirty
-    /// channel is touched — the other channel's allocation and index remain
+    /// Allocation-free on the hot path: demands, rates and sort scratch are
+    /// all resident in the channel state. Only the dirty channel is touched
+    /// — the other channel's allocation and earliest completion remain
     /// valid because channels never share capacity.
     fn reallocate(&mut self, channel: Channel) {
         let now = self.now;
@@ -601,21 +577,10 @@ impl Pfs {
         for (g, &r) in ch.groups.iter_mut().zip(&ch.rates) {
             g.rate = r;
         }
-        // Rebuild the completion-time index: a reallocation may change every
-        // rate on this channel, so all prior entries are invalid. Reuse the
-        // heap's buffer and heapify in O(g). Stalled groups (rate 0) carry
-        // no entry, matching `next_completion`'s contract.
-        ch.gen += 1;
-        let gen = ch.gen;
-        let mut buf = std::mem::take(&mut ch.index).into_vec();
-        buf.clear();
-        buf.extend(ch.groups.iter().filter(|g| g.rate > 0.0).map(|g| {
-            Reverse(CtEntry {
-                at: now.after(g.remaining / g.rate),
-                gen,
-            })
-        }));
-        ch.index = BinaryHeap::from(buf);
+        // A reallocation may change every rate on this channel, so the
+        // earliest completion is recomputed. Stalled groups (rate 0) never
+        // complete, matching `next_completion`'s contract.
+        ch.next_done = ch.min_completion(now, None);
         if self.record {
             self.record_series(channel);
         }

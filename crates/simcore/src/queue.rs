@@ -4,54 +4,38 @@
 //! events scheduled for the same instant pop in the order they were pushed,
 //! which keeps simulations deterministic regardless of heap internals.
 //!
-//! Cancellation is supported through [`EventKey`] tokens: `cancel` is O(1)
-//! (lazy deletion; cancelled entries are skipped on pop).
+//! Heap entries are keyed by the integer pair `(time bits, seq)`: scheduled
+//! times are never negative, so the IEEE-754 bit pattern of a time orders
+//! exactly like the time itself, and a sift comparison is two integer
+//! compares with no float branch.
 //!
-//! Bookkeeping is a generation-stamped slot map rather than hash sets: every
-//! scheduled event borrows a slot (recycled through a free list), and the
-//! [`EventKey`] packs `(slot, generation)`. Cancel and pop are then plain
-//! array probes with no hashing, and memory is bounded by the peak number of
-//! concurrently pending events instead of growing with total events ever
-//! scheduled.
+//! Events are never cancelled. The one event an engine re-targets over and
+//! over — its wake-up for the next PFS completion — is a *wake*: a single
+//! re-armable slot held beside the heap ([`EventQueue::set_wake`]).
+//! Re-arming replaces it in place, so no dead entry is ever left behind.
 
-use crate::error::Invariant;
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Token identifying a scheduled event, usable to cancel it.
-///
-/// Packs `(slot, generation)`; a key is invalidated as soon as its event is
-/// delivered or cancelled, even if the slot is later recycled.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventKey(u64);
-
-impl EventKey {
-    fn new(slot: u32, gen: u32) -> Self {
-        EventKey((slot as u64) | ((gen as u64) << 32))
-    }
-
-    fn slot(self) -> u32 {
-        self.0 as u32
-    }
-
-    fn gen(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-}
-
 struct Entry<E> {
-    time: SimTime,
+    /// `to_bits` of the (non-negative, `-0.0`-normalised) time in seconds.
+    time: u64,
     /// Monotonic tie-breaker: FIFO among same-time events.
     seq: u64,
-    slot: u32,
-    gen: u32,
     payload: E,
+}
+
+impl<E> Entry<E> {
+    #[inline]
+    fn key(&self) -> (u64, u64) {
+        (self.time, self.seq)
+    }
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -61,32 +45,20 @@ impl<E> PartialOrd for Entry<E> {
     }
 }
 impl<E> Ord for Entry<E> {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so earliest time (then lowest seq)
         // is popped first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
-}
-
-/// Per-slot state. `pending` is true while the event scheduled under the
-/// current generation has been neither popped nor cancelled.
-#[derive(Clone, Copy)]
-struct Slot {
-    gen: u32,
-    pending: bool,
 }
 
 /// A deterministic time-ordered event queue.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
+    /// The armed wake, if any; ordered against the heap top by `(time, seq)`.
+    wake: Option<Entry<E>>,
     next_seq: u64,
-    slots: Vec<Slot>,
-    free: Vec<u32>,
-    /// Scheduled, not yet popped, not cancelled.
-    live: usize,
     now: SimTime,
 }
 
@@ -107,10 +79,8 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
+            wake: None,
             next_seq: 0,
-            slots: Vec::with_capacity(capacity),
-            free: Vec::with_capacity(capacity),
-            live: 0,
             now: SimTime::ZERO,
         }
     }
@@ -120,11 +90,12 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Schedules `payload` at absolute time `time`.
+    /// Builds the entry for `payload` at `time`, drawing the next sequence
+    /// number.
     ///
     /// Panics if `time` is in the past (before the last popped event): a DES
     /// must never travel backwards.
-    pub fn schedule(&mut self, time: SimTime, payload: E) -> EventKey {
+    fn entry(&mut self, time: SimTime, payload: E) -> Entry<E> {
         assert!(
             time >= self.now,
             "cannot schedule event in the past: {:?} < {:?}",
@@ -133,106 +104,78 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                // Recycled slot: bump the generation so stale keys (and stale
-                // heap entries from a cancelled predecessor) no longer match.
-                let s = &mut self.slots[slot as usize];
-                s.gen = s.gen.wrapping_add(1);
-                s.pending = true;
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slots.len()).invariant("slot count fits in u32");
-                self.slots.push(Slot {
-                    gen: 0,
-                    pending: true,
-                });
-                slot
-            }
-        };
-        let gen = self.slots[slot as usize].gen;
-        self.live += 1;
-        self.heap.push(Entry {
-            time,
+        Entry {
+            // `+ 0.0` turns `-0.0` into `+0.0`; every other time is ≥ 0.
+            time: (time.as_secs() + 0.0).to_bits(),
             seq,
-            slot,
-            gen,
             payload,
-        });
-        EventKey::new(slot, gen)
+        }
+    }
+
+    /// Schedules `payload` at absolute time `time`.
+    ///
+    /// Panics if `time` is in the past (before the last popped event).
+    pub fn schedule(&mut self, time: SimTime, payload: E) {
+        let e = self.entry(time, payload);
+        self.heap.push(e);
     }
 
     /// Schedules `payload` after `delay` seconds from now.
-    pub fn schedule_in(&mut self, delay: f64, payload: E) -> EventKey {
+    pub fn schedule_in(&mut self, delay: f64, payload: E) {
         let t = self.now.after(delay);
-        self.schedule(t, payload)
+        self.schedule(t, payload);
     }
 
-    /// Cancels a previously scheduled event. Returns `true` if the event was
-    /// still pending (i.e. not yet popped or cancelled); cancelling an
-    /// already-delivered or already-cancelled event is a no-op returning
-    /// `false`.
-    pub fn cancel(&mut self, key: EventKey) -> bool {
-        match self.slots.get_mut(key.slot() as usize) {
-            Some(s) if s.gen == key.gen() && s.pending => {
-                s.pending = false;
-                self.live -= 1;
-                // The physical heap entry stays behind (lazy deletion) but its
-                // generation no longer matches once the slot is recycled; the
-                // `pending` flag covers the window before recycling.
-                self.free.push(key.slot());
-                true
-            }
-            _ => false,
+    /// Arms the wake at `time` with `payload`, replacing any armed wake, or
+    /// disarms it with `None`.
+    ///
+    /// Arming draws a fresh sequence number exactly as [`schedule`] does, so
+    /// the wake ties with same-instant events as if it had just been
+    /// scheduled. A popped wake is disarmed. Panics if `time` is in the past.
+    ///
+    /// [`schedule`]: EventQueue::schedule
+    pub fn set_wake(&mut self, time: Option<SimTime>, payload: E) {
+        self.wake = time.map(|t| self.entry(t, payload));
+    }
+
+    /// True if the armed wake precedes the heap top (or the heap is empty).
+    #[inline]
+    fn wake_first(&self) -> bool {
+        match (&self.wake, self.heap.peek()) {
+            (Some(w), Some(h)) => w.key() < h.key(),
+            (w, _) => w.is_some(),
         }
     }
 
-    /// Pops the next live event, advancing the clock to its timestamp.
+    /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            let s = &mut self.slots[entry.slot as usize];
-            if s.gen != entry.gen || !s.pending {
-                // Cancelled (and possibly recycled since): discard.
-                continue;
-            }
-            debug_assert!(entry.time >= self.now);
-            s.pending = false;
-            self.free.push(entry.slot);
-            self.live -= 1;
-            self.now = entry.time;
-            return Some((entry.time, entry.payload));
-        }
-        None
+        let e = if self.wake_first() {
+            self.wake.take()
+        } else {
+            self.heap.pop()
+        }?;
+        let t = SimTime::from_secs(f64::from_bits(e.time));
+        debug_assert!(t >= self.now);
+        self.now = t;
+        Some((t, e.payload))
     }
 
-    /// The next live event — timestamp and payload — without popping it.
-    /// Cancelled entries encountered on the way are discarded, exactly as
-    /// [`EventQueue::pop`] would.
-    pub fn peek(&mut self) -> Option<(SimTime, &E)> {
-        // peek_time purges the stale prefix, so the heap top is live.
-        self.peek_time()?;
-        self.heap.peek().map(|e| (e.time, &e.payload))
+    /// The next event — timestamp and payload — without popping it.
+    pub fn peek(&self) -> Option<(SimTime, &E)> {
+        let e = if self.wake_first() {
+            self.wake.as_ref()
+        } else {
+            self.heap.peek()
+        }?;
+        Some((SimTime::from_secs(f64::from_bits(e.time)), &e.payload))
     }
 
-    /// Timestamp of the next live event without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.heap.peek() {
-            let s = &self.slots[entry.slot as usize];
-            if s.gen == entry.gen && s.pending {
-                return Some(entry.time);
-            }
-            self.heap.pop();
-        }
-        None
-    }
-
-    /// Number of live (non-cancelled) pending events.
+    /// Number of pending events, the armed wake included.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len() + usize::from(self.wake.is_some())
     }
 
-    /// True if no live events remain.
+    /// True if no events remain.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -279,27 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_event() {
-        let mut q = EventQueue::new();
-        let k = q.schedule(t(1.0), "dead");
-        q.schedule(t(2.0), "alive");
-        assert!(q.cancel(k));
-        assert!(!q.cancel(k), "double cancel reports false");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().1, "alive");
-    }
-
-    #[test]
-    fn peek_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let k = q.schedule(t(1.0), 1);
-        q.schedule(t(2.0), 2);
-        q.cancel(k);
-        assert_eq!(q.peek_time(), Some(t(2.0)));
-        assert_eq!(q.pop().unwrap().1, 2);
-    }
-
-    #[test]
     fn schedule_in_is_relative() {
         let mut q = EventQueue::new();
         q.schedule(t(1.0), "first");
@@ -309,71 +231,65 @@ mod tests {
         assert!((time.as_secs() - 1.5).abs() < 1e-12);
     }
 
-    /// Regression (found by proptest): cancelling an event that was already
-    /// popped must be a no-op — it used to corrupt `len()` via a stale
-    /// lazy-deletion entry.
     #[test]
-    fn cancel_after_pop_is_noop() {
+    fn rearming_the_wake_supersedes_it() {
         let mut q = EventQueue::new();
-        let k = q.schedule(t(1.0), "x");
-        q.schedule(t(2.0), "y");
-        assert_eq!(q.pop().unwrap().1, "x");
-        assert!(!q.cancel(k), "event already delivered");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().1, "y");
-        assert_eq!(q.len(), 0);
-    }
-
-    /// A key must stay dead after its slot is recycled by a later event:
-    /// cancelling it again must not disturb the new occupant.
-    #[test]
-    fn stale_key_does_not_cancel_recycled_slot() {
-        let mut q = EventQueue::new();
-        let k1 = q.schedule(t(1.0), "a");
-        assert!(q.cancel(k1));
-        // Reuses k1's slot under a new generation.
-        let k2 = q.schedule(t(2.0), "b");
-        assert!(!q.cancel(k1), "stale key must not hit the recycled slot");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().1, "b");
-        assert!(!q.cancel(k2), "already delivered");
-        assert!(q.is_empty());
-    }
-
-    /// Cancel + reschedule at the same time leaves a stale physical entry
-    /// alongside the live one; the stale entry must be skipped even though it
-    /// references the same slot.
-    #[test]
-    fn stale_heap_entry_on_recycled_slot_is_skipped() {
-        let mut q = EventQueue::new();
-        let k = q.schedule(t(1.0), "old");
-        q.cancel(k);
-        q.schedule(t(1.0), "new");
-        assert_eq!(q.peek_time(), Some(t(1.0)));
-        assert_eq!(q.pop().unwrap().1, "new");
+        q.schedule(t(2.0), "event");
+        q.set_wake(Some(t(1.0)), "early wake");
+        q.set_wake(Some(t(3.0)), "late wake");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some((t(2.0), "event")));
+        assert_eq!(q.peek(), Some((t(3.0), &"late wake")));
+        assert_eq!(q.pop(), Some((t(3.0), "late wake")));
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn none_disarms_the_wake() {
+        let mut q = EventQueue::new();
+        q.set_wake(Some(t(1.0)), "wake");
+        q.schedule(t(2.0), "event");
+        q.set_wake(None, "ignored");
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((t(2.0), "event")));
         assert!(q.is_empty());
     }
 
-    /// Slots are recycled: heavy churn must not grow bookkeeping beyond the
-    /// peak number of concurrently pending events.
+    /// At one instant the wake pops in the order it was armed relative to
+    /// ordinary events: re-arming moves it behind events scheduled since.
     #[test]
-    fn slot_recycling_bounds_bookkeeping() {
+    fn wake_ties_by_arming_order() {
         let mut q = EventQueue::new();
-        for i in 0..10_000 {
-            let k = q.schedule(t(i as f64 + 1.0), i);
-            if i % 2 == 0 {
-                q.cancel(k);
-            } else {
-                q.pop();
-            }
-        }
+        q.schedule(t(1.0), "a");
+        q.set_wake(Some(t(1.0)), "wake");
+        q.schedule(t(1.0), "b");
+        assert_eq!(q.peek(), Some((t(1.0), &"a")));
+        assert_eq!(q.pop().unwrap().1, "a");
+        assert_eq!(q.pop().unwrap().1, "wake");
+        assert_eq!(q.pop().unwrap().1, "b");
+
+        q.set_wake(Some(t(2.0)), "wake");
+        q.schedule(t(2.0), "c");
+        q.set_wake(Some(t(2.0)), "rearmed");
+        assert_eq!(q.pop().unwrap().1, "c");
+        assert_eq!(q.pop().unwrap().1, "rearmed");
         assert!(q.is_empty());
-        assert!(
-            q.slots.len() <= 2,
-            "churn leaked {} slots (expected peak-bounded)",
-            q.slots.len()
-        );
+    }
+
+    /// `-0.0` is the same instant as `0.0`: it ties in FIFO order instead of
+    /// sorting after every positive time (its raw bits have the sign set).
+    #[test]
+    fn negative_zero_is_time_zero() {
+        let mut q = EventQueue::new();
+        q.schedule(t(0.5), "later");
+        q.schedule(t(0.0), "zero");
+        q.schedule(t(-0.0), "negative zero");
+        q.set_wake(Some(t(-0.0)), "wake");
+        assert_eq!(q.pop(), Some((t(0.0), "zero")));
+        let (time, what) = q.pop().unwrap();
+        assert_eq!((time.as_secs().to_bits(), what), (0, "negative zero"));
+        assert_eq!(q.pop().unwrap().1, "wake");
+        assert_eq!(q.pop().unwrap().1, "later");
     }
 
     #[test]

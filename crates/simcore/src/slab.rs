@@ -1,5 +1,5 @@
-//! Generation-stamped slot arena — the bookkeeping pattern behind
-//! [`crate::EventQueue`], exposed as a reusable container.
+//! Generation-stamped slot arena: a reusable container for hot-loop id
+//! maps.
 //!
 //! A [`GenSlab`] hands out [`GenKey`]s that pack `(slot, generation)`.
 //! Lookups are plain array probes with no hashing; removing an entry bumps

@@ -1,7 +1,59 @@
-//! Property tests of the event queue: total order, FIFO ties, cancellation.
+//! Property tests of the event queue: total order, FIFO ties, and the
+//! re-armable wake checked against an ordered-map model.
 
 use proptest::prelude::*;
 use simcore::{EventQueue, SimTime};
+use std::collections::BTreeMap;
+
+/// Reference model: every pending event, the armed wake included, keyed by
+/// `(time bits, seq)` in one ordered map.
+#[derive(Default)]
+struct Oracle {
+    pending: BTreeMap<(u64, u64), usize>,
+    wake: Option<(u64, u64)>,
+    next_seq: u64,
+    now: f64,
+}
+
+impl Oracle {
+    fn key(&mut self, t: f64) -> (u64, u64) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        ((t + 0.0).to_bits(), seq)
+    }
+
+    fn schedule(&mut self, t: f64, id: usize) {
+        let k = self.key(t);
+        self.pending.insert(k, id);
+    }
+
+    fn set_wake(&mut self, t: Option<f64>, id: usize) {
+        if let Some(old) = self.wake.take() {
+            self.pending.remove(&old);
+        }
+        if let Some(t) = t {
+            let k = self.key(t);
+            self.pending.insert(k, id);
+            self.wake = Some(k);
+        }
+    }
+
+    fn peek(&self) -> Option<(f64, usize)> {
+        self.pending
+            .iter()
+            .next()
+            .map(|(&(t, _), &id)| (f64::from_bits(t), id))
+    }
+
+    fn pop(&mut self) -> Option<(f64, usize)> {
+        let (k, id) = self.pending.pop_first()?;
+        if self.wake == Some(k) {
+            self.wake = None;
+        }
+        self.now = f64::from_bits(k.0);
+        Some((self.now, id))
+    }
+}
 
 proptest! {
     /// Pops are globally ordered by (time, insertion sequence).
@@ -24,65 +76,46 @@ proptest! {
         }
     }
 
-    /// Cancelling an arbitrary subset removes exactly those events.
+    /// Random schedule / schedule_in / set_wake / pop / peek sequences give
+    /// the same `(time, payload)` stream and `len()` as the model. Small
+    /// integer offsets make same-instant ties (wake against events) common.
     #[test]
-    fn cancellation_is_exact(
-        times in prop::collection::vec(0u32..50, 1..100),
-        cancel_mask in prop::collection::vec(any::<bool>(), 1..100),
-    ) {
+    fn matches_ordered_map_model(script in prop::collection::vec((0u8..6, 0u32..6), 1..300)) {
         let mut q = EventQueue::new();
-        let keys: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| q.schedule(SimTime::from_secs(t as f64), i))
-            .collect();
-        let mut cancelled = std::collections::HashSet::new();
-        for (i, k) in keys.iter().enumerate() {
-            if *cancel_mask.get(i).unwrap_or(&false) {
-                prop_assert!(q.cancel(*k));
-                cancelled.insert(i);
-            }
-        }
-        let mut seen = std::collections::HashSet::new();
-        while let Some((_, id)) = q.pop() {
-            prop_assert!(!cancelled.contains(&id), "cancelled event {id} popped");
-            seen.insert(id);
-        }
-        prop_assert_eq!(seen.len(), times.len() - cancelled.len());
-    }
-
-    /// Interleaved schedule/pop keeps the clock monotone and never loses a
-    /// live event.
-    #[test]
-    fn interleaved_ops_keep_invariants(script in prop::collection::vec((0u8..3, 0u32..20), 1..200)) {
-        let mut q = EventQueue::new();
-        let mut scheduled = 0usize;
-        let mut popped = 0usize;
-        let mut cancelled = 0usize;
-        let mut last_key = None;
-        let mut last_now = SimTime::ZERO;
-        for (op, dt) in script {
+        let mut m = Oracle::default();
+        for (id, (op, dt)) in script.into_iter().enumerate() {
+            let at = m.now + dt as f64;
             match op {
                 0 => {
-                    last_key = Some(q.schedule_in(dt as f64, ()));
-                    scheduled += 1;
+                    q.schedule(SimTime::from_secs(at), id);
+                    m.schedule(at, id);
                 }
                 1 => {
-                    if let Some((t, ())) = q.pop() {
-                        prop_assert!(t >= last_now, "clock monotone");
-                        last_now = t;
-                        popped += 1;
-                    }
+                    q.schedule_in(dt as f64, id);
+                    m.schedule(at, id);
+                }
+                2 => {
+                    q.set_wake(Some(SimTime::from_secs(at)), id);
+                    m.set_wake(Some(at), id);
+                }
+                3 => {
+                    q.set_wake(None, id);
+                    m.set_wake(None, id);
+                }
+                4 => {
+                    let got = q.peek().map(|(t, &id)| (t.as_secs(), id));
+                    prop_assert_eq!(got, m.peek());
                 }
                 _ => {
-                    if let Some(k) = last_key.take() {
-                        if q.cancel(k) {
-                            cancelled += 1;
-                        }
-                    }
+                    let got = q.pop().map(|(t, id)| (t.as_secs(), id));
+                    prop_assert_eq!(got, m.pop());
                 }
             }
+            prop_assert_eq!(q.len(), m.pending.len());
         }
-        prop_assert_eq!(q.len(), scheduled - popped - cancelled);
+        while let Some((t, id)) = q.pop() {
+            prop_assert_eq!(Some((t.as_secs(), id)), m.pop());
+        }
+        prop_assert!(m.pending.is_empty());
     }
 }

@@ -21,9 +21,8 @@
 //! and record storage are allocation-free in steady state:
 //!
 //! * open request spans live in a generation-stamped slot arena
-//!   ([`simcore::GenSlab`], the [`simcore::EventQueue`] bookkeeping design)
-//!   indexed per rank by [`ReqTag`] — no hashing, memory bounded by the
-//!   peak number of outstanding requests;
+//!   ([`simcore::GenSlab`]) indexed per rank by [`ReqTag`] — no hashing,
+//!   memory bounded by the peak number of outstanding requests;
 //! * closed phase/window/span/sync records land in structure-of-arrays
 //!   tables pre-sized with `with_capacity`, materialized into the report's
 //!   serialized row format only once at [`Tracer::into_report`];
