@@ -212,20 +212,6 @@ fn bench_ftio(c: &mut Criterion) {
     });
 }
 
-fn bench_online_aggregator(c: &mut Criterion) {
-    use tmio::online::OnlineAggregator;
-    c.bench_function("online_aggregator_10k_inserts", |b| {
-        b.iter(|| {
-            let mut agg = OnlineAggregator::new();
-            for i in 0..10_000u64 {
-                let a = (i % 997) as f64 * 0.01;
-                agg.insert(a, a + 0.5, 1.0 + (i % 7) as f64);
-            }
-            black_box(agg.peak())
-        })
-    });
-}
-
 criterion_group!(
     benches,
     bench_water_fill,
@@ -235,7 +221,6 @@ criterion_group!(
     bench_region_sweep,
     bench_strategy,
     bench_interpreter,
-    bench_ftio,
-    bench_online_aggregator
+    bench_ftio
 );
 criterion_main!(benches);

@@ -7,11 +7,13 @@
 //! therefore implies the scenario's outputs are whole.
 //!
 //! `--resume` ([`is_done`]) skips entries whose manifest matches the
-//! current run shape (`--full`/`--quick` flags), so an interrupted sweep
-//! picks up where it stopped and regenerates byte-identical outputs: the
-//! scenarios themselves are deterministic, and the skipped entries' files
-//! are already final. A non-resume run calls [`clear_group`] first so
-//! stale manifests never mask re-runs after the flags change.
+//! current [`fingerprint`] — the same code, the same entry and the same run
+//! shape (`--full`/`--quick` flags) — so an interrupted sweep picks up where
+//! it stopped and regenerates byte-identical outputs: the scenarios
+//! themselves are deterministic, and the skipped entries' files are already
+//! final. An entry completed by other code (an edited scenario config or
+//! engine) or under another shape is recomputed. A non-resume run calls
+//! [`clear_group`] first so stale manifests never mask re-runs.
 
 use crate::registry::ScenarioCtx;
 use std::fs;
@@ -24,20 +26,30 @@ pub fn manifest_dir() -> PathBuf {
     crate::results_dir().join(".manifest")
 }
 
-/// The run-shape fingerprint stored in each manifest entry: completing a
-/// `--quick` sweep must not mark the full-scale variant done.
-pub fn fingerprint(ctx: &ScenarioCtx) -> String {
-    format!("v1 full={} quick={}", ctx.full, ctx.quick)
+/// Identity of the code that computes every entry: a digest of the
+/// workspace sources, set by `build.rs`. A scenario's configs are code, so
+/// editing one — or the engine beneath it — changes this.
+const BUILD_ID: &str = env!("IOBTS_SOURCE_HASH");
+
+/// The fingerprint stored in an entry's manifest: the build identity plus
+/// the entry's resolved configuration — which entry, at which run shape
+/// (completing a `--quick` sweep must not mark the full-scale variant done).
+pub fn fingerprint(group: &str, name: &str, ctx: &ScenarioCtx) -> String {
+    format!(
+        "v2 build={BUILD_ID} entry={group}.{name} full={} quick={}",
+        ctx.full, ctx.quick
+    )
 }
 
 fn entry_path(group: &str, name: &str) -> PathBuf {
     manifest_dir().join(format!("{group}.{name}.done"))
 }
 
-/// Whether `name` completed under the same run shape (for `--resume`).
+/// Whether `name` completed under the current code and run shape (for
+/// `--resume`).
 pub fn is_done(group: &str, name: &str, ctx: &ScenarioCtx) -> bool {
     fs::read_to_string(entry_path(group, name))
-        .map(|body| body.trim() == fingerprint(ctx))
+        .map(|body| body.trim() == fingerprint(group, name, ctx))
         .unwrap_or(false)
 }
 
@@ -48,7 +60,7 @@ pub fn mark_done(group: &str, name: &str, ctx: &ScenarioCtx) -> io::Result<()> {
     fs::create_dir_all(&dir)?;
     let path = entry_path(group, name);
     let tmp = dir.join(format!(".{group}.{name}.tmp"));
-    fs::write(&tmp, fingerprint(ctx))?;
+    fs::write(&tmp, fingerprint(group, name, ctx))?;
     fs::rename(&tmp, &path)
 }
 
@@ -89,6 +101,15 @@ mod tests {
         assert!(is_done("g", "s1", &ctx(false)));
         // A quick-shape completion does not satisfy a full-shape resume.
         assert!(!is_done("g", "s1", &ctx(true)));
+        // Nor does one entry's completion mark another done.
+        assert!(!is_done("g", "s2", &ctx(false)));
+        // A manifest left by other code (another build identity, or the
+        // shape-only format that predates it) is not a completion.
+        let other = fingerprint("g", "s1", &ctx(false)).replace(BUILD_ID, "0123456789abcdef");
+        std::fs::write(entry_path("g", "s1"), other).unwrap();
+        assert!(!is_done("g", "s1", &ctx(false)));
+        std::fs::write(entry_path("g", "s1"), "v1 full=false quick=false").unwrap();
+        assert!(!is_done("g", "s1", &ctx(false)));
         clear_group("g");
         assert!(!is_done("g", "s1", &ctx(false)));
     }

@@ -125,3 +125,57 @@ fn resume_reruns_when_the_run_shape_changes() {
 
     let _ = std::fs::remove_dir_all(&base);
 }
+
+#[test]
+fn resume_recomputes_entries_completed_by_other_code_or_config() {
+    let base = std::env::temp_dir().join(format!("iobts-resume-code-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).expect("results dir");
+
+    let out = figures(&base, &[], None);
+    assert!(out.status.success(), "{out:?}");
+    let reference = csvs(&base);
+
+    // Make fig04 look as if an older build (a different scenario config or
+    // engine) had computed it: stale CSV bytes under a manifest whose build
+    // identity differs from this binary's.
+    let manifest = base.join(".manifest").join("figure.fig04.done");
+    let body = std::fs::read_to_string(&manifest).expect("fig04 manifest");
+    assert!(body.contains("entry=figure.fig04"), "manifest: {body}");
+    let build = body
+        .split_whitespace()
+        .find_map(|f| f.strip_prefix("build="))
+        .expect("manifest names its build");
+    std::fs::write(&manifest, body.replace(build, "0123456789abcdef")).expect("forge manifest");
+    let csv = base.join("fig04_regions.csv");
+    assert!(
+        reference.contains_key("fig04_regions.csv"),
+        "{:?}",
+        reference.keys()
+    );
+    std::fs::write(&csv, "stale\n").expect("stale csv");
+    // fig03 carries the shape-only manifest written before build identities.
+    std::fs::write(
+        base.join(".manifest").join("figure.fig03.done"),
+        "v1 full=false quick=false",
+    )
+    .expect("old-format manifest");
+
+    let out = figures(&base, &["--resume"], None);
+    assert!(out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !stderr.contains("SKIP"),
+        "entries from other code must be recomputed: {stderr}"
+    );
+    assert_eq!(csvs(&base), reference, "recomputed outputs differ");
+
+    // The recomputed entries are now current and skip on the next resume.
+    let out = figures(&base, &["--resume"], None);
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr).matches("SKIP").count(),
+        SCENARIOS.len()
+    );
+
+    let _ = std::fs::remove_dir_all(&base);
+}

@@ -30,6 +30,13 @@ impl StepSeries {
         StepSeries { points: Vec::new() }
     }
 
+    /// An empty series with room for `points` change points.
+    pub fn with_capacity(points: usize) -> Self {
+        StepSeries {
+            points: Vec::with_capacity(points),
+        }
+    }
+
     /// Records that the value becomes `value` at time `t`.
     ///
     /// Multiple pushes at the same timestamp keep only the last value;

@@ -11,13 +11,12 @@
 //! * applies the **direct / up-only / adaptive** limiting strategies
 //!   (Sec. IV-B) plus the future-work MFU table ([`Strategy`]),
 //! * aggregates rank metrics to application level with the region sweep of
-//!   Eq. 3 ([`regions`]),
+//!   Eq. 3 ([`regions`]), maintained live during the run
+//!   ([`IncrementalSweep`]),
 //! * reports the run: time decomposition, overheads, JSON traces
 //!   ([`Report`]),
 //! * detects periodic I/O behaviour with FTIO-style frequency analysis
 //!   ([`ftio`], the companion-tool capability mentioned in Sec. VII),
-//! * aggregates regions **online** for schedulers consuming the metric live
-//!   ([`online::OnlineAggregator`]),
 //! * optionally records the raw event stream ([`trace::TraceLog`], the
 //!   machine-readable Fig. 3).
 //!
@@ -46,14 +45,13 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod ftio;
-pub mod online;
 pub mod regions;
 mod report;
 mod strategy;
 pub mod trace;
 mod tracer;
 
-pub use regions::{max_region, sweep, IncrementalSweep, Interval};
+pub use regions::{max_region, sweep, IncrementalSweep, Interval, Opened};
 pub use report::{Decomposition, FaultEventRecord, Report};
 pub use strategy::{Strategy, StrategyState, LIMIT_FLOOR};
 pub use tracer::{

@@ -25,6 +25,10 @@ pub struct Interval {
 pub fn sweep(intervals: &[Interval]) -> StepSeries {
     let mut events: Vec<(f64, f64)> = Vec::with_capacity(intervals.len() * 2);
     for iv in intervals {
+        assert!(
+            !iv.ts.is_nan() && !iv.te.is_nan() && !iv.value.is_nan(),
+            "interval must be NaN-free"
+        );
         debug_assert!(iv.te >= iv.ts, "interval must not be reversed");
         if iv.te > iv.ts {
             events.push((iv.ts, iv.value));
@@ -33,12 +37,10 @@ pub fn sweep(intervals: &[Interval]) -> StepSeries {
     }
     // Sort by time; at equal times apply removals before additions so that a
     // region never double-counts an interval that ends exactly where another
-    // starts (intervals are right-open).
-    events.sort_by(|a, b| {
-        a.0.partial_cmp(&b.0)
-            .invariant("NaN-free")
-            .then(a.1.partial_cmp(&b.1).invariant("NaN-free"))
-    });
+    // starts (intervals are right-open). IEEE total order makes the result
+    // independent of input order: -0.0 sorts before 0.0 (the two still share
+    // one region below, stamped -0.0).
+    events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
     // Residue guard scale: cancellation residue is proportional to the
     // magnitudes that were summed, so the threshold must be *relative* to
     // the largest interval value. An absolute cutoff would silently zero
@@ -74,38 +76,64 @@ pub fn max_region(intervals: &[Interval]) -> f64 {
     sweep(intervals).max_value()
 }
 
-/// Streaming form of [`sweep`]: a maintained sorted-edge structure that
-/// accepts closed phases *as they arrive* and serves the aggregated series
-/// from a cache invalidated on append.
+/// Streaming form of [`sweep`]: two append-only edge logs in simulation
+/// time order, accepting intervals *as they open and close* and serving the
+/// aggregated series from a cache invalidated on close.
 ///
-/// [`IncrementalSweep::push`] is O(1): the interval's two edges land in an
-/// unsorted pending buffer (the simulation hot path pushes once per closed
-/// phase, so no per-event sorting or tail shifting happens there). A query
-/// sorts only the edges pushed since the previous query and merges them into
-/// the kept sorted `(time, delta)` list — O(p log p + n) for p pending
-/// edges — so repeated mid-run queries stay incremental instead of
-/// re-collecting everything. [`IncrementalSweep::series`] replays the exact
-/// accumulation loop of [`sweep`] over the merged edges — same edge order,
-/// same summation order, same relative residue guard — so its output is
-/// bit-identical to `sweep` over the same intervals (property-tested in
-/// this module and in `tests/`).
+/// * [`IncrementalSweep::open`] appends the start edge `(ts, ·)` when an
+///   interval opens; its value is still unknown, so the edge is a hole until
+///   [`IncrementalSweep::close`] fills it in and appends the end edge
+///   `(te, −value)`. A start edge that is never closed (a dropped
+///   [`Opened`], a zero-length interval) stays a hole and is skipped.
+/// * A caller whose hooks fire in nondecreasing time — the tracer — keeps
+///   both logs sorted for free, so a query is one streaming merge of the two
+///   logs: O(n), no sort.
+/// * [`IncrementalSweep::push`] is `open` followed by `close`. An append
+///   that goes back in time ends its log's sorted prefix (one compare with
+///   the last edge); the next query sorts the tail and merges it into the
+///   prefix before the same streaming pass — O(n) for a short tail. While no
+///   interval is open this folds both logs into one in place; otherwise it
+///   works on a copy of the start log, whose open handles must not move.
+///
+/// The merge sums each region's edges in the oracle's order — by time in
+/// IEEE total order, then by delta — under the same relative residue guard,
+/// so the output is bit-identical to [`sweep`] over the closed intervals
+/// (property-tested in `tests/sweep_prop.rs`).
 #[derive(Clone, Debug, Default)]
 pub struct IncrementalSweep {
-    /// Edge list sorted by `(time, delta)` — removals before additions at
-    /// equal times, exactly like the oracle's sort.
-    events: Vec<(f64, f64)>,
-    /// Edges appended since the last merge, in push order.
-    pending: Vec<(f64, f64)>,
-    /// Resident merge output buffer, swapped with `events` at each merge.
-    scratch: Vec<(f64, f64)>,
-    /// Largest `|value|` ever pushed, including zero-length intervals (the
+    /// Start edges `(ts, value)` in `open` order; `value` is [`HOLE`] until
+    /// the interval closes with positive length. After an out-of-order fold
+    /// it also holds every end edge closed before the fold.
+    starts: Vec<(f64, f64)>,
+    /// End edges `(te, −value)` in `close` order.
+    ends: Vec<(f64, f64)>,
+    /// Lengths of the time-ordered prefixes of `starts` and `ends`; they
+    /// stop growing at the first append that goes back in time, and the next
+    /// rebuild sorts the tails in.
+    starts_sorted: usize,
+    ends_sorted: usize,
+    /// Handles handed out by `open` and not yet closed (dropped ones
+    /// included: they keep `starts` from being permuted under them).
+    open: usize,
+    /// Largest `|value|` ever closed, including zero-length intervals (the
     /// oracle computes its residue scale over *all* intervals).
     max_abs: f64,
-    /// Intervals accepted so far (zero-length ones included).
+    /// Intervals closed so far (zero-length ones included).
     n_intervals: usize,
-    /// Cached aggregation; `None` after an append.
+    /// Cached aggregation; `None` after a close.
     cache: Option<StepSeries>,
 }
+
+/// The value of a start edge whose interval has not closed (values are
+/// NaN-free, so NaN is free to mark it).
+const HOLE: f64 = f64::NAN;
+
+/// An interval opened by [`IncrementalSweep::open`], to be passed back to
+/// [`IncrementalSweep::close`] on the same sweep. Dropping it instead leaves
+/// the interval a hole.
+#[derive(Debug)]
+#[must_use = "an interval that is never closed contributes nothing"]
+pub struct Opened(usize);
 
 impl IncrementalSweep {
     /// An empty sweep.
@@ -113,78 +141,68 @@ impl IncrementalSweep {
         Self::default()
     }
 
-    /// An empty sweep pre-sized for `intervals` pushes.
+    /// An empty sweep pre-sized for `intervals` intervals.
     pub fn with_capacity(intervals: usize) -> Self {
         IncrementalSweep {
-            events: Vec::with_capacity(intervals * 2),
+            starts: Vec::with_capacity(intervals),
+            ends: Vec::with_capacity(intervals),
             ..Self::default()
         }
     }
 
-    /// Number of intervals accepted so far.
+    /// Number of intervals closed so far.
     pub fn len(&self) -> usize {
         self.n_intervals
     }
 
-    /// True when no interval has been pushed.
+    /// True when no interval has been closed.
     pub fn is_empty(&self) -> bool {
         self.n_intervals == 0
     }
 
-    /// Accepts one closed interval, invalidating the cached series.
-    pub fn push(&mut self, iv: Interval) {
-        assert!(
-            !iv.ts.is_nan() && !iv.te.is_nan() && !iv.value.is_nan(),
-            "interval must be NaN-free"
-        );
-        debug_assert!(iv.te >= iv.ts, "interval must not be reversed");
+    /// Opens an interval at `ts`, appending its start edge. The cached
+    /// series stays valid: the edge is a hole until [`Self::close`].
+    pub fn open(&mut self, ts: f64) -> Opened {
+        assert!(!ts.is_nan(), "interval must be NaN-free");
+        if in_order(&self.starts, self.starts_sorted, ts) {
+            self.starts_sorted += 1;
+        }
+        self.starts.push((ts, HOLE));
+        self.open += 1;
+        Opened(self.starts.len() - 1)
+    }
+
+    /// Closes `opened` at `te` with `value` held over `[ts, te)`,
+    /// invalidating the cached series. A zero-length interval adds no edge
+    /// but still counts toward the residue scale, as in [`sweep`].
+    pub fn close(&mut self, opened: Opened, te: f64, value: f64) {
+        assert!(!te.is_nan() && !value.is_nan(), "interval must be NaN-free");
+        let start = &mut self.starts[opened.0];
+        debug_assert!(start.1.is_nan(), "interval closed twice");
+        debug_assert!(te >= start.0, "interval must not be reversed");
+        self.open -= 1;
         self.n_intervals += 1;
-        self.max_abs = self.max_abs.max(iv.value.abs());
-        if iv.te > iv.ts {
-            self.pending.push((iv.ts, iv.value));
-            self.pending.push((iv.te, -iv.value));
+        self.max_abs = self.max_abs.max(value.abs());
+        if te > start.0 {
+            start.1 = value;
+            if in_order(&self.ends, self.ends_sorted, te) {
+                self.ends_sorted += 1;
+            }
+            self.ends.push((te, -value));
         }
         self.cache = None;
     }
 
-    /// Sorts the pending edges and merges them into the kept sorted list.
-    ///
-    /// An unstable sort is fine: only fully-equal `(t, delta)` tuples can be
-    /// reordered by it, and identical tuples are interchangeable in the
-    /// accumulation. Ties across the two lists keep the older edge first,
-    /// matching what edge-by-edge sorted insertion would have produced.
-    fn merge_pending(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        self.pending
-            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
-        let mut out = std::mem::take(&mut self.scratch);
-        out.clear();
-        out.reserve(self.events.len() + self.pending.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.events.len() && j < self.pending.len() {
-            let a = self.events[i];
-            let b = self.pending[j];
-            if a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)).is_le() {
-                out.push(a);
-                i += 1;
-            } else {
-                out.push(b);
-                j += 1;
-            }
-        }
-        out.extend_from_slice(&self.events[i..]);
-        out.extend_from_slice(&self.pending[j..]);
-        self.pending.clear();
-        self.scratch = std::mem::replace(&mut self.events, out);
+    /// Accepts one closed interval: [`Self::open`] then [`Self::close`].
+    pub fn push(&mut self, iv: Interval) {
+        let opened = self.open(iv.ts);
+        self.close(opened, iv.te, iv.value);
     }
 
-    /// The aggregated step series over everything pushed so far, rebuilt
-    /// from the maintained edges only when an append invalidated the cache.
+    /// The aggregated step series over every interval closed so far,
+    /// rebuilt only when a close invalidated the cache.
     pub fn series(&mut self) -> &StepSeries {
         if self.cache.is_none() {
-            self.merge_pending();
             self.cache = Some(self.rebuild());
         }
         self.cache.as_ref().invariant("cache just rebuilt")
@@ -198,33 +216,173 @@ impl IncrementalSweep {
     /// Finalizes into the aggregated series.
     pub fn into_series(mut self) -> StepSeries {
         match self.cache.take() {
-            // A live cache implies no pending edges: every push clears it.
             Some(s) => s,
-            None => {
-                self.merge_pending();
-                self.rebuild()
-            }
+            None => self.rebuild(),
         }
     }
 
-    fn rebuild(&self) -> StepSeries {
-        // The oracle's accumulation loop, verbatim, over the kept edges.
-        let residue = 1e-9 * self.max_abs;
-        let mut series = StepSeries::new();
-        let mut sum = 0.0;
-        let mut i = 0;
-        while i < self.events.len() {
-            let t = self.events[i].0;
-            while i < self.events.len() && self.events[i].0 == t {
-                sum += self.events[i].1;
-                i += 1;
-            }
-            if sum.abs() <= residue {
-                sum = 0.0;
-            }
-            series.push(SimTime::from_secs(t), sum);
+    /// Whether every append so far arrived in time order, so a query has
+    /// no tail to sort.
+    pub(crate) fn is_time_ordered(&self) -> bool {
+        self.starts_sorted == self.starts.len() && self.ends_sorted == self.ends.len()
+    }
+
+    fn rebuild(&mut self) -> StepSeries {
+        if self.is_time_ordered() {
+            return accumulate(&self.starts, &self.ends, self.max_abs);
         }
-        series
+        if self.open == 0 {
+            // No handle indexes `starts`, so fold the end log into it:
+            // later queries then merge only the edges appended since into
+            // one sorted log.
+            self.starts.append(&mut self.ends);
+            merge_tail(&mut self.starts, self.starts_sorted);
+            self.starts_sorted = self.starts.len();
+            self.ends_sorted = 0;
+            accumulate(&self.starts, &self.ends, self.max_abs)
+        } else {
+            merge_tail(&mut self.ends, self.ends_sorted);
+            self.ends_sorted = self.ends.len();
+            let mut starts = self.starts.clone();
+            merge_tail(&mut starts, self.starts_sorted);
+            accumulate(&starts, &self.ends, self.max_abs)
+        }
+    }
+}
+
+/// Whether appending an edge at `t` keeps `log`'s time-ordered prefix of
+/// length `sorted` the whole log.
+fn in_order(log: &[(f64, f64)], sorted: usize, t: f64) -> bool {
+    sorted == log.len() && log.last().is_none_or(|e| e.0.total_cmp(&t).is_le())
+}
+
+/// The Eq. 3 accumulation loop over time-sorted start and end edge logs
+/// (holes in `starts` skipped), merged in one streaming pass. Each region
+/// collects every edge whose time `==` its own (so ±0.0 share one region,
+/// stamped with the first, −0.0) and sums them in the oracle's order: by
+/// time in IEEE total order, then by delta.
+fn accumulate(starts: &[(f64, f64)], ends: &[(f64, f64)], max_abs: f64) -> StepSeries {
+    let residue = 1e-9 * max_abs;
+    let mut series = StepSeries::with_capacity(starts.len() + ends.len());
+    let mut buf: Vec<f64> = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    let mut sum: f64 = 0.0;
+    // Start of the region being summed; NaN before the first edge.
+    let mut region = f64::NAN;
+    loop {
+        while i < starts.len() && starts[i].1.is_nan() {
+            i += 1;
+        }
+        // The next edge time; NaN once both logs are consumed.
+        let at = match (starts.get(i), ends.get(j)) {
+            (Some(s), Some(e)) if s.0.total_cmp(&e.0).is_le() => s.0,
+            (_, Some(e)) => e.0,
+            (Some(s), None) => s.0,
+            (None, None) => f64::NAN,
+        };
+        if at != region {
+            if !region.is_nan() {
+                if sum.abs() <= residue {
+                    sum = 0.0;
+                }
+                series.push(SimTime::from_secs(region), sum);
+            }
+            if at.is_nan() {
+                return series;
+            }
+            region = at;
+        }
+        // Every edge at exactly `at`.
+        let bits = at.to_bits();
+        let (i0, j0) = (i, j);
+        while i < starts.len() && starts[i].0.to_bits() == bits {
+            i += 1;
+        }
+        while j < ends.len() && ends[j].0.to_bits() == bits {
+            j += 1;
+        }
+        sum = add_ascending(sum, &starts[i0..i], &ends[j0..j], &mut buf);
+    }
+}
+
+/// Adds the deltas of one instant's start and end edges to `sum` in
+/// ascending IEEE total order, skipping holes. A lone edge (the common
+/// case) needs no ordering, and two runs already in delta order (as
+/// [`merge_tail`] leaves them) merge directly; any other instant's deltas
+/// are ordered by binary insertion into `buf` (an instant holds at most a
+/// few edges per rank).
+fn add_ascending(
+    mut sum: f64,
+    starts: &[(f64, f64)],
+    ends: &[(f64, f64)],
+    buf: &mut Vec<f64>,
+) -> f64 {
+    let ascending = |r: &[(f64, f64)]| r.is_sorted_by(|x, y| x.1.total_cmp(&y.1).is_le());
+    match (starts, ends) {
+        // A run never starts with a hole: `accumulate` skips those.
+        ([(_, d)], []) | ([], [(_, d)]) => sum + d,
+        _ if ascending(starts) && ascending(ends) => {
+            let (mut i, mut j) = (0, 0);
+            while i < starts.len() || j < ends.len() {
+                let d = if j == ends.len()
+                    || (i < starts.len() && starts[i].1.total_cmp(&ends[j].1).is_le())
+                {
+                    i += 1;
+                    starts[i - 1].1
+                } else {
+                    j += 1;
+                    ends[j - 1].1
+                };
+                // Holes (positive NaN) sort after every delta.
+                if !d.is_nan() {
+                    sum += d;
+                }
+            }
+            sum
+        }
+        _ => {
+            buf.clear();
+            for &(_, d) in starts.iter().chain(ends) {
+                if !d.is_nan() {
+                    let k = buf.partition_point(|x| x.total_cmp(&d).is_le());
+                    buf.insert(k, d);
+                }
+            }
+            buf.iter().fold(sum, |s, d| s + d)
+        }
+    }
+}
+
+/// Edge order of the oracle: time, then delta, in IEEE total order.
+fn by_edge(a: &(f64, f64), b: &(f64, f64)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1))
+}
+
+/// Restores the time order of `log`, whose first `sorted` edges are already
+/// in order: sorts the tail, then merges it in from the back, moving each
+/// block of the prefix that a tail edge jumps with one `copy_within`. The
+/// scans add up to one pass over the prefix, so a short tail costs O(n).
+/// Same-instant edges land in delta order where the prefix already has it,
+/// so [`add_ascending`] seldom has to reorder them.
+fn merge_tail(log: &mut Vec<(f64, f64)>, sorted: usize) {
+    let mut tail = log.split_off(sorted);
+    tail.sort_unstable_by(by_edge);
+    let mut hi = log.len();
+    log.extend_from_slice(&tail);
+    let mut end = log.len();
+    for &e in tail.iter().rev() {
+        let mut pos = hi;
+        while pos > 0 && log[pos - 1].0 > e.0 {
+            pos -= 1;
+        }
+        while pos > 0 && by_edge(&log[pos - 1], &e).is_gt() {
+            pos -= 1;
+        }
+        end -= hi - pos;
+        log.copy_within(pos..hi, end);
+        hi = pos;
+        end -= 1;
+        log[end] = e;
     }
 }
 

@@ -27,16 +27,18 @@
 //!   tables pre-sized with `with_capacity`, materialized into the report's
 //!   serialized row format only once at [`Tracer::into_report`];
 //! * the application-level Eq. 3 aggregates (`B_r`, `B_L`, `T`) are
-//!   maintained *online* by [`IncrementalSweep`]s fed at each closure, so
-//!   mid-run queries and the final report reuse the same sorted-edge
-//!   structure instead of re-collecting and re-sorting every interval.
+//!   maintained *online* by [`IncrementalSweep`]s: a phase or throughput
+//!   window opens its interval at its first submit and closes it at its
+//!   end. Hooks fire in nondecreasing simulation time, so both edge logs
+//!   stay time-ordered and every query — mid-run or at the final report —
+//!   is one streaming merge with no sort.
 
-use crate::regions::{IncrementalSweep, Interval};
+use crate::regions::{IncrementalSweep, Opened};
 use crate::strategy::{Strategy, StrategyState};
 use mpisim::{Channel, IoHooks, Limits, ReqTag};
 use serde::{Deserialize, Serialize};
 use simcore::StepSeries;
-use simcore::{GenKey, GenSlab, SimTime};
+use simcore::{GenKey, GenSlab, Invariant, SimTime};
 
 /// How per-request bandwidths combine into the rank metric `B_{i,j}`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -328,6 +330,11 @@ struct RankTrace {
     strategy: StrategyState,
     sync_begin: SimTime,
     end: Option<SimTime>,
+    /// The current phase's open `B` and `B_L` intervals and the open
+    /// throughput window's `T` interval.
+    req_open: Option<Opened>,
+    lim_open: Option<Opened>,
+    thr_open: Option<Opened>,
 }
 
 impl RankTrace {
@@ -343,6 +350,9 @@ impl RankTrace {
             strategy: StrategyState::default(),
             sync_begin: SimTime::ZERO,
             end: None,
+            req_open: None,
+            lim_open: None,
+            thr_open: None,
         }
     }
 }
@@ -564,7 +574,8 @@ pub struct Tracer {
     windows: WindowTable,
     spans: SpanTable,
     syncs: SyncTable,
-    /// Streaming Eq. 3 aggregates, fed at every phase/window closure.
+    /// Streaming Eq. 3 aggregates, opened at each phase/window's first
+    /// submit and closed at its end.
     req_sweep: IncrementalSweep,
     lim_sweep: IncrementalSweep,
     thr_sweep: IncrementalSweep,
@@ -661,19 +672,17 @@ impl Tracer {
         rt.phase += 1;
         rt.queue.clear();
         rt.waited.clear();
+        let req = rt
+            .req_open
+            .take()
+            .invariant("an open phase has a B interval");
+        // Without a limit in effect the B_L interval is dropped: a hole.
+        let lim = rt.lim_open.take();
         self.phases
             .push(rank, phase, ts, te_s, bytes, b, limit_during, limit_next, n);
-        self.req_sweep.push(Interval {
-            ts,
-            te: te_s,
-            value: b,
-        });
-        if let Some(l) = limit_during {
-            self.lim_sweep.push(Interval {
-                ts,
-                te: te_s,
-                value: l,
-            });
+        self.req_sweep.close(req, te_s, b);
+        if let (Some(h), Some(l)) = (lim, limit_during) {
+            self.lim_sweep.close(h, te_s, l);
         }
     }
 
@@ -725,10 +734,18 @@ impl IoHooks for Tracer {
         _limits: &mut Limits,
     ) -> f64 {
         let rt = &mut self.ranks[rank];
+        if rt.queue.is_empty() {
+            // The first submit opens the phase's Eq. 3 intervals.
+            rt.req_open = Some(self.req_sweep.open(t.as_secs()));
+            if self.cfg.strategy.limits() {
+                rt.lim_open = Some(self.lim_sweep.open(t.as_secs()));
+            }
+        }
         rt.queue.push(Pending { tag, bytes, ts: t });
         if rt.tq_outstanding == 0 {
             rt.tq_start = t;
             rt.tq_bytes = 0.0;
+            rt.thr_open = Some(self.thr_sweep.open(t.as_secs()));
         }
         rt.tq_outstanding += 1;
         rt.tq_bytes += bytes;
@@ -763,12 +780,13 @@ impl IoHooks for Tracer {
             let start = rt.tq_start.as_secs();
             let end = t.as_secs();
             let bytes = rt.tq_bytes;
+            let window = rt
+                .thr_open
+                .take()
+                .invariant("an open window has a T interval");
             self.windows.push(rank, start, end, bytes);
-            self.thr_sweep.push(Interval {
-                ts: start,
-                te: end,
-                value: bytes / (end - start).max(1e-12),
-            });
+            self.thr_sweep
+                .close(window, end, bytes / (end - start).max(1e-12));
         }
     }
 
@@ -913,6 +931,87 @@ impl Tracer {
                     s.bytes,
                     s.channel.into(),
                 );
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hpcwl::{hacc::HaccConfig, wacomm::WacommConfig};
+    use mpisim::{FileId, Program, World, WorldConfig};
+    use simcore::Noise;
+
+    /// Runs `programs` on a world configured as a session configures it by
+    /// default, and returns the tracer.
+    fn run(programs: Vec<Program>, files: usize, strategy: Strategy, seed: u64) -> Tracer {
+        let n = programs.len();
+        let wc = WorldConfig::new(n)
+            .with_limiter(strategy.limits())
+            .with_compute_noise(Noise::QuantizedRel {
+                amplitude: 0.03,
+                levels: 8,
+            })
+            .with_seed(seed);
+        let tracer = Tracer::new(n, TracerConfig::with_strategy(strategy));
+        let mut world = World::new(wc, programs, tracer);
+        for f in 0..files {
+            world.create_file(&format!("f{f}"));
+        }
+        world.try_run().expect("the run completes");
+        world.into_hooks()
+    }
+
+    /// Every sweep append arrived in time order, so no query will sort.
+    fn assert_time_ordered(t: &Tracer, what: &str) {
+        assert!(!t.phases.rank.is_empty(), "{what}: no phases traced");
+        assert!(t.req_sweep.is_time_ordered(), "{what}: B sweep");
+        assert!(t.lim_sweep.is_time_ordered(), "{what}: B_L sweep");
+        assert!(t.thr_sweep.is_time_ordered(), "{what}: T sweep");
+    }
+
+    /// Fig. 7 class: WaComM under the figure's three strategies.
+    #[test]
+    fn wacomm_runs_append_sweep_edges_in_time_order() {
+        let wacomm = WacommConfig::default();
+        let strategies = [
+            Strategy::Direct { tol: 2.0 },
+            Strategy::UpOnly { tol: 1.1 },
+            Strategy::None,
+        ];
+        for ranks in [24, 96] {
+            for (run_ix, &strategy) in strategies.iter().enumerate() {
+                let programs = (0..ranks)
+                    .map(|r| wacomm.program(r, ranks, FileId(0), FileId(1 + r as u32)))
+                    .collect();
+                let t = run(programs, ranks + 1, strategy, 7 + run_ix as u64);
+                assert_time_ordered(&t, &format!("wacomm {ranks} ranks, {strategy:?}"));
+            }
+        }
+    }
+
+    /// Fig. 11 class: HACC-IO under all four strategies, adaptive included.
+    #[test]
+    fn hacc_runs_append_sweep_edges_in_time_order() {
+        let hacc = HaccConfig {
+            particles_per_rank: 50_000,
+            ..Default::default()
+        };
+        let strategies = [
+            Strategy::Direct { tol: 1.1 },
+            Strategy::UpOnly { tol: 1.1 },
+            Strategy::Adaptive {
+                tol: 1.1,
+                tol_i: 0.5,
+            },
+            Strategy::None,
+        ];
+        for ranks in [16, 96] {
+            for (run_ix, &strategy) in strategies.iter().enumerate() {
+                let programs = (0..ranks).map(|r| hacc.program(FileId(r as u32))).collect();
+                let t = run(programs, ranks, strategy, 11 + run_ix as u64);
+                assert_time_ordered(&t, &format!("hacc {ranks} ranks, {strategy:?}"));
             }
         }
     }

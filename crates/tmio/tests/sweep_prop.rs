@@ -8,11 +8,17 @@
 //! approximate equality. Interval sets include the degenerate shapes real
 //! runs produce: zero-length phases (a request waited on at its own submit
 //! time), zero-value phases (fault-degraded requests that moved no bytes),
-//! tiny normalized magnitudes, and heavy same-timestamp stacking.
+//! tiny normalized magnitudes, heavy same-timestamp stacking, and ±0.0
+//! times.
+//!
+//! Two feeding patterns are covered: the tracer's — `open` at the first
+//! submit, `close` at the end, every call in nondecreasing time, some
+//! intervals never closed — and arbitrary-order `push`es, which take the
+//! sort-before-merge path.
 
 use proptest::prelude::*;
 use simcore::StepSeries;
-use tmio::{sweep, IncrementalSweep, Interval};
+use tmio::{sweep, IncrementalSweep, Interval, Opened};
 
 /// Bitwise comparison of two step series.
 fn bits(s: &StepSeries) -> Vec<(u64, u64)> {
@@ -24,7 +30,14 @@ fn bits(s: &StepSeries) -> Vec<(u64, u64)> {
 
 fn arb_interval() -> impl Strategy<Value = Interval> {
     (
-        0.0f64..50.0,
+        // ±0.0 share a region in the oracle, stamped -0.0.
+        prop_oneof![
+            0.0f64..50.0,
+            0.0f64..50.0,
+            0.0f64..50.0,
+            Just(-0.0f64),
+            Just(0.0f64)
+        ],
         // Durations: zero-length phases must flow through unharmed.
         prop_oneof![Just(0.0f64), 0.0f64..5.0, Just(1.0f64)],
         // Values: fault-degraded zeros, tiny normalized magnitudes, and
@@ -95,6 +108,132 @@ proptest! {
             inc.push(*iv);
         }
         prop_assert_eq!(bits(inc.series()), bits(&oracle));
+    }
+}
+
+/// One interval of a time-ordered replay: times on a coarse grid so that
+/// starts and ends often share an instant.
+#[derive(Clone, Copy, Debug)]
+struct Replayed {
+    iv: Interval,
+    /// Never closed: the handle is dropped, leaving a hole.
+    closed: bool,
+}
+
+fn arb_replayed() -> impl Strategy<Value = Replayed> {
+    (
+        prop_oneof![
+            Just(-0.0f64),
+            Just(0.0f64),
+            (0u32..12).prop_map(|k| k as f64 * 0.5)
+        ],
+        // `None`: te is ts itself (zero length, -0.0 kept).
+        prop_oneof![Just(None), (0u32..6).prop_map(|k| Some(k as f64 * 0.5))],
+        prop_oneof![Just(0.0f64), 0.5f64..100.0, 1e8f64..1e10],
+        (0u32..20).prop_map(|k| k < 17),
+    )
+        .prop_map(|(ts, dur, value, closed)| Replayed {
+            iv: Interval {
+                ts,
+                te: dur.map_or(ts, |d| ts + d),
+                value,
+            },
+            closed,
+        })
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Event {
+    Open(usize),
+    Close(usize),
+}
+
+/// The open/close stream of `ivs`, in nondecreasing time (IEEE total
+/// order). `ties` orders events at one instant; an interval's own open
+/// always precedes its close.
+fn time_ordered(ivs: &[Replayed], ties: &[u32]) -> Vec<Event> {
+    let mut keyed: Vec<(f64, u32, u8, Event)> = Vec::new();
+    for (k, r) in ivs.iter().enumerate() {
+        let tie = ties[k % ties.len()];
+        keyed.push((r.iv.ts, tie, 0, Event::Open(k)));
+        if r.closed {
+            let close_tie = if r.iv.te == r.iv.ts {
+                tie
+            } else {
+                ties[(k + 1) % ties.len()]
+            };
+            keyed.push((r.iv.te, close_tie, 1, Event::Close(k)));
+        }
+    }
+    keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+    keyed.into_iter().map(|k| k.3).collect()
+}
+
+/// Replays `events`, querying after the event indices in `queries`; each
+/// answer must equal the oracle over the intervals closed so far.
+fn replay(ivs: &[Replayed], events: &[Event], queries: &[bool]) -> IncrementalSweep {
+    let mut inc = IncrementalSweep::new();
+    let mut handles: Vec<Option<Opened>> = (0..ivs.len()).map(|_| None).collect();
+    let mut closed: Vec<Interval> = Vec::new();
+    for (n, ev) in events.iter().enumerate() {
+        match *ev {
+            Event::Open(k) => handles[k] = Some(inc.open(ivs[k].iv.ts)),
+            Event::Close(k) => {
+                let h = handles[k].take().expect("opened before closed");
+                inc.close(h, ivs[k].iv.te, ivs[k].iv.value);
+                closed.push(ivs[k].iv);
+            }
+        }
+        if queries[n % queries.len()] {
+            prop_assert_eq!(bits(inc.series()), bits(&sweep(&closed)));
+        }
+    }
+    prop_assert_eq!(inc.len(), closed.len());
+    prop_assert_eq!(bits(inc.series()), bits(&sweep(&closed)));
+    inc
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The tracer's feeding pattern: opens and closes in time order, with
+    /// never-closed holes, zero-length intervals, start/end ties at one
+    /// instant, ±0.0 times and live queries in between.
+    #[test]
+    fn time_ordered_replay_matches_scratch(
+        ivs in prop::collection::vec(arb_replayed(), 0..50),
+        ties in prop::collection::vec(0u32..4, 1..8),
+        queries in prop::collection::vec((0u32..5).prop_map(|k| k == 0), 1..16),
+    ) {
+        let events = time_ordered(&ivs, &ties);
+        let inc = replay(&ivs, &events, &queries);
+        let closed: Vec<Interval> =
+            ivs.iter().filter(|r| r.closed).map(|r| r.iv).collect();
+        prop_assert_eq!(bits(&inc.into_series()), bits(&sweep(&closed)));
+    }
+
+    /// Opens and closes in arbitrary time order while other intervals are
+    /// still open: the out-of-order path sorts a copy of the start log and
+    /// must still match the oracle.
+    #[test]
+    fn out_of_order_replay_with_open_handles(
+        ivs in prop::collection::vec(arb_replayed(), 1..40),
+        order in prop::collection::vec(any::<u32>(), 1..40),
+        queries in prop::collection::vec((0u32..3).prop_map(|k| k == 0), 1..16),
+    ) {
+        // Shuffle opens; each close lands at a later random position.
+        let mut keyed: Vec<(u64, Event)> = Vec::new();
+        for (k, r) in ivs.iter().enumerate() {
+            let a = order[k % order.len()] as u64;
+            let b = order[(k * 7 + 3) % order.len()] as u64;
+            keyed.push((2 * a, Event::Open(k)));
+            if r.closed {
+                keyed.push((2 * a + 1 + 2 * b, Event::Close(k)));
+            }
+        }
+        keyed.sort_by_key(|e| e.0);
+        let events: Vec<Event> = keyed.into_iter().map(|e| e.1).collect();
+        replay(&ivs, &events, &queries);
     }
 }
 
