@@ -1,7 +1,8 @@
 //! Golden-file tests: the scenario registry must regenerate every
 //! checked-in figure and ablation CSV (`results/`) byte-for-byte, and the
-//! largest and smallest Fig. 7 sweep points of `results_full/` must match
-//! too. Run them in a release build — the sweeps are slow in debug.
+//! largest and smallest Fig. 7 sweep points and two Fig. 11 sweep points of
+//! `results_full/` must match too. Run them in a release build — the sweeps
+//! are slow in debug.
 
 use bench::registry::{select, ScenarioCtx};
 use std::path::PathBuf;
@@ -65,5 +66,26 @@ fn full_scale_fig07_rows_match_results_full() {
     assert_eq!(
         fresh, golden,
         "fig07 --full rows drifted from the checked-in results_full/ CSV"
+    );
+}
+
+/// `--full`-scale byte identity for Fig. 11: the HACC-IO rows (100 000
+/// particles per rank, all four strategies, sync header writes plus async
+/// write and read phases) at two rank counts cheap enough for CI must match
+/// `results_full/`.
+#[test]
+fn full_scale_fig11_rows_match_results_full() {
+    let ranks = [16usize, 3072];
+    let fresh = bench::csv::rows(&bench::scenarios::hacc_distribution(&ranks, 100_000));
+    let path = golden_dir().join("../results_full/fig11_hacc_dist.csv");
+    let golden = std::fs::read_to_string(&path).unwrap();
+    let golden: Vec<&str> = golden
+        .lines()
+        .filter(|l| ranks.iter().any(|n| l.starts_with(&format!("{n},"))))
+        .collect();
+    assert_eq!(golden.len(), 16, "expected eight runs per rank count");
+    assert_eq!(
+        fresh, golden,
+        "fig11 --full rows drifted from the checked-in results_full/ CSV"
     );
 }

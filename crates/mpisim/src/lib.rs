@@ -33,6 +33,6 @@ pub use pfsim::Channel;
 // need a direct simcore dependency.
 pub use simcore::{FaultPlan, IoErrorKind, RetryPolicy, SimError, SimResult, StallSnapshot};
 pub use world::{
-    CapacityNoiseCfg, OpErrorRecord, RankAccounting, RankDriver, RunSummary, ScriptedDriver,
-    WatchdogCfg, World, WorldConfig,
+    CapacityNoiseCfg, OpErrorRecord, RankAccounting, RankDriver, RunStats, RunSummary,
+    ScriptedDriver, WatchdogCfg, World, WorldConfig,
 };

@@ -457,10 +457,6 @@ enum FlowOwner {
     Coll(u64),
 }
 
-/// Cap on how many same-timestamp events [`World::try_run`] pops in one
-/// batch before re-entering the scheduler loop.
-const MAX_BATCH: usize = 64;
-
 #[derive(Clone, Copy, Debug)]
 enum Event {
     Resume(usize),
@@ -504,6 +500,21 @@ pub struct RunSummary {
     /// Terminal I/O-op failures, in the order they surfaced. Empty in
     /// fault-free runs.
     pub op_errors: Vec<OpErrorRecord>,
+    /// Deterministic work counts of the run.
+    pub stats: RunStats,
+}
+
+/// Deterministic work counts of a run: equal for equal inputs on any host,
+/// so they pin what a wall-time change did or did not change.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RunStats {
+    /// Events handled by the event loop.
+    pub events: u64,
+    /// Events scheduled as a new heap entry (one sift-up each).
+    pub heap_pushes: u64,
+    /// Events scheduled into the slot of the event popped just before (one
+    /// sift-down each, in place of a removal plus a push).
+    pub root_reuses: u64,
 }
 
 impl RunSummary {
@@ -547,8 +558,6 @@ pub struct World<H: IoHooks> {
     /// Whether `MPISIM_TRACE` was set at construction (read once, not per
     /// event).
     trace: bool,
-    /// Resident buffer for same-timestamp event batches in [`World::try_run`].
-    batch: Vec<Event>,
 }
 
 impl<H: IoHooks> World<H> {
@@ -592,7 +601,6 @@ impl<H: IoHooks> World<H> {
             futile_events: 0,
             fatal: None,
             trace: std::env::var_os("MPISIM_TRACE").is_some(),
-            batch: Vec::with_capacity(MAX_BATCH),
         }
     }
 
@@ -694,6 +702,9 @@ impl<H: IoHooks> World<H> {
             }
         }
         let wd = self.cfg.watchdog;
+        let mut events = 0u64;
+        // A fatal error or the last rank's exit ends the loop before the
+        // next pop: events behind it stay pending, never handled.
         while self.live_ranks > 0 {
             if let Some(e) = self.fatal.take() {
                 return Err(e);
@@ -701,44 +712,13 @@ impl<H: IoHooks> World<H> {
             let Some((t, ev)) = self.queue.pop() else {
                 return Err(SimError::Deadlock(self.stall_snapshot()));
             };
-            // Batch every event already scheduled for this same instant:
-            // one heap pop streak instead of pop/handle interleaving, so
-            // synchronized rank wakes (the common case in bulk-synchronous
-            // phases) avoid re-probing the heap top between handlers.
-            // `PfsWake` is excluded — it is the queue's re-armable wake, and
-            // a pre-popped copy would still fire after a handler in the
-            // same batch re-arms it via `resync_pfs`.
-            let mut batch = std::mem::take(&mut self.batch);
-            batch.clear();
-            batch.push(ev);
-            while batch.len() < MAX_BATCH {
-                match self.queue.peek() {
-                    Some((pt, pv)) if pt == t && !matches!(pv, Event::PfsWake) => {
-                        let (_, e) = self.queue.pop().invariant("peeked event pops");
-                        batch.push(e);
-                    }
-                    _ => break,
-                }
-            }
-            let mut err = None;
-            for &ev in &batch {
-                // Events behind a fatal error or the last rank's exit are
-                // dropped, exactly as if they had never been popped.
-                if self.fatal.is_some() || self.live_ranks == 0 {
-                    break;
-                }
-                self.handle(t, ev);
-                self.futile_events += 1;
-                if self.futile_events > wd.max_futile_events
-                    || self.queue.now() - self.last_advance > wd.max_stall
-                {
-                    err = Some(SimError::Stalled(self.stall_snapshot()));
-                    break;
-                }
-            }
-            self.batch = batch;
-            if let Some(e) = err {
-                return Err(e);
+            self.handle(t, ev);
+            events += 1;
+            self.futile_events += 1;
+            if self.futile_events > wd.max_futile_events
+                || self.queue.now() - self.last_advance > wd.max_stall
+            {
+                return Err(SimError::Stalled(self.stall_snapshot()));
             }
         }
         if let Some(e) = self.fatal.take() {
@@ -760,6 +740,11 @@ impl<H: IoHooks> World<H> {
             accounting: self.ranks.iter().map(|r| r.acct).collect(),
             finished_at,
             op_errors: std::mem::take(&mut self.op_errors),
+            stats: RunStats {
+                events,
+                heap_pushes: self.queue.heap_pushes(),
+                root_reuses: self.queue.root_reuses(),
+            },
         })
     }
 

@@ -67,6 +67,43 @@ fn poll_wait_under_endless_outage_trips_the_watchdog() {
 }
 
 #[test]
+fn stall_snapshot_counts_every_pending_event() {
+    // Eight ranks poll the same frozen write at the same instants, so every
+    // probe round is eight same-time Resume events. The watchdog trips on
+    // the fourth handled event; each polling rank still has exactly one
+    // Resume pending, the rescheduled probe of a rank already handled
+    // included.
+    let program = Program::from_ops(vec![
+        Op::IWrite {
+            file: FileId(0),
+            bytes: 8e6,
+            tag: ReqTag(0),
+        },
+        Op::PollWait {
+            tag: ReqTag(0),
+            interval: 0.001,
+        },
+    ]);
+    let cfg = WorldConfig::new(8)
+        .with_faults(endless_outage())
+        .with_watchdog(WatchdogCfg {
+            max_futile_events: 3,
+            max_stall: f64::INFINITY,
+        });
+    let mut world = World::new(cfg, vec![program; 8], NoHooks);
+    world.create_file("f");
+    let err = world
+        .try_run()
+        .expect_err("outage-frozen poll loop must fail");
+    let SimError::Stalled(snap) = err else {
+        panic!("expected Stalled, got {err}");
+    };
+    assert_eq!(snap.futile_events, 4, "{snap:?}");
+    assert_eq!(snap.queue_depth, 8, "{snap:?}");
+    assert_eq!(snap.blocked_ranks.len(), 8, "{snap:?}");
+}
+
+#[test]
 fn stall_time_bound_trips_independently_of_event_count() {
     // Same frozen poll loop, but bounded by virtual no-progress time: each
     // probe advances the clock 1 ms, so 1 s of stall is ~1000 probes —

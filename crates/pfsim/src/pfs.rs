@@ -12,7 +12,6 @@
 
 use crate::alloc::{water_fill_into, Demand, WaterFillScratch};
 use simcore::{SimTime, StepSeries};
-use std::collections::HashMap;
 
 /// Identifies a single flow (one logical transfer) for completion callbacks.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -155,8 +154,6 @@ pub struct Pfs {
     next_flow: u64,
     next_meter: usize,
     meter_series: Vec<StepSeries>,
-    /// flow -> (channel, group slot) lookup for cap changes.
-    locator: HashMap<FlowId, Channel>,
     record: bool,
     /// Resident per-meter rate buffer for series recording.
     meter_rates: Vec<f64>,
@@ -183,7 +180,6 @@ impl Pfs {
             next_flow: 0,
             next_meter: 0,
             meter_series: Vec::new(),
-            locator: HashMap::new(),
             record: true,
             meter_rates: Vec::new(),
             member_pool: Vec::new(),
@@ -255,7 +251,6 @@ impl Pfs {
             .map(|_| {
                 let id = FlowId(self.next_flow);
                 self.next_flow += 1;
-                self.locator.insert(id, channel);
                 id
             })
             .collect();
@@ -303,7 +298,6 @@ impl Pfs {
         );
         let id = FlowId(self.next_flow);
         self.next_flow += 1;
-        self.locator.insert(id, channel);
         let ch = &mut self.channels[channel.index()];
         let found = ch.groups.iter_mut().find(|g| {
             g.remaining == spec.bytes
@@ -333,17 +327,19 @@ impl Pfs {
     /// Changes the rate cap of one in-flight flow at time `t`.
     ///
     /// The flow is split out of its group if needed. No-op for unknown or
-    /// already-completed flows.
+    /// already-completed flows. Finds the flow by scanning both channels'
+    /// groups: no flow index is kept, so submission and completion never
+    /// hash.
     pub fn set_cap(&mut self, t: SimTime, flow: FlowId, cap: Option<f64>) {
         let done = self.advance_to(t);
         assert!(done.is_empty(), "handle completions before set_cap");
-        let Some(&channel) = self.locator.get(&flow) else {
+        let Some((channel, gi)) = [Channel::Write, Channel::Read].into_iter().find_map(|c| {
+            let groups = &self.channels[c.index()].groups;
+            Some((c, groups.iter().position(|g| g.members.contains(&flow))?))
+        }) else {
             return;
         };
         let ch = &mut self.channels[channel.index()];
-        let Some(gi) = ch.groups.iter().position(|g| g.members.contains(&flow)) else {
-            return;
-        };
         if ch.groups[gi].cap == cap {
             return;
         }
@@ -462,7 +458,6 @@ impl Pfs {
                     if g.remaining <= eps {
                         let mut g = self.channels[idx].groups.swap_remove(i);
                         for &m in &g.members {
-                            self.locator.remove(&m);
                             completed.push((step_to, m));
                         }
                         g.members.clear();

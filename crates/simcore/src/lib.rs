@@ -4,7 +4,8 @@
 //!
 //! * [`SimTime`] — NaN-free virtual time in seconds,
 //! * [`EventQueue`] — deterministic time-ordered event queue with FIFO
-//!   tie-breaking and one re-armable wake instead of cancellation,
+//!   tie-breaking, one re-armable wake instead of cancellation, and a
+//!   hold-style heap (a pop followed by a schedule costs one sift),
 //! * [`GenSlab`] — a generation-stamped slot arena (hash-free hot-path id
 //!   maps),
 //! * [`stream_rng`] / [`Noise`] — reproducible per-stream randomness,
