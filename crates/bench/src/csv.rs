@@ -5,7 +5,7 @@
 //! implement [`CsvRow`]; [`write_rows`] dumps them and [`rows`] formats
 //! them for byte-identity tests. Free-form tables go through
 //! [`write_csv`]. All file writing is backed by the streaming
-//! [`CsvSink`](iobts::session::CsvSink) of the session layer.
+//! [`CsvSink`] of the session layer.
 
 use iobts::session::CsvSink;
 use simcore::{SimTime, StepSeries};

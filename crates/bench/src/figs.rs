@@ -142,7 +142,7 @@ pub fn fig03(ctx: &ScenarioCtx) -> Result<(), String> {
 
 /// Fig. 4: the worked region example — B_r over five regions.
 pub fn fig04(ctx: &ScenarioCtx) -> Result<(), String> {
-    use tmio::regions::{sweep, Interval};
+    use tmio::regions::{IncrementalSweep, Interval};
     let intervals = [
         Interval {
             ts: 0.0,
@@ -160,7 +160,11 @@ pub fn fig04(ctx: &ScenarioCtx) -> Result<(), String> {
             value: 4.0,
         },
     ];
-    let s = sweep(&intervals);
+    let mut sweep = IncrementalSweep::with_capacity(intervals.len());
+    for iv in intervals {
+        sweep.push(iv);
+    }
+    let s = sweep.into_series();
     if !ctx.emit {
         return Ok(());
     }
@@ -269,6 +273,20 @@ pub fn fig07(ctx: &ScenarioCtx) -> Result<(), String> {
     Ok(())
 }
 
+/// Header of the series CSVs (Figs. 8–10, 13, 14).
+pub const SERIES_HEADER: &str = "t,T_Bps,B_L_Bps,B_Bps";
+
+/// The rows of a series CSV: `T`, `B_L` and `B` sampled at 400 points over
+/// the run.
+pub fn series_csv_rows(out: &RunOutput) -> Vec<String> {
+    let series = [
+        out.report.throughput_series(),
+        out.report.limit_series(),
+        out.report.required_series(),
+    ];
+    multi_series_rows(&series, 0.0, out.app_time(), 400)
+}
+
 fn dump_series(out: &RunOutput, name: &str) -> Result<(), String> {
     let horizon = out.app_time();
     let t_series = out.report.throughput_series();
@@ -277,8 +295,7 @@ fn dump_series(out: &RunOutput, name: &str) -> Result<(), String> {
     println!("  T   {}", crate::sparkline(t_series, 0.0, horizon, 72));
     println!("  B_L {}", crate::sparkline(l_series, 0.0, horizon, 72));
     println!("  B   {}", crate::sparkline(b_series, 0.0, horizon, 72));
-    let rows = multi_series_rows(&[t_series, l_series, b_series], 0.0, horizon, 400);
-    let p = write_csv(name, "t,T_Bps,B_L_Bps,B_Bps", &rows).map_err(|e| e.to_string())?;
+    let p = write_csv(name, SERIES_HEADER, &series_csv_rows(out)).map_err(|e| e.to_string())?;
     println!(
         "series: peak T = {:.1} MB/s, max B = {:.1} MB/s, max B_L = {:.1} MB/s, \
          physical PFS peak = {:.1} MB/s{}",

@@ -15,7 +15,6 @@ pub mod abl;
 pub mod chaosrun;
 pub mod csv;
 pub mod figs;
-/// Crash-safe sweep manifests (the `--resume` checkpoint layer).
 pub mod manifest;
 pub mod par;
 pub mod registry;

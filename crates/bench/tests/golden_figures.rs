@@ -89,3 +89,23 @@ fn full_scale_fig11_rows_match_results_full() {
         "fig11 --full rows drifted from the checked-in results_full/ CSV"
     );
 }
+
+/// `--full`-scale byte identity for a series figure: Fig. 14's noisy
+/// HACC-IO run (1536 ranks, PFS capacity spikes, direct strategy) must
+/// reproduce `results_full/fig14_noisy.csv` through the rows the figure
+/// writes.
+#[test]
+fn full_scale_fig14_noisy_series_matches_results_full() {
+    let out =
+        bench::scenarios::hacc_series(1536, 100_000, tmio::Strategy::Direct { tol: 1.1 }, true);
+    let mut fresh = vec![bench::figs::SERIES_HEADER.to_string()];
+    fresh.extend(bench::figs::series_csv_rows(&out));
+    let path = golden_dir().join("../results_full/fig14_noisy.csv");
+    let golden = std::fs::read_to_string(&path).unwrap();
+    let golden: Vec<&str> = golden.lines().collect();
+    assert_eq!(golden.len(), 401, "header plus 400 samples");
+    assert_eq!(
+        fresh, golden,
+        "fig14 --full noisy series drifted from the checked-in results_full/ CSV"
+    );
+}

@@ -164,30 +164,85 @@ impl Program {
     /// `Wait` has a preceding unmatched submit. Returns a description of the
     /// first violation.
     pub fn validate(&self) -> Result<(), String> {
-        let mut outstanding: std::collections::HashSet<ReqTag> = Default::default();
+        let mut outstanding = TagSet::new(self.ops.len());
         for (i, op) in self.ops.iter().enumerate() {
             match *op {
                 Op::IWrite { tag, .. } | Op::IRead { tag, .. } if !outstanding.insert(tag) => {
                     return Err(format!("op {i}: tag {tag:?} reused while outstanding"));
                 }
-                Op::Wait { tag } | Op::PollWait { tag, .. } if !outstanding.remove(&tag) => {
+                Op::Wait { tag } | Op::PollWait { tag, .. } if !outstanding.remove(tag) => {
                     return Err(format!("op {i}: wait on tag {tag:?} with no submit"));
                 }
                 // A test may or may not free the request at run time; for
                 // static validation it must at least reference a live one.
-                Op::Test { tag } if !outstanding.contains(&tag) => {
+                Op::Test { tag } if !outstanding.contains(tag) => {
                     return Err(format!("op {i}: test on tag {tag:?} with no submit"));
                 }
                 _ => {}
             }
         }
-        // Report the lowest-numbered unmatched tag: `HashSet` iteration
-        // order varies between runs, and a diagnostic that names a different
-        // tag each time is useless for bisecting a generator bug.
-        if let Some(tag) = outstanding.iter().min_by_key(|t| t.0) {
+        // Name the lowest-numbered unmatched tag, so the diagnostic does not
+        // depend on the order the tags were submitted in.
+        if let Some(tag) = outstanding.lowest() {
             return Err(format!("program ends with unmatched request {tag:?}"));
         }
         Ok(())
+    }
+}
+
+/// The outstanding tags of [`Program::validate`], without hashing. Tags
+/// below the program's op count index a flag array; larger ones (e.g. a
+/// hostile `u32::MAX`) go to a short list that is scanned linearly and holds
+/// only the tags outstanding at once.
+struct TagSet {
+    dense: Vec<bool>,
+    sparse: Vec<ReqTag>,
+}
+
+impl TagSet {
+    fn new(dense: usize) -> Self {
+        TagSet {
+            dense: vec![false; dense],
+            sparse: Vec::new(),
+        }
+    }
+
+    /// Adds `tag`; false if it was already present.
+    fn insert(&mut self, tag: ReqTag) -> bool {
+        match self.dense.get_mut(tag.0 as usize) {
+            Some(flag) => !std::mem::replace(flag, true),
+            None if self.sparse.contains(&tag) => false,
+            None => {
+                self.sparse.push(tag);
+                true
+            }
+        }
+    }
+
+    /// Removes `tag`; false if it was absent.
+    fn remove(&mut self, tag: ReqTag) -> bool {
+        match self.dense.get_mut(tag.0 as usize) {
+            Some(flag) => std::mem::replace(flag, false),
+            None => {
+                let found = self.sparse.iter().position(|&t| t == tag);
+                found.map(|k| self.sparse.swap_remove(k)).is_some()
+            }
+        }
+    }
+
+    fn contains(&self, tag: ReqTag) -> bool {
+        match self.dense.get(tag.0 as usize) {
+            Some(&flag) => flag,
+            None => self.sparse.contains(&tag),
+        }
+    }
+
+    /// The lowest tag present. Every listed tag is above every flagged one.
+    fn lowest(&self) -> Option<ReqTag> {
+        match self.dense.iter().position(|&f| f) {
+            Some(i) => Some(ReqTag(i as u32)),
+            None => self.sparse.iter().copied().min_by_key(|t| t.0),
+        }
     }
 }
 
@@ -251,8 +306,8 @@ mod tests {
     #[test]
     fn unmatched_report_is_deterministic_lowest_tag() {
         // Several unmatched submits in shuffled order: the message must name
-        // the lowest-numbered tag, run after run, regardless of HashSet
-        // iteration order.
+        // the lowest-numbered tag, run after run, regardless of submit
+        // order.
         let submit = |tag| Op::IWrite {
             file: FileId(0),
             bytes: 1.0,
@@ -265,6 +320,88 @@ mod tests {
                 "program ends with unmatched request ReqTag(3)"
             );
         }
+    }
+
+    /// The burst workload's shape: 64 tags outstanding per phase, reused
+    /// phase after phase.
+    #[test]
+    fn burst_shaped_program_validates() {
+        let mut ops = Vec::new();
+        for _phase in 0..50 {
+            for tag in 0..64 {
+                ops.push(Op::IWrite {
+                    file: FileId(0),
+                    bytes: 1.0,
+                    tag: ReqTag(tag),
+                });
+            }
+            ops.push(Op::Compute { seconds: 1.0 });
+            for tag in (0..64).rev() {
+                ops.push(Op::Wait { tag: ReqTag(tag) });
+            }
+        }
+        assert!(Program::from_ops(ops.clone()).validate().is_ok());
+        // Drop the last wait: tag 0 of the last phase stays unmatched.
+        ops.pop();
+        assert_eq!(
+            Program::from_ops(ops).validate().unwrap_err(),
+            "program ends with unmatched request ReqTag(0)"
+        );
+    }
+
+    /// Tags far above the program length, next to small ones.
+    #[test]
+    fn hostile_tags_validate_and_report_like_small_ones() {
+        let submit = |tag| Op::IWrite {
+            file: FileId(0),
+            bytes: 1.0,
+            tag: ReqTag(tag),
+        };
+        let wait = |tag| Op::Wait { tag: ReqTag(tag) };
+        let probe = |tag| Op::Test { tag: ReqTag(tag) };
+        let max = u32::MAX;
+        let ok = Program::from_ops(vec![
+            submit(max),
+            submit(2),
+            submit(max - 1),
+            wait(max),
+            probe(max - 1),
+            wait(max - 1),
+            wait(2),
+            submit(max),
+            wait(max),
+        ]);
+        assert!(ok.validate().is_ok());
+        let reused = Program::from_ops(vec![submit(max), submit(max)]);
+        assert_eq!(
+            reused.validate().unwrap_err(),
+            "op 1: tag ReqTag(4294967295) reused while outstanding"
+        );
+        let orphan = Program::from_ops(vec![submit(max), wait(max - 1)]);
+        assert_eq!(
+            orphan.validate().unwrap_err(),
+            "op 1: wait on tag ReqTag(4294967294) with no submit"
+        );
+        // The lowest unmatched tag, whether small or hostile. The computes
+        // make tag 5 small: below the program's op count.
+        let compute = Op::Compute { seconds: 1.0 };
+        let both = Program::from_ops(vec![
+            submit(max),
+            submit(max - 7),
+            submit(5),
+            compute,
+            compute,
+            compute,
+        ]);
+        assert_eq!(
+            both.validate().unwrap_err(),
+            "program ends with unmatched request ReqTag(5)"
+        );
+        let hostile_only = Program::from_ops(vec![submit(max), submit(max - 7)]);
+        assert_eq!(
+            hostile_only.validate().unwrap_err(),
+            "program ends with unmatched request ReqTag(4294967288)"
+        );
     }
 
     #[test]

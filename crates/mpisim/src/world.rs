@@ -270,14 +270,29 @@ pub struct ScriptedDriver {
 
 impl ScriptedDriver {
     /// Creates a driver; one program per rank.
+    ///
+    /// # Panics
+    /// If a program fails [`Program::validate`]
+    /// ([`ScriptedDriver::try_new`] is the non-panicking path).
     pub fn new(programs: Vec<Program>) -> Self {
-        for (i, p) in programs.iter().enumerate() {
-            if let Err(e) = p.validate() {
-                panic!("rank {i} program invalid: {e}");
+        match Self::try_new(programs) {
+            Ok(driver) => driver,
+            Err(SimError::InvalidProgram { rank, reason }) => {
+                panic!("rank {rank} program invalid: {reason}")
             }
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Creates a driver; one program per rank. The first program that fails
+    /// [`Program::validate`] comes back as [`SimError::InvalidProgram`].
+    pub fn try_new(programs: Vec<Program>) -> SimResult<Self> {
+        for (rank, p) in programs.iter().enumerate() {
+            p.validate()
+                .map_err(|reason| SimError::invalid_program(rank, reason))?;
         }
         let pcs = vec![0; programs.len()];
-        ScriptedDriver { programs, pcs }
+        Ok(ScriptedDriver { programs, pcs })
     }
 }
 

@@ -3,7 +3,7 @@
 
 use crate::sink::{MetricsSink, RunMeta};
 use crate::{ExpConfig, Workload};
-use mpisim::{RunSummary, World};
+use mpisim::{RunSummary, ScriptedDriver, World};
 use simcore::{SimError, SimResult, StepSeries};
 use tmio::{Report, Tracer, TracerConfig};
 
@@ -79,12 +79,16 @@ impl Session {
     /// Runs the workload, surfacing engine failures as typed errors.
     pub fn try_run(&self) -> SimResult<RunOutput> {
         let cfg = &self.cfg;
+        let programs = self.workload.programs(cfg.n_ranks);
+        if programs.len() != cfg.n_ranks {
+            return Err(SimError::invalid_config(
+                "n_ranks",
+                format!("{} ranks but {} programs", cfg.n_ranks, programs.len()),
+            ));
+        }
+        let driver = ScriptedDriver::try_new(programs)?;
         let tracer = Tracer::new(cfg.n_ranks, cfg.tracer_config());
-        let mut world = World::new(
-            cfg.world_config(),
-            self.workload.programs(cfg.n_ranks),
-            tracer,
-        );
+        let mut world = World::with_driver(cfg.world_config(), Box::new(driver), tracer);
         for f in self.workload.files(cfg.n_ranks) {
             world.create_file(&f);
         }

@@ -2,11 +2,11 @@
 //! aggregates (Eq. 3), the time decomposition behind Figs. 6/7/11, and JSON
 //! serialization (the real tool's trace-file role).
 
-use crate::regions::{sweep, Interval};
+use crate::regions::{IncrementalSweep, Interval};
 use crate::tracer::{AsyncSpan, ChannelKind, PhaseRecord, SyncInterval, ThroughputWindow};
 use serde::{Deserialize, Serialize};
 use simcore::{Invariant, StepSeries};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Everything TMIO recorded about one run, plus modeled overheads.
 ///
@@ -39,13 +39,12 @@ pub struct Report {
     pub faults: Vec<FaultEventRecord>,
     /// Total retry backoff time across ranks, seconds (fault injection).
     pub retry_time: f64,
-    /// Cached `B_r` sweep (Eq. 3); seeded from the tracer's streaming sweep
-    /// or computed lazily on first query. Not serialized.
-    pub(crate) required_cache: OnceLock<StepSeries>,
-    /// Cached `B_L` sweep. Not serialized.
-    pub(crate) limit_cache: OnceLock<StepSeries>,
-    /// Cached `T` sweep. Not serialized.
-    pub(crate) throughput_cache: OnceLock<StepSeries>,
+    /// `B_r` (Eq. 3), built on first query. Not serialized.
+    pub(crate) required: LazySeries,
+    /// `B_L`, built on first query. Not serialized.
+    pub(crate) limit: LazySeries,
+    /// `T`, built on first query. Not serialized.
+    pub(crate) throughput: LazySeries,
     /// Cached time decomposition. Not serialized.
     pub(crate) decomposition_cache: OnceLock<Decomposition>,
 }
@@ -92,14 +91,69 @@ impl Deserialize for Report {
             ($($f:ident),+) => {
                 Report {
                     $($f: Deserialize::deserialize(serde::__field(v, stringify!($f))?)?,)+
-                    required_cache: OnceLock::new(),
-                    limit_cache: OnceLock::new(),
-                    throughput_cache: OnceLock::new(),
+                    required: LazySeries::default(),
+                    limit: LazySeries::default(),
+                    throughput: LazySeries::default(),
                     decomposition_cache: OnceLock::new(),
                 }
             };
         }
         Ok(report_fields!(de))
+    }
+}
+
+/// One Eq. 3 series of a [`Report`], built on its first query.
+#[derive(Debug, Default)]
+pub(crate) struct LazySeries {
+    /// The tracer's edge log, taken by the first query. `None` once the
+    /// series is built, and for a report no tracer built (parsed from JSON):
+    /// the series is then swept from the report's own rows.
+    sweep: Mutex<Option<IncrementalSweep>>,
+    series: OnceLock<StepSeries>,
+}
+
+impl LazySeries {
+    /// A series to be built from the tracer's `sweep`.
+    pub(crate) fn new(sweep: IncrementalSweep) -> Self {
+        LazySeries {
+            sweep: Mutex::new(Some(sweep)),
+            series: OnceLock::new(),
+        }
+    }
+
+    /// The series; the first call builds it from the tracer's sweep (its
+    /// cached series, if a live query left one, is reused as is) or, with
+    /// no sweep, from the intervals `rows` yields.
+    fn get(&self, rows: impl FnOnce() -> Vec<Interval>) -> &StepSeries {
+        self.series.get_or_init(|| {
+            let taken = self.lock().take();
+            let sweep = taken.unwrap_or_else(|| {
+                let rows = rows();
+                let mut sweep = IncrementalSweep::with_capacity(rows.len());
+                for iv in rows {
+                    sweep.push(iv);
+                }
+                sweep
+            });
+            sweep.into_series()
+        })
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<IncrementalSweep>> {
+        // The lock only guards a `take` or a `clone`, which leave the option
+        // whole even when they panic, so a poisoned guard is still valid.
+        self.sweep.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for LazySeries {
+    /// A clone taken before the first query gets its own copy of the sweep,
+    /// so the two build the same bits.
+    fn clone(&self) -> Self {
+        LazySeries {
+            sweep: Mutex::new(self.lock().clone()),
+            series: self.series.clone(),
+        }
     }
 }
 
@@ -197,46 +251,28 @@ impl Decomposition {
 }
 
 impl Report {
-    /// Seeds the series caches from the tracer's streaming sweeps so the
-    /// first post-run query is free. The incremental sweep is bit-identical
-    /// to the from-scratch oracle (property-tested in `regions`), so seeded
-    /// and lazily computed series agree exactly.
-    pub(crate) fn seed_series_caches(
-        &self,
-        required: StepSeries,
-        limit: StepSeries,
-        throughput: StepSeries,
-    ) {
-        let _ = self.required_cache.set(required);
-        let _ = self.limit_cache.set(limit);
-        let _ = self.throughput_cache.set(throughput);
-    }
-
     /// Application-level required-bandwidth series `B_r` (Eq. 3, Fig. 4):
     /// the sweep over every rank-phase `[ts, te)` carrying `B_{i,j}`.
-    /// Computed once and cached (or pre-seeded by the tracer).
+    /// Built on first query and cached.
     pub fn required_series(&self) -> &StepSeries {
-        self.required_cache.get_or_init(|| {
-            let iv: Vec<Interval> = self
-                .phases
+        self.required.get(|| {
+            self.phases
                 .iter()
                 .map(|p| Interval {
                     ts: p.ts,
                     te: p.te,
                     value: p.b_required,
                 })
-                .collect();
-            sweep(&iv)
+                .collect()
         })
     }
 
     /// Application-level limit series `B_L`: the sweep carrying each phase's
-    /// in-effect limit (phases without a limit contribute nothing).
-    /// Computed once and cached (or pre-seeded by the tracer).
+    /// in-effect limit (phases without a limit contribute nothing). Built on
+    /// first query and cached.
     pub fn limit_series(&self) -> &StepSeries {
-        self.limit_cache.get_or_init(|| {
-            let iv: Vec<Interval> = self
-                .phases
+        self.limit.get(|| {
+            self.phases
                 .iter()
                 .filter_map(|p| {
                     p.limit_during.map(|l| Interval {
@@ -245,26 +281,22 @@ impl Report {
                         value: l,
                     })
                 })
-                .collect();
-            sweep(&iv)
+                .collect()
         })
     }
 
     /// Application-level throughput series `T`: the sweep over throughput
-    /// windows carrying `T_{i,j}`. Computed once and cached (or pre-seeded
-    /// by the tracer).
+    /// windows carrying `T_{i,j}`. Built on first query and cached.
     pub fn throughput_series(&self) -> &StepSeries {
-        self.throughput_cache.get_or_init(|| {
-            let iv: Vec<Interval> = self
-                .windows
+        self.throughput.get(|| {
+            self.windows
                 .iter()
                 .map(|w| Interval {
                     ts: w.start,
                     te: w.end,
                     value: w.throughput(),
                 })
-                .collect();
-            sweep(&iv)
+                .collect()
         })
     }
 
@@ -416,9 +448,9 @@ mod tests {
             post_overhead: 0.05,
             faults: Vec::new(),
             retry_time: 0.0,
-            required_cache: OnceLock::new(),
-            limit_cache: OnceLock::new(),
-            throughput_cache: OnceLock::new(),
+            required: LazySeries::default(),
+            limit: LazySeries::default(),
+            throughput: LazySeries::default(),
             decomposition_cache: OnceLock::new(),
         }
     }

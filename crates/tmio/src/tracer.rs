@@ -23,17 +23,19 @@
 //! * open request spans live in a generation-stamped slot arena
 //!   ([`simcore::GenSlab`]) indexed per rank by [`ReqTag`] — no hashing,
 //!   memory bounded by the peak number of outstanding requests;
-//! * closed phase/window/span/sync records land in structure-of-arrays
-//!   tables pre-sized with `with_capacity`, materialized into the report's
-//!   serialized row format only once at [`Tracer::into_report`];
+//! * closed phase/window/span/sync records are pushed as finished rows into
+//!   `Vec`s pre-sized with `with_capacity`; [`Tracer::into_report`] moves
+//!   them into the report without copying;
 //! * the application-level Eq. 3 aggregates (`B_r`, `B_L`, `T`) are
 //!   maintained *online* by [`IncrementalSweep`]s: a phase or throughput
 //!   window opens its interval at its first submit and closes it at its
 //!   end. Hooks fire in nondecreasing simulation time, so both edge logs
 //!   stay time-ordered and every query — mid-run or at the final report —
-//!   is one streaming merge with no sort.
+//!   is one streaming merge with no sort. The report takes over the three
+//!   sweeps and builds each series only when it is first queried.
 
 use crate::regions::{IncrementalSweep, Opened};
+use crate::report::LazySeries;
 use crate::strategy::{Strategy, StrategyState};
 use mpisim::{Channel, IoHooks, Limits, ReqTag};
 use serde::{Deserialize, Serialize};
@@ -357,212 +359,6 @@ impl RankTrace {
     }
 }
 
-// ---------------------------------------------------------------------
-// Structure-of-arrays record tables. Hot-path pushes touch parallel
-// column vectors (pre-sized, no per-record allocation); the serialized
-// row structs are materialized once at `into_report`.
-
-#[derive(Default)]
-struct PhaseTable {
-    rank: Vec<u32>,
-    phase: Vec<u32>,
-    ts: Vec<f64>,
-    te: Vec<f64>,
-    bytes: Vec<f64>,
-    b_required: Vec<f64>,
-    limit_during: Vec<Option<f64>>,
-    limit_next: Vec<Option<f64>>,
-    n_requests: Vec<u32>,
-}
-
-impl PhaseTable {
-    fn with_capacity(n: usize) -> Self {
-        PhaseTable {
-            rank: Vec::with_capacity(n),
-            phase: Vec::with_capacity(n),
-            ts: Vec::with_capacity(n),
-            te: Vec::with_capacity(n),
-            bytes: Vec::with_capacity(n),
-            b_required: Vec::with_capacity(n),
-            limit_during: Vec::with_capacity(n),
-            limit_next: Vec::with_capacity(n),
-            n_requests: Vec::with_capacity(n),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push(
-        &mut self,
-        rank: usize,
-        phase: usize,
-        ts: f64,
-        te: f64,
-        bytes: f64,
-        b_required: f64,
-        limit_during: Option<f64>,
-        limit_next: Option<f64>,
-        n_requests: usize,
-    ) {
-        self.rank.push(rank as u32);
-        self.phase.push(phase as u32);
-        self.ts.push(ts);
-        self.te.push(te);
-        self.bytes.push(bytes);
-        self.b_required.push(b_required);
-        self.limit_during.push(limit_during);
-        self.limit_next.push(limit_next);
-        self.n_requests.push(n_requests as u32);
-    }
-
-    fn materialize(self) -> Vec<PhaseRecord> {
-        (0..self.rank.len())
-            .map(|i| PhaseRecord {
-                rank: self.rank[i] as usize,
-                phase: self.phase[i] as usize,
-                ts: self.ts[i],
-                te: self.te[i],
-                bytes: self.bytes[i],
-                b_required: self.b_required[i],
-                limit_during: self.limit_during[i],
-                limit_next: self.limit_next[i],
-                n_requests: self.n_requests[i] as usize,
-            })
-            .collect()
-    }
-}
-
-#[derive(Default)]
-struct WindowTable {
-    rank: Vec<u32>,
-    start: Vec<f64>,
-    end: Vec<f64>,
-    bytes: Vec<f64>,
-}
-
-impl WindowTable {
-    fn with_capacity(n: usize) -> Self {
-        WindowTable {
-            rank: Vec::with_capacity(n),
-            start: Vec::with_capacity(n),
-            end: Vec::with_capacity(n),
-            bytes: Vec::with_capacity(n),
-        }
-    }
-
-    fn push(&mut self, rank: usize, start: f64, end: f64, bytes: f64) {
-        self.rank.push(rank as u32);
-        self.start.push(start);
-        self.end.push(end);
-        self.bytes.push(bytes);
-    }
-
-    fn materialize(self) -> Vec<ThroughputWindow> {
-        (0..self.rank.len())
-            .map(|i| ThroughputWindow {
-                rank: self.rank[i] as usize,
-                start: self.start[i],
-                end: self.end[i],
-                bytes: self.bytes[i],
-            })
-            .collect()
-    }
-}
-
-#[derive(Default)]
-struct SpanTable {
-    rank: Vec<u32>,
-    submit: Vec<f64>,
-    complete: Vec<f64>,
-    wait_enter: Vec<f64>,
-    bytes: Vec<f64>,
-    channel: Vec<ChannelKind>,
-}
-
-impl SpanTable {
-    fn with_capacity(n: usize) -> Self {
-        SpanTable {
-            rank: Vec::with_capacity(n),
-            submit: Vec::with_capacity(n),
-            complete: Vec::with_capacity(n),
-            wait_enter: Vec::with_capacity(n),
-            bytes: Vec::with_capacity(n),
-            channel: Vec::with_capacity(n),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push(
-        &mut self,
-        rank: usize,
-        submit: f64,
-        complete: f64,
-        wait_enter: f64,
-        bytes: f64,
-        channel: ChannelKind,
-    ) {
-        self.rank.push(rank as u32);
-        self.submit.push(submit);
-        self.complete.push(complete);
-        self.wait_enter.push(wait_enter);
-        self.bytes.push(bytes);
-        self.channel.push(channel);
-    }
-
-    fn materialize(self) -> Vec<AsyncSpan> {
-        (0..self.rank.len())
-            .map(|i| AsyncSpan {
-                rank: self.rank[i] as usize,
-                submit: self.submit[i],
-                complete: self.complete[i],
-                wait_enter: self.wait_enter[i],
-                bytes: self.bytes[i],
-                channel: self.channel[i],
-            })
-            .collect()
-    }
-}
-
-#[derive(Default)]
-struct SyncTable {
-    rank: Vec<u32>,
-    begin: Vec<f64>,
-    end: Vec<f64>,
-    bytes: Vec<f64>,
-    channel: Vec<ChannelKind>,
-}
-
-impl SyncTable {
-    fn with_capacity(n: usize) -> Self {
-        SyncTable {
-            rank: Vec::with_capacity(n),
-            begin: Vec::with_capacity(n),
-            end: Vec::with_capacity(n),
-            bytes: Vec::with_capacity(n),
-            channel: Vec::with_capacity(n),
-        }
-    }
-
-    fn push(&mut self, rank: usize, begin: f64, end: f64, bytes: f64, channel: ChannelKind) {
-        self.rank.push(rank as u32);
-        self.begin.push(begin);
-        self.end.push(end);
-        self.bytes.push(bytes);
-        self.channel.push(channel);
-    }
-
-    fn materialize(self) -> Vec<SyncInterval> {
-        (0..self.rank.len())
-            .map(|i| SyncInterval {
-                rank: self.rank[i] as usize,
-                begin: self.begin[i],
-                end: self.end[i],
-                bytes: self.bytes[i],
-                channel: self.channel[i],
-            })
-            .collect()
-    }
-}
-
 /// The TMIO tracer. Register as the world's hooks, run, then call
 /// [`Tracer::into_report`].
 pub struct Tracer {
@@ -570,10 +366,11 @@ pub struct Tracer {
     ranks: Vec<RankTrace>,
     /// Open async spans, keyed through each rank's [`TagIndex`].
     open_spans: GenSlab<OpenSpan>,
-    phases: PhaseTable,
-    windows: WindowTable,
-    spans: SpanTable,
-    syncs: SyncTable,
+    /// Finished records, in the order they closed: the report's rows.
+    phases: Vec<PhaseRecord>,
+    windows: Vec<ThroughputWindow>,
+    spans: Vec<AsyncSpan>,
+    syncs: Vec<SyncInterval>,
     /// Streaming Eq. 3 aggregates, opened at each phase/window's first
     /// submit and closed at its end.
     req_sweep: IncrementalSweep,
@@ -597,10 +394,10 @@ impl Tracer {
             cfg,
             ranks: (0..n_ranks).map(|_| RankTrace::new()).collect(),
             open_spans: GenSlab::with_capacity(n_ranks * 2),
-            phases: PhaseTable::with_capacity(cap),
-            windows: WindowTable::with_capacity(cap),
-            spans: SpanTable::with_capacity(cap),
-            syncs: SyncTable::with_capacity(n_ranks * 4),
+            phases: Vec::with_capacity(cap),
+            windows: Vec::with_capacity(cap),
+            spans: Vec::with_capacity(cap),
+            syncs: Vec::with_capacity(n_ranks * 4),
             req_sweep: IncrementalSweep::with_capacity(cap),
             lim_sweep: IncrementalSweep::new(),
             thr_sweep: IncrementalSweep::with_capacity(cap),
@@ -678,8 +475,17 @@ impl Tracer {
             .invariant("an open phase has a B interval");
         // Without a limit in effect the B_L interval is dropped: a hole.
         let lim = rt.lim_open.take();
-        self.phases
-            .push(rank, phase, ts, te_s, bytes, b, limit_during, limit_next, n);
+        self.phases.push(PhaseRecord {
+            rank,
+            phase,
+            ts,
+            te: te_s,
+            bytes,
+            b_required: b,
+            limit_during,
+            limit_next,
+            n_requests: n,
+        });
         self.req_sweep.close(req, te_s, b);
         if let (Some(h), Some(l)) = (lim, limit_during) {
             self.lim_sweep.close(h, te_s, l);
@@ -687,39 +493,29 @@ impl Tracer {
     }
 
     /// Finalizes and returns the report. `n_ranks` post-overhead is modeled
-    /// here, mirroring TMIO's `MPI_Finalize` aggregation.
+    /// here, mirroring TMIO's `MPI_Finalize` aggregation. The record rows
+    /// and the three edge logs move into the report as they are; each
+    /// Eq. 3 series is built from its log on the report's first query.
     pub fn into_report(self) -> crate::report::Report {
         let n_ranks = self.ranks.len();
-        let peri_overhead = self.calls as f64 * self.cfg.peri_call_overhead;
-        let post_overhead = self.cfg.post_model.overhead(n_ranks);
-        let report = crate::report::Report {
+        crate::report::Report {
             n_ranks,
             strategy_name: self.cfg.strategy.name().to_string(),
-            phases: self.phases.materialize(),
-            windows: self.windows.materialize(),
-            spans: self.spans.materialize(),
-            syncs: self.syncs.materialize(),
+            phases: self.phases,
+            windows: self.windows,
+            spans: self.spans,
+            syncs: self.syncs,
             rank_end: self.rank_end,
             calls: self.calls,
-            peri_overhead,
-            post_overhead,
+            peri_overhead: self.calls as f64 * self.cfg.peri_call_overhead,
+            post_overhead: self.cfg.post_model.overhead(n_ranks),
             faults: self.faults,
             retry_time: self.retry_time,
-            required_cache: std::sync::OnceLock::new(),
-            limit_cache: std::sync::OnceLock::new(),
-            throughput_cache: std::sync::OnceLock::new(),
+            required: LazySeries::new(self.req_sweep),
+            limit: LazySeries::new(self.lim_sweep),
+            throughput: LazySeries::new(self.thr_sweep),
             decomposition_cache: std::sync::OnceLock::new(),
-        };
-        // Seed the report's series caches from the streaming sweeps: the
-        // incremental structure is bit-identical to the from-scratch oracle
-        // over the same closures (property-tested), so post-run queries skip
-        // the collect-and-sort entirely.
-        report.seed_series_caches(
-            self.req_sweep.into_series(),
-            self.lim_sweep.into_series(),
-            self.thr_sweep.into_series(),
-        );
-        report
+        }
     }
 }
 
@@ -784,7 +580,12 @@ impl IoHooks for Tracer {
                 .thr_open
                 .take()
                 .invariant("an open window has a T interval");
-            self.windows.push(rank, start, end, bytes);
+            self.windows.push(ThroughputWindow {
+                rank,
+                start,
+                end,
+                bytes,
+            });
             self.thr_sweep
                 .close(window, end, bytes / (end - start).max(1e-12));
         }
@@ -853,8 +654,13 @@ impl IoHooks for Tracer {
         _limits: &mut Limits,
     ) -> f64 {
         let begin = self.ranks[rank].sync_begin;
-        self.syncs
-            .push(rank, begin.as_secs(), t.as_secs(), bytes, channel.into());
+        self.syncs.push(SyncInterval {
+            rank,
+            begin: begin.as_secs(),
+            end: t.as_secs(),
+            bytes,
+            channel: channel.into(),
+        });
         self.call_overhead()
     }
 
@@ -923,14 +729,14 @@ impl Tracer {
                 let (Some(complete), Some(wait_enter)) = (s.complete, s.wait_enter) else {
                     return;
                 };
-                self.spans.push(
+                self.spans.push(AsyncSpan {
                     rank,
-                    s.submit.as_secs(),
-                    complete.as_secs(),
-                    wait_enter.as_secs(),
-                    s.bytes,
-                    s.channel.into(),
-                );
+                    submit: s.submit.as_secs(),
+                    complete: complete.as_secs(),
+                    wait_enter: wait_enter.as_secs(),
+                    bytes: s.bytes,
+                    channel: s.channel.into(),
+                });
             }
         }
     }
@@ -965,7 +771,7 @@ mod tests {
 
     /// Every sweep append arrived in time order, so no query will sort.
     fn assert_time_ordered(t: &Tracer, what: &str) {
-        assert!(!t.phases.rank.is_empty(), "{what}: no phases traced");
+        assert!(!t.phases.is_empty(), "{what}: no phases traced");
         assert!(t.req_sweep.is_time_ordered(), "{what}: B sweep");
         assert!(t.lim_sweep.is_time_ordered(), "{what}: B_L sweep");
         assert!(t.thr_sweep.is_time_ordered(), "{what}: T sweep");

@@ -177,3 +177,22 @@ fn missing_workload_is_a_typed_error() {
     };
     assert!(err.to_string().contains("no workload attached"), "{err}");
 }
+
+#[test]
+fn invalid_program_is_a_typed_error_on_the_session_path() {
+    // Waits on a tag it never submitted.
+    let program = Program::from_ops(vec![Op::Wait {
+        tag: mpisim::ReqTag(3),
+    }]);
+    let session = Session::builder(ExpConfig::new(1, Strategy::None))
+        .workload(RawWorkload::new("orphan-wait", vec![program], vec!["f"]))
+        .try_build()
+        .expect("the config is valid");
+    match session.try_run() {
+        Err(SimError::InvalidProgram { rank, reason }) => {
+            assert_eq!(rank, 0);
+            assert!(reason.contains("no submit"), "{reason}");
+        }
+        other => panic!("expected InvalidProgram, got {other:?}"),
+    }
+}
