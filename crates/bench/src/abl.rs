@@ -71,41 +71,33 @@ fn sustained_peak(out: &RunOutput, start: f64) -> f64 {
 
 /// Tolerance sweep: low tol = aggressive (waits appear), high tol = safe
 /// but less exploitation (the trade-off of Sec. IV-B).
-pub fn tol_sweep(ctx: &ScenarioCtx) -> Result<(), String> {
-    if ctx.emit {
-        header("direct-strategy tolerance (HACC-IO, 16 ranks)");
-        println!(
-            "{:>6} {:>10} {:>8} {:>9}",
-            "tol", "time [s]", "lost %", "exploit %"
-        );
-    }
+pub fn tol_sweep(_ctx: &ScenarioCtx) -> Result<(), String> {
+    header("direct-strategy tolerance (HACC-IO, 16 ranks)");
+    println!(
+        "{:>6} {:>10} {:>8} {:>9}",
+        "tol", "time [s]", "lost %", "exploit %"
+    );
     let mut rows = Vec::new();
     for tol in [0.8, 0.9, 1.0, 1.1, 1.3, 1.5, 2.0] {
         let out = hacc_session(ExpConfig::new(16, Strategy::Direct { tol }), hacc());
         let (t, lost, exploit) = stats(&out);
-        if ctx.emit {
-            println!("{tol:>6.1} {t:>10.2} {lost:>8.1} {exploit:>9.1}");
-        }
+        println!("{tol:>6.1} {t:>10.2} {lost:>8.1} {exploit:>9.1}");
         rows.push(format!("{tol},{t:.4},{lost:.2},{exploit:.2}"));
     }
-    if ctx.emit {
-        write_csv("ablation_tol", "tol,time_s,lost_pct,exploit_pct", &rows)
-            .map_err(|e| e.to_string())?;
-        println!("(lower tol -> more waiting; higher tol -> less exploitation)");
-    }
+    write_csv("ablation_tol", "tol,time_s,lost_pct,exploit_pct", &rows)
+        .map_err(|e| e.to_string())?;
+    println!("(lower tol -> more waiting; higher tol -> less exploitation)");
     Ok(())
 }
 
 /// Sub-request size: smaller sub-requests pace more smoothly but cost more
 /// I/O-thread round trips; larger ones burst.
-pub fn subreq_sweep(ctx: &ScenarioCtx) -> Result<(), String> {
-    if ctx.emit {
-        header("ADIO sub-request size (HACC-IO, 16 ranks, up-only)");
-        println!(
-            "{:>12} {:>10} {:>9} {:>22}",
-            "subreq", "time [s]", "lost %", "sustained peak [MB/s]"
-        );
-    }
+pub fn subreq_sweep(_ctx: &ScenarioCtx) -> Result<(), String> {
+    header("ADIO sub-request size (HACC-IO, 16 ranks, up-only)");
+    println!(
+        "{:>12} {:>10} {:>9} {:>22}",
+        "subreq", "time [s]", "lost %", "sustained peak [MB/s]"
+    );
     let mut rows = Vec::new();
     for kib in [256.0, 1024.0, 4096.0, 16384.0] {
         let cfg = ExpConfig::new(16, Strategy::UpOnly { tol: 1.1 }).with_subreq_bytes(kib * 1024.0);
@@ -113,25 +105,21 @@ pub fn subreq_sweep(ctx: &ScenarioCtx) -> Result<(), String> {
         let (t, lost, _) = stats(&out);
         // Peak bytes in any 100 ms window after the limiter engages.
         let peak = sustained_peak(&out, out.report.limit_start_time().unwrap_or(0.0));
-        if ctx.emit {
-            println!(
-                "{:>9} KiB {:>10.2} {:>9.1} {:>22.1}",
-                kib,
-                t,
-                lost,
-                peak / 1e6
-            );
-        }
+        println!(
+            "{:>9} KiB {:>10.2} {:>9.1} {:>22.1}",
+            kib,
+            t,
+            lost,
+            peak / 1e6
+        );
         rows.push(format!("{kib},{t:.4},{lost:.2},{:.1}", peak / 1e6));
     }
-    if ctx.emit {
-        write_csv(
-            "ablation_subreq",
-            "subreq_kib,time_s,lost_pct,peak_mbs",
-            &rows,
-        )
-        .map_err(|e| e.to_string())?;
-    }
+    write_csv(
+        "ablation_subreq",
+        "subreq_kib,time_s,lost_pct,peak_mbs",
+        &rows,
+    )
+    .map_err(|e| e.to_string())?;
     Ok(())
 }
 
@@ -139,15 +127,13 @@ pub fn subreq_sweep(ctx: &ScenarioCtx) -> Result<(), String> {
 /// Needs multiple requests per phase with separated waits — a pattern of
 /// two iwrites whose waits close 1.0 s and 1.5 s after submission, run as a
 /// [`RawWorkload`] through the same session pipeline as everything else.
-pub fn semantics(ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn semantics(_ctx: &ScenarioCtx) -> Result<(), String> {
     use mpisim::{FileId, Op, Program, ReqTag};
-    if ctx.emit {
-        header("B window semantics: te-mode × aggregation (2 requests per phase)");
-        println!(
-            "{:<10} {:<5} {:>14} {:>14}",
-            "te", "agg", "rank B [MB/s]", "app B [MB/s]"
-        );
-    }
+    header("B window semantics: te-mode × aggregation (2 requests per phase)");
+    println!(
+        "{:<10} {:<5} {:>14} {:>14}",
+        "te", "agg", "rank B [MB/s]", "app B [MB/s]"
+    );
     let mut rows = Vec::new();
     for te in [TeMode::FirstWait, TeMode::LastWait] {
         for agg in [Aggregation::Sum, Aggregation::Mean] {
@@ -181,56 +167,46 @@ pub fn semantics(ctx: &ScenarioCtx) -> Result<(), String> {
             let out = Session::builder(cfg).workload(workload).build().run();
             let rank_b = out.report.phases[0].b_required / 1e6;
             let app_b = out.report.required_bandwidth() / 1e6;
-            if ctx.emit {
-                println!("{te:<10?} {agg:<5?} {rank_b:>14.1} {app_b:>14.1}");
-            }
+            println!("{te:<10?} {agg:<5?} {rank_b:>14.1} {app_b:>14.1}");
             rows.push(format!("{te:?},{agg:?},{rank_b:.2},{app_b:.2}"));
         }
     }
-    if ctx.emit {
-        write_csv("ablation_semantics", "te,agg,rank_B_mbs,app_B_mbs", &rows)
-            .map_err(|e| e.to_string())?;
-        println!("(the paper picks FirstWait+Sum — the highest, most conservative B)");
-    }
+    write_csv("ablation_semantics", "te,agg,rank_B_mbs,app_B_mbs", &rows)
+        .map_err(|e| e.to_string())?;
+    println!("(the paper picks FirstWait+Sum — the highest, most conservative B)");
     Ok(())
 }
 
 /// Pacing the trailing sync writes vs leaving them unthrottled.
-pub fn limit_sync(ctx: &ScenarioCtx) -> Result<(), String> {
-    if ctx.emit {
-        header("limit applies to blocking I/O too? (WaComM, 96 ranks, up-only)");
-        println!(
-            "{:<12} {:>10} {:>12}",
-            "limit sync", "time [s]", "final tail [s]"
-        );
-    }
+pub fn limit_sync(_ctx: &ScenarioCtx) -> Result<(), String> {
+    header("limit applies to blocking I/O too? (WaComM, 96 ranks, up-only)");
+    println!(
+        "{:<12} {:>10} {:>12}",
+        "limit sync", "time [s]", "final tail [s]"
+    );
     let mut rows = Vec::new();
     for on in [true, false] {
         let cfg = ExpConfig::new(96, Strategy::UpOnly { tol: 1.1 }).with_limit_sync(on);
         let out = wacomm_session(cfg);
         let d = out.report.decomposition();
-        if ctx.emit {
-            println!(
-                "{:<12} {:>10.2} {:>12.3}",
-                if on { "yes (paper)" } else { "no" },
-                out.app_time(),
-                d.sync_write / 96.0
-            );
-        }
+        println!(
+            "{:<12} {:>10.2} {:>12.3}",
+            if on { "yes (paper)" } else { "no" },
+            out.app_time(),
+            d.sync_write / 96.0
+        );
         rows.push(format!(
             "{on},{:.4},{:.4}",
             out.app_time(),
             d.sync_write / 96.0
         ));
     }
-    if ctx.emit {
-        write_csv(
-            "ablation_limitsync",
-            "limit_sync,time_s,sync_write_mean_s",
-            &rows,
-        )
-        .map_err(|e| e.to_string())?;
-    }
+    write_csv(
+        "ablation_limitsync",
+        "limit_sync,time_s,sync_write_mean_s",
+        &rows,
+    )
+    .map_err(|e| e.to_string())?;
     Ok(())
 }
 
@@ -241,14 +217,12 @@ pub fn limit_sync(ctx: &ScenarioCtx) -> Result<(), String> {
 /// speedup does NOT emerge. The mechanism the paper suspects (I/O threads
 /// competing with compute threads for cores) lives below this substrate's
 /// abstraction level; see EXPERIMENTS.md.
-pub fn interference(ctx: &ScenarioCtx) -> Result<(), String> {
-    if ctx.emit {
-        header("I/O↔compute interference alpha (WaComM, 96 ranks) — negative result");
-        println!(
-            "{:>8} {:>14} {:>14} {:>10}",
-            "alpha", "none [s]", "up-only [s]", "limit gain"
-        );
-    }
+pub fn interference(_ctx: &ScenarioCtx) -> Result<(), String> {
+    header("I/O↔compute interference alpha (WaComM, 96 ranks) — negative result");
+    println!(
+        "{:>8} {:>14} {:>14} {:>10}",
+        "alpha", "none [s]", "up-only [s]", "limit gain"
+    );
     let mut rows = Vec::new();
     for alpha in [0.0, 1e3, 1e4, 4e4] {
         let time = |strategy| {
@@ -257,37 +231,31 @@ pub fn interference(ctx: &ScenarioCtx) -> Result<(), String> {
         let none = time(Strategy::None);
         let up = time(Strategy::UpOnly { tol: 1.1 });
         let gain = 100.0 * (none - up) / none;
-        if ctx.emit {
-            println!("{alpha:>8.0} {none:>14.2} {up:>14.2} {gain:>+9.1}%");
-        }
+        println!("{alpha:>8.0} {none:>14.2} {up:>14.2} {gain:>+9.1}%");
         rows.push(format!("{alpha},{none:.4},{up:.4},{gain:.2}"));
     }
-    if ctx.emit {
-        write_csv(
-            "ablation_interference",
-            "alpha,none_s,uponly_s,gain_pct",
-            &rows,
-        )
-        .map_err(|e| e.to_string())?;
-        println!(
-            "(both runs slow equally: pacing preserves the burst microstructure, so\n\
-             the paper's thread-competition speedup is not reproducible in a fluid\n\
-             model — documented as a substrate limitation in EXPERIMENTS.md)"
-        );
-    }
+    write_csv(
+        "ablation_interference",
+        "alpha,none_s,uponly_s,gain_pct",
+        &rows,
+    )
+    .map_err(|e| e.to_string())?;
+    println!(
+        "(both runs slow equally: pacing preserves the burst microstructure, so\n\
+         the paper's thread-competition speedup is not reproducible in a fluid\n\
+         model — documented as a substrate limitation in EXPERIMENTS.md)"
+    );
     Ok(())
 }
 
 /// MFU-table strategy (the paper's future-work idea) against the three
 /// published strategies on a workload with a recurring phase pattern.
-pub fn mfu(ctx: &ScenarioCtx) -> Result<(), String> {
-    if ctx.emit {
-        header("MFU-table strategy vs the paper's three (HACC-IO, 16 ranks)");
-        println!(
-            "{:<10} {:>10} {:>8} {:>9}",
-            "strategy", "time [s]", "lost %", "exploit %"
-        );
-    }
+pub fn mfu(_ctx: &ScenarioCtx) -> Result<(), String> {
+    header("MFU-table strategy vs the paper's three (HACC-IO, 16 ranks)");
+    println!(
+        "{:<10} {:>10} {:>8} {:>9}",
+        "strategy", "time [s]", "lost %", "exploit %"
+    );
     let mut rows = Vec::new();
     for strategy in [
         Strategy::Direct { tol: 1.1 },
@@ -301,27 +269,23 @@ pub fn mfu(ctx: &ScenarioCtx) -> Result<(), String> {
     ] {
         let out = hacc_session(ExpConfig::new(16, strategy), hacc());
         let (t, lost, exploit) = stats(&out);
-        if ctx.emit {
-            println!(
-                "{:<10} {t:>10.2} {lost:>8.1} {exploit:>9.1}",
-                strategy.name()
-            );
-        }
+        println!(
+            "{:<10} {t:>10.2} {lost:>8.1} {exploit:>9.1}",
+            strategy.name()
+        );
         rows.push(format!("{},{t:.4},{lost:.2},{exploit:.2}", strategy.name()));
     }
-    if ctx.emit {
-        write_csv(
-            "ablation_mfu",
-            "strategy,time_s,lost_pct,exploit_pct",
-            &rows,
-        )
-        .map_err(|e| e.to_string())?;
-    }
+    write_csv(
+        "ablation_mfu",
+        "strategy,time_s,lost_pct,exploit_pct",
+        &rows,
+    )
+    .map_err(|e| e.to_string())?;
     Ok(())
 }
 
 /// Burst buffer for synchronous I/O: the future-work extension.
-pub fn burst_buffer(ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn burst_buffer(_ctx: &ScenarioCtx) -> Result<(), String> {
     use pfsim::burstbuffer::required_drain_bandwidth;
     use pfsim::BurstBufferConfig;
     let hc = HaccConfig {
@@ -335,20 +299,18 @@ pub fn burst_buffer(ctx: &ScenarioCtx) -> Result<(), String> {
         absorb_rate: 5e9,
         drain_rate: 1e9,
     };
-    if ctx.emit {
-        header("burst buffer for synchronous HACC-IO (16 ranks, sync baseline)");
-        println!(
-            "per-rank burst {:.1} MB every {:.2} s -> required drain {:.1} MB/s (drain cap {:.0} MB/s)",
-            hc.data_bytes() / 1e6,
-            period,
-            required_drain_bandwidth(hc.data_bytes(), period, &bb).invariant("drainable config") / 1e6,
-            bb.drain_rate / 1e6,
-        );
-        println!(
-            "{:<10} {:>10} {:>12} {:>22}",
-            "tier", "time [s]", "syncW [s]", "sustained peak [MB/s]"
-        );
-    }
+    header("burst buffer for synchronous HACC-IO (16 ranks, sync baseline)");
+    println!(
+        "per-rank burst {:.1} MB every {:.2} s -> required drain {:.1} MB/s (drain cap {:.0} MB/s)",
+        hc.data_bytes() / 1e6,
+        period,
+        required_drain_bandwidth(hc.data_bytes(), period, &bb).invariant("drainable config") / 1e6,
+        bb.drain_rate / 1e6,
+    );
+    println!(
+        "{:<10} {:>10} {:>12} {:>22}",
+        "tier", "time [s]", "syncW [s]", "sustained peak [MB/s]"
+    );
     let mut rows = Vec::new();
     for with_bb in [false, true] {
         // A modest mid-range PFS (1 GB/s) where checkpoint bursts hurt —
@@ -366,15 +328,13 @@ pub fn burst_buffer(ctx: &ScenarioCtx) -> Result<(), String> {
             .run();
         let d = out.report.decomposition();
         let peak = sustained_peak(&out, 0.0);
-        if ctx.emit {
-            println!(
-                "{:<10} {:>10.2} {:>12.2} {:>22.1}",
-                if with_bb { "bb" } else { "pfs-direct" },
-                out.app_time(),
-                d.sync_write / 16.0,
-                peak / 1e6
-            );
-        }
+        println!(
+            "{:<10} {:>10.2} {:>12.2} {:>22.1}",
+            if with_bb { "bb" } else { "pfs-direct" },
+            out.app_time(),
+            d.sync_write / 16.0,
+            peak / 1e6
+        );
         rows.push(format!(
             "{with_bb},{:.4},{:.4},{:.1}",
             out.app_time(),
@@ -382,19 +342,17 @@ pub fn burst_buffer(ctx: &ScenarioCtx) -> Result<(), String> {
             peak / 1e6
         ));
     }
-    if ctx.emit {
-        write_csv(
-            "ablation_bb",
-            "with_bb,time_s,sync_write_mean_s,peak_mbs",
-            &rows,
-        )
-        .map_err(|e| e.to_string())?;
-        println!(
-            "(the buffer absorbs the bursts: visible sync-write time collapses and the\n\
-             runtime improves; the same bytes still cross the PFS, so its saturation\n\
-             episodes merely spread out — the drain is where the paper's future-work\n\
-             required-bandwidth definition applies)"
-        );
-    }
+    write_csv(
+        "ablation_bb",
+        "with_bb,time_s,sync_write_mean_s,peak_mbs",
+        &rows,
+    )
+    .map_err(|e| e.to_string())?;
+    println!(
+        "(the buffer absorbs the bursts: visible sync-write time collapses and the\n\
+         runtime improves; the same bytes still cross the PFS, so its saturation\n\
+         episodes merely spread out — the drain is where the paper's future-work\n\
+         required-bandwidth definition applies)"
+    );
     Ok(())
 }

@@ -362,9 +362,7 @@ fn base_run(case: Case, strategy_name: &str, strategy: Strategy, quick: bool) ->
 /// registry's `chaos.<plan>` entries call this.
 pub fn run_plan(plan: &'static str, ctx: &ScenarioCtx) -> Result<(), String> {
     if plan == "combined" && ctx.quick {
-        if ctx.emit {
-            println!("chaos.combined: skipped in --quick mode (full sweep only)");
-        }
+        println!("chaos.combined: skipped in --quick mode (full sweep only)");
         return Ok(());
     }
     let cases = cases(ctx.quick);
@@ -375,38 +373,34 @@ pub fn run_plan(plan: &'static str, ctx: &ScenarioCtx) -> Result<(), String> {
         check_plan(case, name, strategy, &base, &pf)
     });
 
-    if ctx.emit {
-        println!(
-            "{:<8} {:<9} {:<10} {:>8} {:>7} {:>8} {:>6} {:>7} {:>7} {:>6}",
-            "workload",
-            "strategy",
-            "plan",
-            "app [s]",
-            "x base",
-            "retry[s]",
-            "opErr",
-            "events",
-            "expl%",
-            "lost%"
-        );
-    }
+    println!(
+        "{:<8} {:<9} {:<10} {:>8} {:>7} {:>8} {:>6} {:>7} {:>7} {:>6}",
+        "workload",
+        "strategy",
+        "plan",
+        "app [s]",
+        "x base",
+        "retry[s]",
+        "opErr",
+        "events",
+        "expl%",
+        "lost%"
+    );
     let mut failures = 0usize;
     for row in &rows {
-        if ctx.emit {
-            println!(
-                "{:<8} {:<9} {:<10} {:>8.2} {:>7.2} {:>8.4} {:>6} {:>7} {:>7.1} {:>6.1}",
-                row.workload,
-                row.strategy,
-                row.plan,
-                row.app,
-                row.inflation,
-                row.retry_s,
-                row.op_errors,
-                row.fault_events,
-                row.exploited_pct,
-                row.lost_pct
-            );
-        }
+        println!(
+            "{:<8} {:<9} {:<10} {:>8.2} {:>7.2} {:>8.4} {:>6} {:>7} {:>7.1} {:>6.1}",
+            row.workload,
+            row.strategy,
+            row.plan,
+            row.app,
+            row.inflation,
+            row.retry_s,
+            row.op_errors,
+            row.fault_events,
+            row.exploited_pct,
+            row.lost_pct
+        );
         for v in &row.violations {
             failures += 1;
             eprintln!(
@@ -415,14 +409,12 @@ pub fn run_plan(plan: &'static str, ctx: &ScenarioCtx) -> Result<(), String> {
             );
         }
     }
-    if ctx.emit {
-        crate::csv::write_rows(&format!("chaos_{plan}"), &rows).map_err(|e| e.to_string())?;
-        println!(
-            "chaos.{plan}: {} fault runs x2 (replay) in {:.1} s, {failures} violation(s)",
-            rows.len(),
-            t0.elapsed().as_secs_f64()
-        );
-    }
+    crate::csv::write_rows(&format!("chaos_{plan}"), &rows).map_err(|e| e.to_string())?;
+    println!(
+        "chaos.{plan}: {} fault runs x2 (replay) in {:.1} s, {failures} violation(s)",
+        rows.len(),
+        t0.elapsed().as_secs_f64()
+    );
     if failures > 0 {
         return Err(format!("{failures} violation(s) under plan `{plan}`"));
     }

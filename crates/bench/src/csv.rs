@@ -10,6 +10,17 @@
 use iobts::session::CsvSink;
 use simcore::{SimTime, StepSeries};
 use std::path::PathBuf;
+use std::sync::{Mutex, PoisonError};
+
+/// Every file [`write_csv`] finished since the last [`take_written`].
+static WRITTEN: Mutex<Vec<PathBuf>> = Mutex::new(Vec::new());
+
+/// Returns and forgets the files [`write_csv`] finished since the last
+/// call: the registry records them in the manifest entry of the scenario
+/// that wrote them.
+pub fn take_written() -> Vec<PathBuf> {
+    std::mem::take(&mut *WRITTEN.lock().unwrap_or_else(PoisonError::into_inner))
+}
 
 /// A struct that knows its CSV header and how to format itself as a row.
 pub trait CsvRow {
@@ -50,7 +61,12 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) -> std::io::Result<P
     let path = results_dir().join(format!("{name}.csv"));
     let mut sink = CsvSink::create(&path, header)?;
     sink.rows(rows)?;
-    sink.finish()
+    let path = sink.finish()?;
+    WRITTEN
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .push(path.clone());
+    Ok(path)
 }
 
 /// Resamples a step series into `(t, value)` CSV rows.

@@ -1,6 +1,5 @@
 //! Registry entries for the paper's figures. Each function computes its
-//! scenario (always) and prints/writes CSVs only when `ctx.emit` — the
-//! perf gate times the same entries with emission disabled.
+//! scenario, prints a summary table and writes the figure's CSVs.
 //!
 //! The CSV bytes are the repo's golden artifacts (`results/`): formatting
 //! here must stay byte-stable across refactors.
@@ -20,11 +19,8 @@ fn header(id: &str, what: &str) {
 }
 
 /// Figs. 1 & 2: motivation — 8 jobs, job 4 async, limited during contention.
-pub fn fig01_02(ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn fig01_02(_ctx: &ScenarioCtx) -> Result<(), String> {
     let out = scenarios::motivation();
-    if !ctx.emit {
-        return Ok(());
-    }
     header(
         "fig01",
         "job runtimes with/without limiting job 4 (ElastiSim study)",
@@ -104,11 +100,8 @@ pub fn fig01_02(ctx: &ScenarioCtx) -> Result<(), String> {
 }
 
 /// Fig. 3: rank-0 timeline — Δt (available window) vs Δtᵃ (actual I/O).
-pub fn fig03(ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn fig03(_ctx: &ScenarioCtx) -> Result<(), String> {
     let out = scenarios::rank_timeline();
-    if !ctx.emit {
-        return Ok(());
-    }
     header("fig03", "rank 0 async I/O during compute phases: Δt vs Δtᵃ");
     println!(
         "{:>5} {:>10} {:>10} {:>10} {:>10} {:>12}",
@@ -141,7 +134,7 @@ pub fn fig03(ctx: &ScenarioCtx) -> Result<(), String> {
 }
 
 /// Fig. 4: the worked region example — B_r over five regions.
-pub fn fig04(ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn fig04(_ctx: &ScenarioCtx) -> Result<(), String> {
     use tmio::regions::{IncrementalSweep, Interval};
     let intervals = [
         Interval {
@@ -165,9 +158,6 @@ pub fn fig04(ctx: &ScenarioCtx) -> Result<(), String> {
         sweep.push(iv);
     }
     let s = sweep.into_series();
-    if !ctx.emit {
-        return Ok(());
-    }
     header("fig04", "region sweep worked example (Eq. 3)");
     println!("inputs: B1 over [0,4)=1, B2 over [1,6)=2, B0 over [2,8)=4");
     let mut rows = Vec::new();
@@ -185,9 +175,6 @@ pub fn fig05_06(ctx: &ScenarioCtx) -> Result<(), String> {
     let particles = if ctx.full { 1_000_000 } else { 100_000 };
     let ranks = sweeps::hacc_ranks(ctx.full);
     let rows = scenarios::hacc_overheads(&ranks, particles);
-    if !ctx.emit {
-        return Ok(());
-    }
     header("fig05", "HACC-IO runtime (Total/App/Overhead) vs ranks");
     println!(
         "{:>6} {:<7} {:>10} {:>10} {:>10} {:>10}",
@@ -259,9 +246,6 @@ fn print_dist(rows: &[scenarios::DistRow]) -> Vec<String> {
 /// Fig. 7: WaComM time distribution across ranks and strategies.
 pub fn fig07(ctx: &ScenarioCtx) -> Result<(), String> {
     let rows = scenarios::wacomm_distribution(&sweeps::wacomm_ranks(ctx.full));
-    if !ctx.emit {
-        return Ok(());
-    }
     header(
         "fig07",
         "WaComM time distribution (direct tol=2 / up-only tol=1.1 / none)",
@@ -313,11 +297,8 @@ fn dump_series(out: &RunOutput, name: &str) -> Result<(), String> {
 }
 
 /// Fig. 8: WaComM 96 ranks without limit.
-pub fn fig08(ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn fig08(_ctx: &ScenarioCtx) -> Result<(), String> {
     let out = scenarios::wacomm_series(96, Strategy::None, 0.0);
-    if !ctx.emit {
-        return Ok(());
-    }
     header("fig08", "WaComM 96 ranks, no limit: T and B over time");
     println!("runtime {:.2} s", out.app_time());
     dump_series(&out, "fig08_series")?;
@@ -325,11 +306,8 @@ pub fn fig08(ctx: &ScenarioCtx) -> Result<(), String> {
 }
 
 /// Fig. 9: WaComM 96 ranks, up-only.
-pub fn fig09(ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn fig09(_ctx: &ScenarioCtx) -> Result<(), String> {
     let out = scenarios::wacomm_series(96, Strategy::UpOnly { tol: 1.1 }, 0.0);
-    if !ctx.emit {
-        return Ok(());
-    }
     header("fig09", "WaComM 96 ranks, up-only tol=1.1: T follows B_L");
     println!("runtime {:.2} s", out.app_time());
     dump_series(&out, "fig09_series")?;
@@ -369,9 +347,6 @@ pub fn fig10(ctx: &ScenarioCtx) -> Result<(), String> {
     let mut outs = crate::par::par_map(&strategies, |&strategy| {
         scenarios::wacomm_series(ranks, strategy, alpha)
     });
-    if !ctx.emit {
-        return Ok(());
-    }
     header(
         "fig10",
         "WaComM at scale: up-only vs no limit (exploit & runtime)",
@@ -405,9 +380,6 @@ pub fn fig10(ctx: &ScenarioCtx) -> Result<(), String> {
 pub fn fig11(ctx: &ScenarioCtx) -> Result<(), String> {
     let particles = if ctx.full { 100_000 } else { 50_000 };
     let rows = scenarios::hacc_distribution(&sweeps::hacc_ranks(ctx.full), particles);
-    if !ctx.emit {
-        return Ok(());
-    }
     header(
         "fig11",
         "HACC-IO time distribution (direct/up-only/adaptive/none, tol=1.1)",
@@ -420,16 +392,13 @@ pub fn fig11(ctx: &ScenarioCtx) -> Result<(), String> {
 }
 
 /// Fig. 12: the modified HACC-IO structure.
-pub fn fig12(ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn fig12(_ctx: &ScenarioCtx) -> Result<(), String> {
     use hpcwl::hacc::HaccConfig;
     let cfg = HaccConfig {
         loops: 2,
         ..Default::default()
     };
     let p = cfg.program(mpisim::FileId(0));
-    if !ctx.emit {
-        return Ok(());
-    }
     header(
         "fig12",
         "modified HACC-IO benchmark structure (op schedule)",
@@ -463,9 +432,6 @@ pub fn fig13(ctx: &ScenarioCtx) -> Result<(), String> {
     let outs = crate::par::par_map(&runs, |&(_, strategy)| {
         scenarios::hacc_series(ranks, particles, strategy, false)
     });
-    if !ctx.emit {
-        return Ok(());
-    }
     header("fig13", "HACC-IO at scale: T/B_L/B series per strategy");
     for ((name, _), out) in runs.iter().zip(&outs) {
         let d = out.report.decomposition();
@@ -486,9 +452,6 @@ pub fn fig14(ctx: &ScenarioCtx) -> Result<(), String> {
     let mut outs = crate::par::par_map(&[true, false], |&noise| {
         scenarios::hacc_series(ranks, 100_000, Strategy::Direct { tol: 1.1 }, noise)
     });
-    if !ctx.emit {
-        return Ok(());
-    }
     header(
         "fig14",
         "HACC-IO direct strategy under PFS capacity noise: waits appear",

@@ -1,5 +1,5 @@
-//! Shared infrastructure for the figure-regeneration harness, the chaos
-//! and ablation studies, the perf gate and the criterion benches.
+//! Shared infrastructure for the figure-regeneration harness and the chaos
+//! and ablation studies.
 //!
 //! The layering (DESIGN.md §3): [`scenarios`] computes the paper's
 //! figures through the session pipeline, [`figs`]/[`abl`]/[`chaosrun`]

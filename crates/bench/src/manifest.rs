@@ -8,17 +8,20 @@
 //!
 //! `--resume` ([`is_done`]) skips entries whose manifest matches the
 //! current [`fingerprint`] — the same code, the same entry and the same run
-//! shape (`--full`/`--quick` flags) — so an interrupted sweep picks up where
-//! it stopped and regenerates byte-identical outputs: the scenarios
-//! themselves are deterministic, and the skipped entries' files are already
-//! final. An entry completed by other code (an edited scenario config or
-//! engine) or under another shape is recomputed. A non-resume run calls
-//! [`clear_group`] first so stale manifests never mask re-runs.
+//! shape (`--full`/`--quick` flags) — and whose recorded outputs are still
+//! on disk as written: each CSV the entry finished is listed with its
+//! length and FNV-1a digest (the hash `build.rs` uses), so a deleted or
+//! corrupted output makes the entry run again. An interrupted sweep thus
+//! picks up where it stopped and regenerates byte-identical outputs: the
+//! scenarios themselves are deterministic, and the skipped entries' files
+//! are verified final. An entry completed by other code (an edited scenario
+//! config or engine) or under another shape is recomputed. A non-resume run
+//! calls [`clear_group`] first so stale manifests never mask re-runs.
 
 use crate::registry::ScenarioCtx;
 use std::fs;
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Where per-entry manifests live (inside the results dir, so
 /// `$IOBTS_RESULTS_DIR` isolates concurrent test sweeps too).
@@ -36,7 +39,7 @@ const BUILD_ID: &str = env!("IOBTS_SOURCE_HASH");
 /// (completing a `--quick` sweep must not mark the full-scale variant done).
 pub fn fingerprint(group: &str, name: &str, ctx: &ScenarioCtx) -> String {
     format!(
-        "v2 build={BUILD_ID} entry={group}.{name} full={} quick={}",
+        "v3 build={BUILD_ID} entry={group}.{name} full={} quick={}",
         ctx.full, ctx.quick
     )
 }
@@ -45,22 +48,62 @@ fn entry_path(group: &str, name: &str) -> PathBuf {
     manifest_dir().join(format!("{group}.{name}.done"))
 }
 
-/// Whether `name` completed under the current code and run shape (for
-/// `--resume`).
-pub fn is_done(group: &str, name: &str, ctx: &ScenarioCtx) -> bool {
-    fs::read_to_string(entry_path(group, name))
-        .map(|body| body.trim() == fingerprint(group, name, ctx))
-        .unwrap_or(false)
+/// 64-bit FNV-1a of `bytes`, the digest `build.rs` uses for sources.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
-/// Records `name` as complete: temp file + atomic rename, written only
-/// after the scenario's own outputs are in place.
-pub fn mark_done(group: &str, name: &str, ctx: &ScenarioCtx) -> io::Result<()> {
+/// The manifest line of one output file: `<digest> <length> <file name>`,
+/// the name relative to the results dir.
+fn output_line(path: &Path) -> io::Result<String> {
+    let body = fs::read(path)?;
+    let name = path
+        .file_name()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "output has no file name"))?;
+    Ok(format!(
+        "{:016x} {} {}",
+        fnv1a(&body),
+        body.len(),
+        name.to_string_lossy()
+    ))
+}
+
+/// Whether `name` completed under the current code and run shape, and every
+/// output it recorded is still there with the recorded length and digest
+/// (for `--resume`).
+pub fn is_done(group: &str, name: &str, ctx: &ScenarioCtx) -> bool {
+    let Ok(body) = fs::read_to_string(entry_path(group, name)) else {
+        return false;
+    };
+    let mut lines = body.lines();
+    lines.next() == Some(fingerprint(group, name, ctx).as_str())
+        && lines.all(|line| {
+            let file = line.splitn(3, ' ').nth(2).unwrap_or_default();
+            output_line(&crate::results_dir().join(file)).is_ok_and(|now| now == line)
+        })
+}
+
+/// Records `name` as complete with the `outputs` it wrote: temp file +
+/// atomic rename, written only after the scenario's own outputs are in
+/// place.
+pub fn mark_done(
+    group: &str,
+    name: &str,
+    ctx: &ScenarioCtx,
+    outputs: &[PathBuf],
+) -> io::Result<()> {
     let dir = manifest_dir();
     fs::create_dir_all(&dir)?;
+    let mut body = fingerprint(group, name, ctx);
+    for path in outputs {
+        body.push('\n');
+        body.push_str(&output_line(path)?);
+    }
     let path = entry_path(group, name);
     let tmp = dir.join(format!(".{group}.{name}.tmp"));
-    fs::write(&tmp, fingerprint(group, name, ctx))?;
+    fs::write(&tmp, body)?;
     fs::rename(&tmp, &path)
 }
 
@@ -83,11 +126,7 @@ mod tests {
     use super::*;
 
     fn ctx(full: bool) -> ScenarioCtx {
-        ScenarioCtx {
-            full,
-            quick: false,
-            emit: true,
-        }
+        ScenarioCtx { full, quick: false }
     }
 
     #[test]
@@ -97,7 +136,7 @@ mod tests {
         std::env::set_var("IOBTS_RESULTS_DIR", "/tmp/iobts-test-results");
         clear_group("g");
         assert!(!is_done("g", "s1", &ctx(false)));
-        mark_done("g", "s1", &ctx(false)).unwrap();
+        mark_done("g", "s1", &ctx(false), &[]).unwrap();
         assert!(is_done("g", "s1", &ctx(false)));
         // A quick-shape completion does not satisfy a full-shape resume.
         assert!(!is_done("g", "s1", &ctx(true)));
@@ -112,5 +151,22 @@ mod tests {
         assert!(!is_done("g", "s1", &ctx(false)));
         clear_group("g");
         assert!(!is_done("g", "s1", &ctx(false)));
+    }
+
+    #[test]
+    fn changed_or_missing_outputs_undo_a_completion() {
+        std::env::set_var("IOBTS_RESULTS_DIR", "/tmp/iobts-test-results");
+        let out = crate::results_dir().join("manifest_unit_test.csv");
+        std::fs::write(&out, "a,b\n1,2\n").unwrap();
+        mark_done("h", "s1", &ctx(false), std::slice::from_ref(&out)).unwrap();
+        assert!(is_done("h", "s1", &ctx(false)));
+        // Same length, other bytes: caught by the digest.
+        std::fs::write(&out, "a,b\n1,3\n").unwrap();
+        assert!(!is_done("h", "s1", &ctx(false)));
+        std::fs::write(&out, "a,b\n1,2\n").unwrap();
+        assert!(is_done("h", "s1", &ctx(false)));
+        std::fs::remove_file(&out).unwrap();
+        assert!(!is_done("h", "s1", &ctx(false)));
+        clear_group("h");
     }
 }

@@ -12,25 +12,12 @@
 use std::collections::BTreeSet;
 
 /// Run-time context handed to every scenario.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ScenarioCtx {
     /// Paper-scale sweeps instead of the laptop-scale subsets.
     pub full: bool,
     /// CI smoke mode (chaos: fewer ranks, no `combined` plan).
     pub quick: bool,
-    /// Print tables and write CSVs. The perf gate disables this to time
-    /// pure scenario computation.
-    pub emit: bool,
-}
-
-impl Default for ScenarioCtx {
-    fn default() -> Self {
-        ScenarioCtx {
-            full: false,
-            quick: false,
-            emit: true,
-        }
-    }
 }
 
 /// The signature every registry entry implements.
@@ -309,8 +296,9 @@ pub fn print_list(group: &str) {
 ///
 /// Supervision: each scenario runs under `catch_unwind`, so one panicking
 /// entry is reported and the rest of the sweep still runs. Completion is
-/// checkpointed per entry through [`crate::manifest`]; `--resume` skips
-/// entries already completed under the same `--full`/`--quick` shape and
+/// checkpointed per entry through [`crate::manifest`], together with the
+/// CSVs the entry wrote; `--resume` skips entries already completed under
+/// the same `--full`/`--quick` shape whose CSVs are unchanged, and
 /// regenerates byte-identical outputs for the rest. The
 /// `IOBTS_FAIL_AFTER=<n>` hook kills the process (exit 137, as SIGKILL
 /// would) after `n` completed scenarios — the deterministic
@@ -396,6 +384,9 @@ pub fn cli_main(group: &'static str, bin: &str) -> std::process::ExitCode {
             skipped += 1;
             continue;
         }
+        // Outputs of earlier entries (or of a failed one) are not this
+        // entry's.
+        crate::csv::take_written();
         // One panicking scenario must not sink the sweep: catch it, report
         // it as a failure, move on.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (s.run)(&ctx)))
@@ -410,7 +401,8 @@ pub fn cli_main(group: &'static str, bin: &str) -> std::process::ExitCode {
         match outcome {
             Ok(()) => {
                 // Checkpoint only after the scenario's outputs are final.
-                if let Err(e) = crate::manifest::mark_done(group, s.name, &ctx) {
+                let outputs = crate::csv::take_written();
+                if let Err(e) = crate::manifest::mark_done(group, s.name, &ctx, &outputs) {
                     eprintln!("warning: cannot record completion of {}: {e}", s.name);
                 }
                 completed += 1;

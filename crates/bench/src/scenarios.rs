@@ -1,8 +1,8 @@
 //! The per-figure scenario computations. Each function reproduces one
 //! figure of the paper's evaluation and returns its series/rows; the
-//! registry entries ([`crate::registry`]) print and CSV-dump them, the
-//! criterion benches time them at reduced scale. Scale notes live in
-//! EXPERIMENTS.md.
+//! registry entries ([`crate::registry`]) print and CSV-dump them. The
+//! single-session `*_run` functions are the sweep points the work-count
+//! gate (`tests/work_counts.rs`) pins. Scale notes live in EXPERIMENTS.md.
 //!
 //! Every run goes through the canonical [`Session`] pipeline — workloads
 //! are [`HaccIo`]/[`Wacomm`] instances, configs are built through the
@@ -99,25 +99,32 @@ impl CsvRow for OverheadRow {
     }
 }
 
+/// The runs of Figs. 5 & 6: the direct strategy (run 0) and no limiting
+/// (run 1).
+pub const OVERHEAD_RUNS: [(&str, Strategy); 2] = [
+    ("direct", Strategy::Direct { tol: 1.1 }),
+    ("none", Strategy::None),
+];
+
+/// One Figs. 5 & 6 sweep point: HACC-IO at `n` ranks under `strategy`.
+pub fn hacc_overhead_run(n: usize, strategy: Strategy, particles: u64) -> RunOutput {
+    let cfg = ExpConfig::new(n, strategy).with_record_pfs(false);
+    let hacc = HaccConfig {
+        particles_per_rank: particles,
+        ..Default::default()
+    };
+    hacc_session(cfg, hacc)
+}
+
 /// Figs. 5 & 6: HACC-IO runtime and overhead decomposition vs rank count,
-/// with the direct strategy (run 0) and without limiting (run 1).
+/// for each of [`OVERHEAD_RUNS`].
 pub fn hacc_overheads(ranks: &[usize], particles: u64) -> Vec<OverheadRow> {
     let points: Vec<(usize, &'static str, Strategy)> = ranks
         .iter()
-        .flat_map(|&n| {
-            [
-                (n, "direct", Strategy::Direct { tol: 1.1 }),
-                (n, "none", Strategy::None),
-            ]
-        })
+        .flat_map(|&n| OVERHEAD_RUNS.map(|(run, strategy)| (n, run, strategy)))
         .collect();
     crate::par::par_map(&points, |&(n, run, strategy)| {
-        let cfg = ExpConfig::new(n, strategy).with_record_pfs(false);
-        let hacc = HaccConfig {
-            particles_per_rank: particles,
-            ..Default::default()
-        };
-        let out = hacc_session(cfg, hacc);
+        let out = hacc_overhead_run(n, strategy, particles);
         let d = out.report.decomposition();
         let denom = d.total + out.report.post_overhead * n as f64;
         OverheadRow {
@@ -170,93 +177,101 @@ impl CsvRow for DistRow {
     }
 }
 
-/// Fig. 7: WaComM time distribution across ranks; runs 0-1 direct (tol 2),
-/// 2-3 up-only (tol 1.1), 4-5 none.
-pub fn wacomm_distribution(ranks: &[usize]) -> Vec<DistRow> {
-    let runs: [(&'static str, Strategy); 6] = [
-        ("direct", Strategy::Direct { tol: 2.0 }),
-        ("direct", Strategy::Direct { tol: 2.0 }),
-        ("up-only", Strategy::UpOnly { tol: 1.1 }),
-        ("up-only", Strategy::UpOnly { tol: 1.1 }),
-        ("none", Strategy::None),
-        ("none", Strategy::None),
-    ];
-    let wc = WacommConfig::default();
-    let points: Vec<(usize, usize, &'static str, Strategy)> = ranks
+/// The six runs of Fig. 7: 0-1 direct (tol 2), 2-3 up-only (tol 1.1),
+/// 4-5 none.
+pub const WACOMM_RUNS: [(&str, Strategy); 6] = [
+    ("direct", Strategy::Direct { tol: 2.0 }),
+    ("direct", Strategy::Direct { tol: 2.0 }),
+    ("up-only", Strategy::UpOnly { tol: 1.1 }),
+    ("up-only", Strategy::UpOnly { tol: 1.1 }),
+    ("none", Strategy::None),
+    ("none", Strategy::None),
+];
+
+/// The eight runs of Fig. 11: 0-1 direct, 2-3 up-only, 4-5 adaptive, 6-7
+/// none (all tol = 1.1).
+pub const HACC_RUNS: [(&str, Strategy); 8] = [
+    ("direct", Strategy::Direct { tol: 1.1 }),
+    ("direct", Strategy::Direct { tol: 1.1 }),
+    ("up-only", Strategy::UpOnly { tol: 1.1 }),
+    ("up-only", Strategy::UpOnly { tol: 1.1 }),
+    (
+        "adaptive",
+        Strategy::Adaptive {
+            tol: 1.1,
+            tol_i: 0.5,
+        },
+    ),
+    (
+        "adaptive",
+        Strategy::Adaptive {
+            tol: 1.1,
+            tol_i: 0.5,
+        },
+    ),
+    ("none", Strategy::None),
+    ("none", Strategy::None),
+];
+
+/// The config of run `run` of a distribution figure under `strategy`:
+/// repeated runs differ by seed.
+fn dist_config(n: usize, run: usize, strategy: Strategy) -> ExpConfig {
+    ExpConfig::new(n, strategy)
+        .with_seed(2024 + run as u64)
+        .with_record_pfs(false)
+}
+
+/// One Fig. 7 sweep point: run `run` of [`WACOMM_RUNS`] at `n` ranks.
+pub fn wacomm_dist_run(n: usize, run: usize) -> RunOutput {
+    wacomm_session(
+        dist_config(n, run, WACOMM_RUNS[run].1),
+        WacommConfig::default(),
+    )
+}
+
+/// One Fig. 11 sweep point: run `run` of [`HACC_RUNS`] at `n` ranks.
+pub fn hacc_dist_run(n: usize, run: usize, particles: u64) -> RunOutput {
+    let hacc = HaccConfig {
+        particles_per_rank: particles,
+        ..Default::default()
+    };
+    hacc_session(dist_config(n, run, HACC_RUNS[run].1), hacc)
+}
+
+/// The stacked bars of one distribution figure: every run of `runs` at
+/// every rank count, computed by `run_point(n, run)`.
+fn distribution(
+    ranks: &[usize],
+    runs: &[(&'static str, Strategy)],
+    run_point: impl Fn(usize, usize) -> RunOutput + Sync,
+) -> Vec<DistRow> {
+    let points: Vec<(usize, usize)> = ranks
         .iter()
-        .flat_map(|&n| {
-            runs.iter()
-                .enumerate()
-                .map(move |(i, &(name, strategy))| (n, i, name, strategy))
-        })
+        .flat_map(|&n| (0..runs.len()).map(move |i| (n, i)))
         .collect();
-    crate::par::par_map(&points, |&(n, i, name, strategy)| {
-        let cfg = ExpConfig::new(n, strategy)
-            .with_seed(2024 + i as u64) // repeated runs differ by seed
-            .with_record_pfs(false);
-        let out = wacomm_session(cfg, wc);
+    crate::par::par_map(&points, |&(n, i)| {
+        let out = run_point(n, i);
         let d = out.report.decomposition();
         DistRow {
             ranks: n,
             run: i,
-            strategy: name,
+            strategy: runs[i].0,
             pct: d.percentages(),
             app: out.app_time(),
         }
     })
 }
 
-/// Fig. 11: HACC-IO time distribution; runs 0-1 direct, 2-3 up-only,
-/// 4-5 adaptive, 6-7 none (all tol = 1.1).
+/// Fig. 7: WaComM time distribution across ranks, one row per
+/// [`WACOMM_RUNS`] entry and rank count.
+pub fn wacomm_distribution(ranks: &[usize]) -> Vec<DistRow> {
+    distribution(ranks, &WACOMM_RUNS, wacomm_dist_run)
+}
+
+/// Fig. 11: HACC-IO time distribution, one row per [`HACC_RUNS`] entry and
+/// rank count.
 pub fn hacc_distribution(ranks: &[usize], particles: u64) -> Vec<DistRow> {
-    let runs: [(&'static str, Strategy); 8] = [
-        ("direct", Strategy::Direct { tol: 1.1 }),
-        ("direct", Strategy::Direct { tol: 1.1 }),
-        ("up-only", Strategy::UpOnly { tol: 1.1 }),
-        ("up-only", Strategy::UpOnly { tol: 1.1 }),
-        (
-            "adaptive",
-            Strategy::Adaptive {
-                tol: 1.1,
-                tol_i: 0.5,
-            },
-        ),
-        (
-            "adaptive",
-            Strategy::Adaptive {
-                tol: 1.1,
-                tol_i: 0.5,
-            },
-        ),
-        ("none", Strategy::None),
-        ("none", Strategy::None),
-    ];
-    let hacc = HaccConfig {
-        particles_per_rank: particles,
-        ..Default::default()
-    };
-    let points: Vec<(usize, usize, &'static str, Strategy)> = ranks
-        .iter()
-        .flat_map(|&n| {
-            runs.iter()
-                .enumerate()
-                .map(move |(i, &(name, strategy))| (n, i, name, strategy))
-        })
-        .collect();
-    crate::par::par_map(&points, |&(n, i, name, strategy)| {
-        let cfg = ExpConfig::new(n, strategy)
-            .with_seed(2024 + i as u64)
-            .with_record_pfs(false);
-        let out = hacc_session(cfg, hacc);
-        let d = out.report.decomposition();
-        DistRow {
-            ranks: n,
-            run: i,
-            strategy: name,
-            pct: d.percentages(),
-            app: out.app_time(),
-        }
-    })
+    distribution(ranks, &HACC_RUNS, |n, i| hacc_dist_run(n, i, particles))
 }
 
 /// Figs. 8/9/10: one WaComM run with full series recording.

@@ -179,3 +179,43 @@ fn resume_recomputes_entries_completed_by_other_code_or_config() {
 
     let _ = std::fs::remove_dir_all(&base);
 }
+
+/// Runs a clean sweep into a fresh dir, applies `damage` to
+/// `fig04_regions.csv`, resumes, and checks that fig04 alone is recomputed
+/// back to the clean bytes.
+fn resume_repairs(tag: &str, damage: impl Fn(&Path)) {
+    let base = std::env::temp_dir().join(format!("iobts-resume-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).expect("results dir");
+
+    let out = figures(&base, &[], None);
+    assert!(out.status.success(), "{out:?}");
+    let reference = csvs(&base);
+    assert!(reference.contains_key("fig04_regions.csv"));
+
+    damage(&base.join("fig04_regions.csv"));
+    let out = figures(&base, &["--resume"], None);
+    assert!(out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("SKIP fig03") && !stderr.contains("SKIP fig04"),
+        "only the damaged entry must be recomputed: {stderr}"
+    );
+    assert_eq!(csvs(&base), reference, "resume left the damage in place");
+
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
+fn resume_recomputes_an_entry_whose_output_was_corrupted() {
+    resume_repairs("corrupt", |csv| {
+        std::fs::write(csv, "junk\n").expect("overwrite csv");
+    });
+}
+
+#[test]
+fn resume_recomputes_an_entry_whose_output_was_deleted() {
+    resume_repairs("deleted", |csv| {
+        std::fs::remove_file(csv).expect("delete csv");
+    });
+}

@@ -26,15 +26,6 @@ pub struct Demand {
     pub cap: Option<f64>,
 }
 
-/// Result of the water-filling solve.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Allocation {
-    /// Per-entry *per-flow* rate, aligned with the input demands.
-    pub rates: Vec<f64>,
-    /// The water level θ (`f64::INFINITY` when capacity is not binding).
-    pub theta: f64,
-}
-
 /// Reusable buffers for repeated [`water_fill_into`] solves.
 ///
 /// The fluid engine re-solves the allocation on every state change; keeping
@@ -45,33 +36,31 @@ pub struct WaterFillScratch {
     frozen: Vec<bool>,
 }
 
-/// Solves the bounded max-min allocation for `capacity` bytes/s.
+/// Solves the bounded max-min allocation for `capacity` bytes/s: writes
+/// each demand entry's per-flow rate into `rates` (cleared first) and
+/// returns the water level θ (`f64::INFINITY` when capacity is not
+/// binding), reusing `scratch` between calls.
 ///
 /// Complexity: O(n log n) in the number of demand entries (not flows — callers
-/// should aggregate identical flows into one entry).
-///
-/// ```
-/// use pfsim::alloc::{water_fill, Demand};
-/// // A capped flow and an elastic one share a 100 B/s channel:
-/// let alloc = water_fill(100.0, &[
-///     Demand { count: 1, weight: 1.0, cap: Some(10.0) },
-///     Demand { count: 1, weight: 1.0, cap: None },
-/// ]);
-/// assert_eq!(alloc.rates, vec![10.0, 90.0]); // work-conserving
-/// ```
-pub fn water_fill(capacity: f64, demands: &[Demand]) -> Allocation {
-    let mut scratch = WaterFillScratch::default();
-    let mut rates = Vec::with_capacity(demands.len());
-    let theta = water_fill_into(capacity, demands, &mut scratch, &mut rates);
-    Allocation { rates, theta }
-}
-
-/// Allocation-free variant of [`water_fill`]: writes per-flow rates into
-/// `rates` (cleared first) and returns θ, reusing `scratch` between calls.
-///
-/// Produces bit-identical results to [`water_fill`]. When no demand carries a
+/// should aggregate identical flows into one entry). When no demand carries a
 /// cap — the dominant case for synchronized bursts — the solve skips the
 /// breakpoint sort entirely and runs in O(n).
+///
+/// ```
+/// use pfsim::alloc::{water_fill_into, Demand, WaterFillScratch};
+/// // A capped flow and an elastic one share a 100 B/s channel:
+/// let mut rates = Vec::new();
+/// water_fill_into(
+///     100.0,
+///     &[
+///         Demand { count: 1, weight: 1.0, cap: Some(10.0) },
+///         Demand { count: 1, weight: 1.0, cap: None },
+///     ],
+///     &mut WaterFillScratch::default(),
+///     &mut rates,
+/// );
+/// assert_eq!(rates, vec![10.0, 90.0]); // work-conserving
+/// ```
 pub fn water_fill_into(
     capacity: f64,
     demands: &[Demand],
@@ -180,8 +169,20 @@ pub fn water_fill_into(
 mod tests {
     use super::*;
 
-    fn total(a: &Allocation, d: &[Demand]) -> f64 {
-        a.rates.iter().zip(d).map(|(r, d)| r * d.count as f64).sum()
+    /// Per-flow rates of one solve with fresh buffers.
+    fn water_fill(capacity: f64, demands: &[Demand]) -> Vec<f64> {
+        let mut rates = Vec::new();
+        water_fill_into(
+            capacity,
+            demands,
+            &mut WaterFillScratch::default(),
+            &mut rates,
+        );
+        rates
+    }
+
+    fn total(rates: &[f64], d: &[Demand]) -> f64 {
+        rates.iter().zip(d).map(|(r, d)| r * d.count as f64).sum()
     }
 
     #[test]
@@ -199,7 +200,7 @@ mod tests {
             },
         ];
         let a = water_fill(100.0, &d);
-        assert_eq!(a.rates, vec![50.0, 50.0]);
+        assert_eq!(a, vec![50.0, 50.0]);
     }
 
     #[test]
@@ -217,7 +218,7 @@ mod tests {
             },
         ];
         let a = water_fill(100.0, &d);
-        assert_eq!(a.rates, vec![25.0, 75.0]);
+        assert_eq!(a, vec![25.0, 75.0]);
     }
 
     #[test]
@@ -235,7 +236,7 @@ mod tests {
             },
         ];
         let a = water_fill(100.0, &d);
-        assert_eq!(a.rates, vec![10.0, 90.0]);
+        assert_eq!(a, vec![10.0, 90.0]);
     }
 
     #[test]
@@ -253,7 +254,7 @@ mod tests {
             },
         ];
         let a = water_fill(100.0, &d);
-        assert_eq!(a.rates, vec![10.0, 20.0]);
+        assert_eq!(a, vec![10.0, 20.0]);
         assert!(total(&a, &d) <= 100.0);
     }
 
@@ -266,7 +267,7 @@ mod tests {
             cap: Some(80.0),
         }];
         let a = water_fill(100.0, &d);
-        assert_eq!(a.rates, vec![50.0]);
+        assert_eq!(a, vec![50.0]);
     }
 
     #[test]
@@ -292,7 +293,7 @@ mod tests {
             },
         ];
         let a = water_fill(100.0, &d);
-        assert_eq!(a.rates, vec![10.0, 40.0, 50.0]);
+        assert_eq!(a, vec![10.0, 40.0, 50.0]);
     }
 
     #[test]
@@ -333,8 +334,8 @@ mod tests {
         ];
         let ag = water_fill(90.0, &grouped);
         let ai = water_fill(90.0, &individual);
-        assert!((ag.rates[0] - ai.rates[0]).abs() < 1e-9);
-        assert!((ag.rates[1] - ai.rates[3]).abs() < 1e-9);
+        assert!((ag[0] - ai[0]).abs() < 1e-9);
+        assert!((ag[1] - ai[3]).abs() < 1e-9);
     }
 
     #[test]
@@ -344,13 +345,13 @@ mod tests {
             weight: 1.0,
             cap: Some(250.0),
         }];
-        assert_eq!(water_fill(100.0, &d).rates, vec![100.0]);
+        assert_eq!(water_fill(100.0, &d), vec![100.0]);
         let d = vec![Demand {
             count: 1,
             weight: 1.0,
             cap: Some(50.0),
         }];
-        assert_eq!(water_fill(100.0, &d).rates, vec![50.0]);
+        assert_eq!(water_fill(100.0, &d), vec![50.0]);
     }
 
     #[test]
@@ -368,7 +369,7 @@ mod tests {
             },
         ];
         let a = water_fill(0.0, &d);
-        assert_eq!(a.rates, vec![0.0, 0.0]);
+        assert_eq!(a, vec![0.0, 0.0]);
     }
 
     #[test]
@@ -386,13 +387,13 @@ mod tests {
             },
         ];
         let a = water_fill(100.0, &d);
-        assert_eq!(a.rates, vec![0.0, 100.0]);
+        assert_eq!(a, vec![0.0, 100.0]);
     }
 
     #[test]
     fn empty_demands() {
         let a = water_fill(100.0, &[]);
-        assert!(a.rates.is_empty());
+        assert!(a.is_empty());
     }
 
     #[test]
@@ -447,8 +448,8 @@ mod tests {
     #[test]
     fn into_variant_matches_allocating_variant_across_reuse() {
         // One scratch reused across solves of different shapes, including
-        // the no-cap fast path and the empty case, must match `water_fill`
-        // bit-for-bit.
+        // the no-cap fast path and the empty case, must match a solve with
+        // fresh buffers bit-for-bit.
         let cases: Vec<(f64, Vec<Demand>)> = vec![
             (100.0, vec![]),
             (
@@ -506,10 +507,10 @@ mod tests {
         let mut scratch = WaterFillScratch::default();
         let mut rates = Vec::new();
         for (cap, d) in &cases {
-            let reference = water_fill(*cap, d);
-            let theta = water_fill_into(*cap, d, &mut scratch, &mut rates);
-            assert_eq!(reference.rates, rates);
-            assert_eq!(reference.theta, theta);
+            let mut fresh = Vec::new();
+            let theta = water_fill_into(*cap, d, &mut WaterFillScratch::default(), &mut fresh);
+            assert_eq!(water_fill_into(*cap, d, &mut scratch, &mut rates), theta);
+            assert_eq!(fresh, rates);
         }
     }
 

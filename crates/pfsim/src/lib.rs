@@ -7,11 +7,9 @@
 //! (water-filling): each flow gets `min(cap, θ·weight)` bytes/s, with `θ`
 //! chosen so the channel is fully used whenever demand allows.
 //!
-//! * [`alloc::water_fill`] — the allocation solver,
+//! * [`alloc::water_fill_into`] — the allocation solver,
 //! * [`Pfs`] — the event-driven engine with flow groups, per-flow caps,
 //!   weights, capacity noise and bandwidth recording,
-//! * [`reference::Reference`] — a brute-force timestep model used by the
-//!   property tests to cross-validate the engine,
 //! * [`burstbuffer::BurstBuffer`] — an analytic node-local burst-buffer
 //!   tier (the paper's future-work extension for synchronous I/O).
 
@@ -21,7 +19,6 @@
 pub mod alloc;
 pub mod burstbuffer;
 mod pfs;
-pub mod reference;
 
 pub use burstbuffer::{BurstBuffer, BurstBufferConfig};
 pub use pfs::{Channel, FlowId, FlowSpec, MeterId, Pfs, PfsConfig};

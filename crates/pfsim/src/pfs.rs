@@ -1,6 +1,6 @@
 //! Event-driven fluid parallel-file-system engine.
 //!
-//! Flows progress at the rates produced by [`crate::alloc::water_fill`];
+//! Flows progress at the rates produced by [`crate::alloc::water_fill_into`];
 //! rates are piecewise-constant between *events* (submissions, completions,
 //! cap or capacity changes). The engine is passive: a host simulation calls
 //! [`Pfs::advance_to`] to move virtual time forward and collects completed
@@ -524,8 +524,14 @@ impl Pfs {
                     cap: g.cap,
                 })
                 .collect();
-            let fresh = crate::alloc::water_fill(ch.capacity * ch.fault_factor, &demands);
-            for (gi, (g, r)) in ch.groups.iter().zip(&fresh.rates).enumerate() {
+            let mut fresh = Vec::new();
+            water_fill_into(
+                ch.capacity * ch.fault_factor,
+                &demands,
+                &mut WaterFillScratch::default(),
+                &mut fresh,
+            );
+            for (gi, (g, r)) in ch.groups.iter().zip(&fresh).enumerate() {
                 assert!(
                     g.rate == *r,
                     "channel {ci} group {gi}: incremental rate {} != from-scratch {}",

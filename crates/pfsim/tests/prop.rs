@@ -1,8 +1,10 @@
 //! Property-based cross-validation of the event-driven PFS engine against
 //! the brute-force timestep reference, plus invariant checks.
 
-use pfsim::alloc::{water_fill, Demand};
-use pfsim::reference::{RefFlow, Reference};
+mod common;
+
+use common::{water_fill, RefFlow, Reference};
+use pfsim::alloc::Demand;
 use pfsim::{Channel, FlowSpec, Pfs, PfsConfig};
 use proptest::prelude::*;
 use simcore::SimTime;
@@ -92,15 +94,14 @@ proptest! {
             .into_iter()
             .map(|(count, weight, cap)| Demand { count, weight, cap })
             .collect();
-        let alloc = water_fill(capacity, &demands);
-        let total: f64 = alloc
-            .rates
+        let rates = water_fill(capacity, &demands);
+        let total: f64 = rates
             .iter()
             .zip(&demands)
             .map(|(r, d)| r * d.count as f64)
             .sum();
         prop_assert!(total <= capacity * (1.0 + 1e-9) + 1e-9, "total {total} > {capacity}");
-        for (r, d) in alloc.rates.iter().zip(&demands) {
+        for (r, d) in rates.iter().zip(&demands) {
             prop_assert!(*r >= 0.0);
             if let Some(c) = d.cap {
                 prop_assert!(*r <= c + 1e-9, "rate {r} exceeds cap {c}");
@@ -121,9 +122,8 @@ proptest! {
             .map(|(count, weight, cap)| Demand { count, weight, cap: Some(cap) })
             .collect();
         demands.push(Demand { count: 1, weight: uncapped_weight, cap: None });
-        let alloc = water_fill(capacity, &demands);
-        let total: f64 = alloc
-            .rates
+        let rates = water_fill(capacity, &demands);
+        let total: f64 = rates
             .iter()
             .zip(&demands)
             .map(|(r, d)| r * d.count as f64)
@@ -184,4 +184,43 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+fn single_flow_matches_analytic() {
+    let r = Reference::new(100.0, 0.001);
+    let done = r.completion_times(
+        &[RefFlow {
+            arrival: 0.0,
+            bytes: 1000.0,
+            weight: 1.0,
+            cap: None,
+        }],
+        100.0,
+    );
+    assert!((done[0] - 10.0).abs() < 0.01);
+}
+
+#[test]
+fn two_flows_match_analytic() {
+    let r = Reference::new(100.0, 0.001);
+    let done = r.completion_times(
+        &[
+            RefFlow {
+                arrival: 0.0,
+                bytes: 1000.0,
+                weight: 1.0,
+                cap: None,
+            },
+            RefFlow {
+                arrival: 5.0,
+                bytes: 250.0,
+                weight: 1.0,
+                cap: None,
+            },
+        ],
+        100.0,
+    );
+    assert!((done[1] - 10.0).abs() < 0.01, "{}", done[1]);
+    assert!((done[0] - 12.5).abs() < 0.01, "{}", done[0]);
 }

@@ -5,7 +5,9 @@
 //! rescan (`Pfs::validate_invariants`), and — on the sequences the timestep
 //! reference can express — produce the same completion times.
 
-use pfsim::reference::{RefFlow, Reference};
+mod common;
+
+use common::{RefFlow, Reference};
 use pfsim::{Channel, FlowSpec, Pfs, PfsConfig};
 use proptest::prelude::*;
 use simcore::SimTime;

@@ -9,8 +9,7 @@
 //! * [`GenSlab`] — a generation-stamped slot arena (hash-free hot-path id
 //!   maps),
 //! * [`stream_rng`] / [`Noise`] — reproducible per-stream randomness,
-//! * [`StepSeries`] — step-function time series for bandwidth plots,
-//! * [`stats`] — small numeric helpers for reports.
+//! * [`StepSeries`] — step-function time series for bandwidth plots.
 //!
 //! The engine is intentionally minimal: world state lives in the crates that
 //! own it (`pfsim`, `mpisim`, `clustersim`); `simcore` only guarantees that
@@ -27,8 +26,6 @@ mod queue;
 mod rng;
 mod series;
 mod slab;
-/// Numeric helpers (mean, percentiles, percentage splits).
-pub mod stats;
 mod time;
 
 pub use error::{Invariant, SimError, SimResult, StallSnapshot};

@@ -11,8 +11,7 @@
 //! * applies the **direct / up-only / adaptive** limiting strategies
 //!   (Sec. IV-B) plus the future-work MFU table ([`Strategy`]),
 //! * aggregates rank metrics to application level with the region sweep of
-//!   Eq. 3 ([`regions`]), maintained live during the run
-//!   ([`IncrementalSweep`]),
+//!   Eq. 3, maintained live during the run ([`IncrementalSweep`]),
 //! * reports the run: time decomposition, overheads, JSON traces
 //!   ([`Report`]),
 //! * detects periodic I/O behaviour with FTIO-style frequency analysis
@@ -51,7 +50,7 @@ mod strategy;
 pub mod trace;
 mod tracer;
 
-pub use regions::{max_region, sweep, IncrementalSweep, Interval, Opened};
+pub use regions::{IncrementalSweep, Interval, Opened};
 pub use report::{Decomposition, FaultEventRecord, Report};
 pub use strategy::{Strategy, StrategyState, LIMIT_FLOOR};
 pub use tracer::{

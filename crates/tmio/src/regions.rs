@@ -19,66 +19,12 @@ pub struct Interval {
     pub value: f64,
 }
 
-/// Sweep-line aggregation (Eq. 3): returns the step series of
-/// `Σ value` over the overlap regions. Zero-length intervals are ignored
-/// (they would contribute to a region of measure zero).
-pub fn sweep(intervals: &[Interval]) -> StepSeries {
-    let mut events: Vec<(f64, f64)> = Vec::with_capacity(intervals.len() * 2);
-    for iv in intervals {
-        assert!(
-            !iv.ts.is_nan() && !iv.te.is_nan() && !iv.value.is_nan(),
-            "interval must be NaN-free"
-        );
-        debug_assert!(iv.te >= iv.ts, "interval must not be reversed");
-        if iv.te > iv.ts {
-            events.push((iv.ts, iv.value));
-            events.push((iv.te, -iv.value));
-        }
-    }
-    // Sort by time; at equal times apply removals before additions so that a
-    // region never double-counts an interval that ends exactly where another
-    // starts (intervals are right-open). IEEE total order makes the result
-    // independent of input order: -0.0 sorts before 0.0 (the two still share
-    // one region below, stamped -0.0).
-    events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
-    // Residue guard scale: cancellation residue is proportional to the
-    // magnitudes that were summed, so the threshold must be *relative* to
-    // the largest interval value. An absolute cutoff would silently zero
-    // legitimate small-magnitude metrics (normalized or per-byte values
-    // below the cutoff).
-    let max_abs = intervals
-        .iter()
-        .map(|iv| iv.value.abs())
-        .fold(0.0, f64::max);
-    let residue = 1e-9 * max_abs;
-    let mut series = StepSeries::new();
-    let mut sum = 0.0;
-    let mut i = 0;
-    while i < events.len() {
-        let t = events[i].0;
-        while i < events.len() && events[i].0 == t {
-            sum += events[i].1;
-            i += 1;
-        }
-        // Guard tiny FP residue at the end of the sweep.
-        if sum.abs() <= residue {
-            sum = 0.0;
-        }
-        series.push(SimTime::from_secs(t), sum);
-    }
-    series
-}
-
-/// The application-level scalar from a sweep: `max_r B_r` — "the minimal
-/// required bandwidth at the application level such that … no time is spent
-/// waiting" (Sec. IV-C).
-pub fn max_region(intervals: &[Interval]) -> f64 {
-    sweep(intervals).max_value()
-}
-
-/// Streaming form of [`sweep`]: two append-only edge logs in simulation
-/// time order, accepting intervals *as they open and close* and serving the
-/// aggregated series from a cache invalidated on close.
+/// The Eq. 3 sweep line over rank-phase intervals, kept incrementally: two
+/// append-only edge logs in simulation time order, accepting intervals *as
+/// they open and close* and serving the aggregated step series of `Σ value`
+/// over the overlap regions from a cache invalidated on close. Intervals
+/// are right-open, so one that ends exactly where another starts never
+/// shares a region with it; zero-length intervals add no edge.
 ///
 /// * [`IncrementalSweep::open`] appends the start edge `(ts, ·)` when an
 ///   interval opens; its value is still unknown, so the edge is a hole until
@@ -95,10 +41,12 @@ pub fn max_region(intervals: &[Interval]) -> f64 {
 ///   interval is open this folds both logs into one in place; otherwise it
 ///   works on a copy of the start log, whose open handles must not move.
 ///
-/// The merge sums each region's edges in the oracle's order — by time in
-/// IEEE total order, then by delta — under the same relative residue guard,
-/// so the output is bit-identical to [`sweep`] over the closed intervals
-/// (property-tested in `tests/sweep_prop.rs`).
+/// The merge sums each region's edges in a fixed order — by time in IEEE
+/// total order, then by delta — and snaps cancellation residue below a
+/// guard *relative* to the largest value to zero, so the output is
+/// bit-identical to a from-scratch sort-and-sweep over the closed
+/// intervals (the oracle in `tests/oracle`, property-tested in
+/// `tests/sweep_prop.rs`).
 #[derive(Clone, Debug, Default)]
 pub struct IncrementalSweep {
     /// Start edges `(ts, value)` in `open` order; `value` is [`HOLE`] until
@@ -174,7 +122,7 @@ impl IncrementalSweep {
 
     /// Closes `opened` at `te` with `value` held over `[ts, te)`,
     /// invalidating the cached series. A zero-length interval adds no edge
-    /// but still counts toward the residue scale, as in [`sweep`].
+    /// but still counts toward the residue scale.
     pub fn close(&mut self, opened: Opened, te: f64, value: f64) {
         assert!(!te.is_nan() && !value.is_nan(), "interval must be NaN-free");
         let start = &mut self.starts[opened.0];
@@ -208,7 +156,8 @@ impl IncrementalSweep {
         self.cache.as_ref().invariant("cache just rebuilt")
     }
 
-    /// `max_r` of the aggregated series (see [`max_region`]).
+    /// `max_r B_r` of the aggregated series: the application-level required
+    /// bandwidth of Sec. IV-C.
     pub fn max_value(&mut self) -> f64 {
         self.series().max_value()
     }
@@ -394,6 +343,15 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    /// The series of `intervals` pushed in order.
+    fn sweep(intervals: &[Interval]) -> StepSeries {
+        let mut inc = IncrementalSweep::with_capacity(intervals.len());
+        for &iv in intervals {
+            inc.push(iv);
+        }
+        inc.into_series()
+    }
+
     /// The Fig. 4 worked example: three ranks, five regions.
     ///
     /// Windows (chosen to match the figure's ordering):
@@ -430,14 +388,14 @@ mod tests {
         assert_eq!(s.value_at(t(9.0)), 0.0);
         // Five change points before the trailing zero, plus the close.
         assert_eq!(s.len(), 6);
-        assert_eq!(max_region(&intervals), 7.0);
+        assert_eq!(sweep(&intervals).max_value(), 7.0);
     }
 
     #[test]
     fn empty_input_is_zero() {
         let s = sweep(&[]);
         assert!(s.is_empty());
-        assert_eq!(max_region(&[]), 0.0);
+        assert_eq!(sweep(&[]).max_value(), 0.0);
     }
 
     #[test]
@@ -458,7 +416,7 @@ mod tests {
         assert_eq!(s.value_at(t(0.5)), 5.0);
         assert_eq!(s.value_at(t(1.5)), 0.0);
         assert_eq!(s.value_at(t(2.5)), 7.0);
-        assert_eq!(max_region(&intervals), 7.0);
+        assert_eq!(sweep(&intervals).max_value(), 7.0);
     }
 
     #[test]
@@ -478,7 +436,7 @@ mod tests {
         ];
         let s = sweep(&intervals);
         assert_eq!(s.value_at(t(2.0)), 4.0);
-        assert_eq!(max_region(&intervals), 4.0);
+        assert_eq!(sweep(&intervals).max_value(), 4.0);
     }
 
     #[test]
@@ -495,7 +453,7 @@ mod tests {
                 value: 2.5,
             },
         ];
-        assert_eq!(max_region(&intervals), 5.0);
+        assert_eq!(sweep(&intervals).max_value(), 5.0);
     }
 
     #[test]
@@ -531,7 +489,7 @@ mod tests {
         assert_eq!(s.value_at(t(1.5)), 4e-12);
         assert_eq!(s.value_at(t(2.5)), 3e-12);
         assert_eq!(s.value_at(t(4.0)), 0.0);
-        assert_eq!(max_region(&intervals), 4e-12);
+        assert_eq!(sweep(&intervals).max_value(), 4e-12);
     }
 
     #[test]

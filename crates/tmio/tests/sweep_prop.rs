@@ -1,6 +1,6 @@
 //! Property-based equivalence of the streaming Eq. 3 sweep-line
 //! ([`tmio::IncrementalSweep`]) against the from-scratch oracle
-//! ([`tmio::sweep`]).
+//! ([`oracle::sweep`]).
 //!
 //! The incremental structure claims *bit-identical* output — same edge
 //! order, same summation order, same residue guard — so every comparison
@@ -16,9 +16,12 @@
 //! intervals never closed — and arbitrary-order `push`es, which take the
 //! sort-before-merge path.
 
+mod oracle;
+
+use oracle::sweep;
 use proptest::prelude::*;
 use simcore::StepSeries;
-use tmio::{sweep, IncrementalSweep, Interval, Opened};
+use tmio::{IncrementalSweep, Interval, Opened};
 
 /// Bitwise comparison of two step series.
 fn bits(s: &StepSeries) -> Vec<(u64, u64)> {
