@@ -8,14 +8,16 @@
 //! * `mfu`        — the future-work MFU-table strategy vs the paper's three,
 //! * `bb`         — the burst-buffer future-work extension for sync I/O.
 //!
-//! Every run goes through the [`Session`] pipeline; every config knob is
-//! set through the [`ExpConfig`] builder surface.
+//! Every run goes through [`run`], the one session entry point of the
+//! harness; every config knob is set through the [`ExpConfig`] builder
+//! surface.
 
 use crate::registry::ScenarioCtx;
+use crate::scenarios::run;
 use crate::write_csv;
 use hpcwl::hacc::HaccConfig;
 use hpcwl::wacomm::WacommConfig;
-use iobts::session::{ExpConfig, HaccIo, RawWorkload, RunOutput, Session, Wacomm};
+use iobts::session::{ExpConfig, HaccIo, RawWorkload, RunOutput, Wacomm};
 use simcore::Invariant;
 use tmio::{Aggregation, Strategy, TeMode};
 
@@ -25,20 +27,6 @@ fn hacc() -> HaccConfig {
         loops: 8,
         ..Default::default()
     }
-}
-
-fn hacc_session(cfg: ExpConfig, hc: HaccConfig) -> RunOutput {
-    Session::builder(cfg)
-        .workload(HaccIo::new(hc))
-        .build()
-        .run()
-}
-
-fn wacomm_session(cfg: ExpConfig) -> RunOutput {
-    Session::builder(cfg)
-        .workload(Wacomm::new(WacommConfig::default()))
-        .build()
-        .run()
 }
 
 fn header(t: &str) {
@@ -79,7 +67,10 @@ pub fn tol_sweep(_ctx: &ScenarioCtx) -> Result<(), String> {
     );
     let mut rows = Vec::new();
     for tol in [0.8, 0.9, 1.0, 1.1, 1.3, 1.5, 2.0] {
-        let out = hacc_session(ExpConfig::new(16, Strategy::Direct { tol }), hacc());
+        let out = run(
+            ExpConfig::new(16, Strategy::Direct { tol }),
+            HaccIo::new(hacc()),
+        );
         let (t, lost, exploit) = stats(&out);
         println!("{tol:>6.1} {t:>10.2} {lost:>8.1} {exploit:>9.1}");
         rows.push(format!("{tol},{t:.4},{lost:.2},{exploit:.2}"));
@@ -101,7 +92,7 @@ pub fn subreq_sweep(_ctx: &ScenarioCtx) -> Result<(), String> {
     let mut rows = Vec::new();
     for kib in [256.0, 1024.0, 4096.0, 16384.0] {
         let cfg = ExpConfig::new(16, Strategy::UpOnly { tol: 1.1 }).with_subreq_bytes(kib * 1024.0);
-        let out = hacc_session(cfg, hacc());
+        let out = run(cfg, HaccIo::new(hacc()));
         let (t, lost, _) = stats(&out);
         // Peak bytes in any 100 ms window after the limiter engages.
         let peak = sustained_peak(&out, out.report.limit_start_time().unwrap_or(0.0));
@@ -164,7 +155,7 @@ pub fn semantics(_ctx: &ScenarioCtx) -> Result<(), String> {
                 .with_peri_call_overhead(0.0);
             let workload =
                 RawWorkload::new("semantics", vec![Program::from_ops(ops); 4], vec!["f"]);
-            let out = Session::builder(cfg).workload(workload).build().run();
+            let out = run(cfg, workload);
             let rank_b = out.report.phases[0].b_required / 1e6;
             let app_b = out.report.required_bandwidth() / 1e6;
             println!("{te:<10?} {agg:<5?} {rank_b:>14.1} {app_b:>14.1}");
@@ -187,7 +178,7 @@ pub fn limit_sync(_ctx: &ScenarioCtx) -> Result<(), String> {
     let mut rows = Vec::new();
     for on in [true, false] {
         let cfg = ExpConfig::new(96, Strategy::UpOnly { tol: 1.1 }).with_limit_sync(on);
-        let out = wacomm_session(cfg);
+        let out = run(cfg, Wacomm::new(WacommConfig::default()));
         let d = out.report.decomposition();
         println!(
             "{:<12} {:>10.2} {:>12.3}",
@@ -226,7 +217,8 @@ pub fn interference(_ctx: &ScenarioCtx) -> Result<(), String> {
     let mut rows = Vec::new();
     for alpha in [0.0, 1e3, 1e4, 4e4] {
         let time = |strategy| {
-            wacomm_session(ExpConfig::new(96, strategy).with_interference(alpha)).app_time()
+            let cfg = ExpConfig::new(96, strategy).with_interference(alpha);
+            run(cfg, Wacomm::new(WacommConfig::default())).app_time()
         };
         let none = time(Strategy::None);
         let up = time(Strategy::UpOnly { tol: 1.1 });
@@ -267,7 +259,7 @@ pub fn mfu(_ctx: &ScenarioCtx) -> Result<(), String> {
         Strategy::Mfu { tol: 1.3, bins: 32 },
         Strategy::None,
     ] {
-        let out = hacc_session(ExpConfig::new(16, strategy), hacc());
+        let out = run(ExpConfig::new(16, strategy), HaccIo::new(hacc()));
         let (t, lost, exploit) = stats(&out);
         println!(
             "{:<10} {t:>10.2} {lost:>8.1} {exploit:>9.1}",
@@ -322,10 +314,7 @@ pub fn burst_buffer(_ctx: &ScenarioCtx) -> Result<(), String> {
         if with_bb {
             cfg = cfg.with_burst_buffer(bb);
         }
-        let out = Session::builder(cfg)
-            .workload(HaccIo::sync(hc))
-            .build()
-            .run();
+        let out = run(cfg, HaccIo::sync(hc));
         let d = out.report.decomposition();
         let peak = sustained_peak(&out, 0.0);
         println!(

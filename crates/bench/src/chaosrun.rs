@@ -16,9 +16,10 @@
 use crate::csv::CsvRow;
 use crate::par::par_map;
 use crate::registry::ScenarioCtx;
+use crate::scenarios::run;
 use hpcwl::hacc::HaccConfig;
 use hpcwl::wacomm::WacommConfig;
-use iobts::session::{ExpConfig, HaccIo, RunOutput, Session, Wacomm};
+use iobts::session::{ExpConfig, HaccIo, RunOutput, Wacomm};
 use simcore::{
     CancelSpec, ChannelFaultWindow, FaultChannel, FaultPlan, Invariant, IoErrorKind, IoErrorModel,
     StragglerSpec,
@@ -60,16 +61,16 @@ impl Case {
     }
 
     fn run(self, cfg: ExpConfig) -> RunOutput {
-        let builder = Session::builder(cfg);
         match self {
-            Case::Wacomm { .. } => builder.workload(Wacomm::new(WacommConfig::default())),
-            Case::Hacc { particles, .. } => builder.workload(HaccIo::new(HaccConfig {
-                particles_per_rank: particles,
-                ..Default::default()
-            })),
+            Case::Wacomm { .. } => run(cfg, Wacomm::new(WacommConfig::default())),
+            Case::Hacc { particles, .. } => run(
+                cfg,
+                HaccIo::new(HaccConfig {
+                    particles_per_rank: particles,
+                    ..Default::default()
+                }),
+            ),
         }
-        .build()
-        .run()
     }
 
     fn ranks(self) -> usize {

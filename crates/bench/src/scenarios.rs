@@ -4,32 +4,33 @@
 //! single-session `*_run` functions are the sweep points the work-count
 //! gate (`tests/work_counts.rs`) pins. Scale notes live in EXPERIMENTS.md.
 //!
-//! Every run goes through the canonical [`Session`] pipeline — workloads
-//! are [`HaccIo`]/[`Wacomm`] instances, configs are built through the
-//! [`ExpConfig`] builder surface.
+//! Every run goes through [`run`] (the harness's one [`Session`] entry
+//! point): workloads are [`HaccIo`]/[`Wacomm`] instances, configs are built
+//! through the [`ExpConfig`] builder surface.
 
 use crate::csv::CsvRow;
 use clustersim::{motivation_scenario, Cluster, ClusterResult};
 use hpcwl::hacc::HaccConfig;
 use hpcwl::wacomm::WacommConfig;
-use iobts::session::{ExpConfig, HaccIo, RunOutput, Session, Wacomm};
+use iobts::session::{ExpConfig, HaccIo, RunOutput, Session, Wacomm, Workload};
 use simcore::Noise;
 use tmio::Strategy;
 
-/// Runs the modified HACC-IO benchmark through a [`Session`].
-fn hacc_session(cfg: ExpConfig, hacc: HaccConfig) -> RunOutput {
-    Session::builder(cfg)
-        .workload(HaccIo::new(hacc))
-        .build()
-        .run()
-}
-
-/// Runs the WaComM-like workload through a [`Session`].
-fn wacomm_session(cfg: ExpConfig, wc: WacommConfig) -> RunOutput {
-    Session::builder(cfg)
-        .workload(Wacomm::new(wc))
-        .build()
-        .run()
+/// Runs `workload` under `cfg` through a [`Session`].
+///
+/// # Panics
+/// With the [`SimError`](iobts::session::SimError)'s message on an invalid
+/// config or an engine failure; the registry reports a panicking scenario
+/// as a failed entry.
+pub fn run(cfg: ExpConfig, workload: impl Workload + 'static) -> RunOutput {
+    match Session::builder(cfg)
+        .workload(workload)
+        .try_build()
+        .and_then(|s| s.try_run())
+    {
+        Ok(out) => out,
+        Err(e) => panic!("{e}"),
+    }
 }
 
 /// Fig. 1/2 output: both cluster runs.
@@ -58,7 +59,7 @@ pub fn rank_timeline() -> RunOutput {
         loops: 4,
         ..Default::default()
     };
-    hacc_session(ExpConfig::new(1, Strategy::None).exact(), hacc)
+    run(ExpConfig::new(1, Strategy::None).exact(), HaccIo::new(hacc))
 }
 
 /// Fig. 5/6 rows: one entry per rank count and strategy.
@@ -113,7 +114,7 @@ pub fn hacc_overhead_run(n: usize, strategy: Strategy, particles: u64) -> RunOut
         particles_per_rank: particles,
         ..Default::default()
     };
-    hacc_session(cfg, hacc)
+    run(cfg, HaccIo::new(hacc))
 }
 
 /// Figs. 5 & 6: HACC-IO runtime and overhead decomposition vs rank count,
@@ -221,21 +222,21 @@ fn dist_config(n: usize, run: usize, strategy: Strategy) -> ExpConfig {
         .with_record_pfs(false)
 }
 
-/// One Fig. 7 sweep point: run `run` of [`WACOMM_RUNS`] at `n` ranks.
-pub fn wacomm_dist_run(n: usize, run: usize) -> RunOutput {
-    wacomm_session(
-        dist_config(n, run, WACOMM_RUNS[run].1),
-        WacommConfig::default(),
+/// One Fig. 7 sweep point: run `i` of [`WACOMM_RUNS`] at `n` ranks.
+pub fn wacomm_dist_run(n: usize, i: usize) -> RunOutput {
+    run(
+        dist_config(n, i, WACOMM_RUNS[i].1),
+        Wacomm::new(WacommConfig::default()),
     )
 }
 
-/// One Fig. 11 sweep point: run `run` of [`HACC_RUNS`] at `n` ranks.
-pub fn hacc_dist_run(n: usize, run: usize, particles: u64) -> RunOutput {
+/// One Fig. 11 sweep point: run `i` of [`HACC_RUNS`] at `n` ranks.
+pub fn hacc_dist_run(n: usize, i: usize, particles: u64) -> RunOutput {
     let hacc = HaccConfig {
         particles_per_rank: particles,
         ..Default::default()
     };
-    hacc_session(dist_config(n, run, HACC_RUNS[run].1), hacc)
+    run(dist_config(n, i, HACC_RUNS[i].1), HaccIo::new(hacc))
 }
 
 /// The stacked bars of one distribution figure: every run of `runs` at
@@ -277,7 +278,7 @@ pub fn hacc_distribution(ranks: &[usize], particles: u64) -> Vec<DistRow> {
 /// Figs. 8/9/10: one WaComM run with full series recording.
 pub fn wacomm_series(ranks: usize, strategy: Strategy, interference: f64) -> RunOutput {
     let cfg = ExpConfig::new(ranks, strategy).with_interference(interference);
-    wacomm_session(cfg, WacommConfig::default())
+    run(cfg, Wacomm::new(WacommConfig::default()))
 }
 
 /// Figs. 13/14: one HACC-IO run with full series recording; optional PFS
@@ -304,7 +305,7 @@ pub fn hacc_series(
         particles_per_rank: particles,
         ..Default::default()
     };
-    hacc_session(cfg, hacc)
+    run(cfg, HaccIo::new(hacc))
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 use bench::scenarios::{self, HACC_RUNS, OVERHEAD_RUNS, WACOMM_RUNS};
 use hpcwl::hacc::HaccConfig;
 use hpcwl::wacomm::WacommConfig;
-use iobts::session::{ExpConfig, HaccIo, RunOutput, Session, Wacomm};
+use iobts::session::{ExpConfig, HaccIo, RunOutput, Wacomm};
 use mpisim::RunStats;
 use simcore::{ChannelFaultWindow, FaultChannel, FaultPlan, IoErrorKind, IoErrorModel};
 use tmio::Strategy;
@@ -106,10 +106,7 @@ fn sessions() -> Vec<(String, Run)> {
                 ..FaultPlan::default()
             };
             let cfg = ExpConfig::new(8, Strategy::Direct { tol: 1.1 }).with_faults(flaky);
-            Session::builder(cfg)
-                .workload(Wacomm::new(WacommConfig::default()))
-                .build()
-                .run()
+            scenarios::run(cfg, Wacomm::new(WacommConfig::default()))
         }),
     ));
     out.push((
@@ -129,10 +126,7 @@ fn sessions() -> Vec<(String, Run)> {
                 particles_per_rank: 20_000,
                 ..Default::default()
             };
-            Session::builder(cfg)
-                .workload(HaccIo::new(hacc))
-                .build()
-                .run()
+            scenarios::run(cfg, HaccIo::new(hacc))
         }),
     ));
     out

@@ -3,8 +3,7 @@
 //! The execution substrate replacing MPICH/ROMIO in this reproduction of
 //! *"I/O Behind the Scenes"* (CLUSTER 2024). It provides:
 //!
-//! * ranks executing [`Program`]s (scripted) or user closures
-//!   ([`threaded::Threaded`]) in exact virtual time,
+//! * ranks executing scripted [`Program`]s in exact virtual time,
 //! * synchronizing collectives (barrier, bcast) with a latency/bandwidth
 //!   cost model,
 //! * MPI-IO: blocking (`write`/`read`) and non-blocking (`iwrite`/`iread` +
@@ -22,8 +21,6 @@
 mod hooks;
 mod ops;
 mod seqmap;
-/// Closure-per-rank front end (each rank is an OS thread in virtual time).
-pub mod threaded;
 mod world;
 
 pub use hooks::{IoHooks, Limits, NoHooks};

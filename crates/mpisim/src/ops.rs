@@ -3,8 +3,7 @@
 //! A [`Program`] is the scripted form of a rank's control flow — the op
 //! sequence a real application would issue through MPI. Workload crates
 //! build programs; the interpreter in [`crate::World`] executes them in
-//! virtual time. The threaded closure API ([`crate::threaded`]) issues the
-//! same ops one at a time instead.
+//! virtual time, pulling one op at a time through a [`crate::RankDriver`].
 
 use serde::{Deserialize, Serialize};
 

@@ -241,25 +241,13 @@ impl WorldConfig {
     }
 }
 
-/// Provides each rank's next op. Scripted programs and the threaded closure
-/// API both implement this.
+/// Provides each rank's next op. [`ScriptedDriver`] replays pre-built
+/// [`Program`]s; other drivers may generate ops on demand.
 pub trait RankDriver: Send {
     /// Returns rank `rank`'s next op at virtual time `now`, or `None` when
-    /// the rank's program is finished. For external drivers this call also
-    /// acknowledges completion of the previous op.
+    /// the rank's program is finished. The world calls it whenever the rank
+    /// is ready to issue its next op.
     fn next_op(&mut self, rank: usize, now: SimTime) -> Option<Op>;
-
-    /// Delivers the outcome of an [`Op::Test`] before the next `next_op`
-    /// call (external drivers forward it to the application thread).
-    fn on_test_result(&mut self, rank: usize, done: bool) {
-        let _ = (rank, done);
-    }
-
-    /// Delivers a terminal I/O-op failure for `rank` (retries exhausted or
-    /// the request was cancelled) before the rank's next `next_op` call.
-    fn on_op_error(&mut self, rank: usize, kind: IoErrorKind) {
-        let _ = (rank, kind);
-    }
 }
 
 /// Driver over pre-built [`Program`]s.
@@ -269,21 +257,6 @@ pub struct ScriptedDriver {
 }
 
 impl ScriptedDriver {
-    /// Creates a driver; one program per rank.
-    ///
-    /// # Panics
-    /// If a program fails [`Program::validate`]
-    /// ([`ScriptedDriver::try_new`] is the non-panicking path).
-    pub fn new(programs: Vec<Program>) -> Self {
-        match Self::try_new(programs) {
-            Ok(driver) => driver,
-            Err(SimError::InvalidProgram { rank, reason }) => {
-                panic!("rank {rank} program invalid: {reason}")
-            }
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Creates a driver; one program per rank. The first program that fails
     /// [`Program::validate`] comes back as [`SimError::InvalidProgram`].
     pub fn try_new(programs: Vec<Program>) -> SimResult<Self> {
@@ -620,9 +593,17 @@ impl<H: IoHooks> World<H> {
     }
 
     /// Builds a world over scripted per-rank programs.
+    ///
+    /// # Panics
+    /// If the program count differs from `cfg.n_ranks` or a program fails
+    /// [`Program::validate`] ([`ScriptedDriver::try_new`] with
+    /// [`World::with_driver`] is the non-panicking path).
     pub fn new(cfg: WorldConfig, programs: Vec<Program>, hooks: H) -> Self {
         assert_eq!(programs.len(), cfg.n_ranks, "one program per rank required");
-        Self::with_driver(cfg, Box::new(ScriptedDriver::new(programs)), hooks)
+        match ScriptedDriver::try_new(programs) {
+            Ok(driver) => Self::with_driver(cfg, Box::new(driver), hooks),
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// Registers a simulated file.
@@ -665,19 +646,6 @@ impl<H: IoHooks> World<H> {
     /// Current per-rank limits (stored values, for inspection).
     pub fn limits(&self) -> &Limits {
         &self.limits
-    }
-
-    /// Runs the world to completion and returns the summary.
-    ///
-    /// Panics on any [`SimError`] ([`World::try_run`] is the supervised,
-    /// non-panicking path): a deadlock (ranks blocked with no pending
-    /// events), a tripped progress watchdog, or an invalid program (e.g.
-    /// mismatched collectives).
-    pub fn run(&mut self) -> RunSummary {
-        match self.try_run() {
-            Ok(summary) => summary,
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// Runs the world to completion, surfacing failures as typed errors.
@@ -1031,7 +999,6 @@ impl<H: IoHooks> World<H> {
         };
         let done = matches!(entry.state, ReqState::Completed | ReqState::Failed(_));
         let o = self.hooks.on_test(now, rank, tag, done, &mut self.limits);
-        self.driver.on_test_result(rank, done);
         self.ranks[rank].acct.overhead += o;
         self.block_for(rank, o, BlockKind::Overhead)
     }
@@ -1543,7 +1510,6 @@ impl<H: IoHooks> World<H> {
         });
         self.hooks
             .on_op_error(at, task.rank, task.tag, kind, task.attempts);
-        self.driver.on_op_error(task.rank, kind);
         self.complete_task(ct, id, task, Some(kind));
     }
 

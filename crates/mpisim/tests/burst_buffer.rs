@@ -35,7 +35,7 @@ fn sync_write_completes_at_absorb_speed() {
         NoHooks,
     );
     w.create_file("f");
-    let s = w.run();
+    let s = w.try_run().unwrap();
     assert!(
         (s.makespan() - 0.1).abs() < 1e-6,
         "makespan {}",
@@ -64,7 +64,7 @@ fn drain_reaches_the_pfs_in_background() {
         NoHooks,
     );
     w.create_file("f");
-    w.run();
+    w.try_run().unwrap();
     let s = w.pfs_series(mpisim::Channel::Write);
     // The drain is smeared at 10 MB/s for 10 s — never a burst.
     assert!(s.max_value() <= 10.0 * MB + 1.0, "peak {}", s.max_value());
@@ -101,7 +101,7 @@ fn full_buffer_degrades_to_write_through() {
         NoHooks,
     );
     w.create_file("f");
-    let s = w.run();
+    let s = w.try_run().unwrap();
     // First burst ≈ instant; the rest mostly at 1 MB/s: >> 60 s total.
     assert!(s.makespan() > 60.0, "makespan {}", s.makespan());
 }
@@ -127,7 +127,7 @@ fn spaced_bursts_stay_fast() {
         NoHooks,
     );
     w.create_file("f");
-    let s = w.run();
+    let s = w.try_run().unwrap();
     // Each write ≈ 0.04 s; runtime ≈ 5 × 10.04 s.
     assert!(
         (s.makespan() - 50.2).abs() < 0.1,
@@ -161,7 +161,7 @@ fn async_writes_also_use_the_buffer() {
         NoHooks,
     );
     w.create_file("f");
-    let s = w.run();
+    let s = w.try_run().unwrap();
     assert!(
         (s.makespan() - 1.0).abs() < 1e-6,
         "makespan {}",
@@ -187,7 +187,7 @@ fn reads_bypass_the_buffer() {
         NoHooks,
     );
     w.create_file("f");
-    let s = w.run();
+    let s = w.try_run().unwrap();
     // Read goes straight to the 10 MB/s PFS: 10 s.
     assert!(
         (s.makespan() - 10.0).abs() < 1e-6,
@@ -228,7 +228,7 @@ fn limiter_paces_the_drain() {
     ];
     let mut w = World::new(cfg, vec![Program::from_ops(ops)], SetLimit);
     w.create_file("f");
-    w.run();
+    w.try_run().unwrap();
     // The drain flow is capped at min(drain_rate, limit) = 5 MB/s.
     let peak = w.pfs_series(mpisim::Channel::Write).max_value();
     assert!(peak <= 5.0 * MB + 1.0, "drain peak {peak}");

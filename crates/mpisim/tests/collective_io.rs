@@ -1,6 +1,6 @@
 //! Tests for two-phase collective I/O (`MPI_File_write_at_all`).
 
-use mpisim::{FileId, NoHooks, Op, Program, World, WorldConfig};
+use mpisim::{FileId, NoHooks, Op, Program, SimError, World, WorldConfig};
 use pfsim::PfsConfig;
 
 const MB: f64 = 1e6;
@@ -28,7 +28,7 @@ fn collective_write_synchronizes_and_completes() {
         NoHooks,
     );
     w.create_file("f");
-    let s = w.run();
+    let s = w.try_run().unwrap();
     let shuffle = 160.0 * MB / 12.5e9; // per-rank bytes × n / net bw
     assert!(
         (s.makespan() - 1.6 - shuffle).abs() < 0.01,
@@ -60,7 +60,7 @@ fn collective_uses_few_large_flows() {
     ];
     let mut w = World::new(cfg(9, 100.0 * MB), vec![Program::from_ops(ops); 9], NoHooks);
     w.create_file("f");
-    let s = w.run();
+    let s = w.try_run().unwrap();
     // write: 9 MB/100 MB/s = 0.09 s (+shuffle), read likewise.
     assert!(
         s.makespan() > 0.18 && s.makespan() < 0.21,
@@ -88,7 +88,7 @@ fn collective_slower_ranks_gate_the_io() {
     ]);
     let mut w = World::new(cfg(2, 100.0 * MB), vec![fast, slow], NoHooks);
     w.create_file("f");
-    let s = w.run();
+    let s = w.try_run().unwrap();
     assert!(
         s.makespan() > 1.2,
         "I/O gated on the slow rank: {}",
@@ -116,7 +116,7 @@ fn collective_vs_individual_contention() {
     let run = |p: Program| {
         let mut w = World::new(cfg(n, 100.0 * MB), vec![p; 64], NoHooks);
         w.create_file("f");
-        w.run().makespan()
+        w.try_run().unwrap().makespan()
     };
     let t_indiv = run(indiv);
     let t_coll = run(coll);
@@ -128,8 +128,7 @@ fn collective_vs_individual_contention() {
 }
 
 #[test]
-#[should_panic(expected = "collective mismatch")]
-fn mixed_collective_io_kinds_panic() {
+fn mixed_collective_io_kinds_are_rejected() {
     let a = Program::from_ops(vec![Op::WriteAll {
         file: FileId(0),
         bytes: 1.0,
@@ -140,5 +139,10 @@ fn mixed_collective_io_kinds_panic() {
     }]);
     let mut w = World::new(cfg(2, 1e9), vec![a, b], NoHooks);
     w.create_file("f");
-    w.run();
+    match w.try_run().unwrap_err() {
+        SimError::InvalidProgram { reason, .. } => {
+            assert!(reason.contains("collective mismatch"), "{reason}")
+        }
+        e => panic!("expected an invalid program, got {e}"),
+    }
 }

@@ -10,7 +10,7 @@ use simcore::{CancelSpec, ChannelFaultWindow, FaultChannel, IoErrorModel, SimTim
 fn run_with(cfg: WorldConfig, programs: Vec<Program>) -> RunSummary {
     let mut world = World::new(cfg, programs, NoHooks);
     world.create_file("f");
-    world.run()
+    world.try_run().unwrap()
 }
 
 fn async_write_program(bytes: f64) -> Program {
@@ -286,7 +286,7 @@ fn wait_and_test_report_failure_instead_of_hanging() {
         Obs::default(),
     );
     world.create_file("f");
-    let summary = world.run();
+    let summary = world.try_run().unwrap();
     let obs = world.into_hooks();
     assert_eq!(obs.retries, plan.retry.max_retries);
     assert_eq!(obs.errors, vec![(0, Some(ReqTag(0)), IoErrorKind::Io)]);

@@ -89,7 +89,7 @@ proptest! {
     /// exactly one bucket.
     #[test]
     fn accounting_identity(w in arb_workload(), asynchronous in any::<bool>()) {
-        let s = world(&w, asynchronous).run();
+        let s = world(&w, asynchronous).try_run().unwrap();
         for (rank, acct) in s.accounting.iter().enumerate() {
             let sum = acct.compute
                 + acct.memcpy
@@ -111,7 +111,7 @@ proptest! {
     #[test]
     fn bytes_conserved(w in arb_workload(), asynchronous in any::<bool>()) {
         let mut wd = world(&w, asynchronous);
-        wd.run();
+        wd.try_run().unwrap();
         let expected = w.ranks as f64 * w.segments as f64 * w.block_mb * 1e6;
         prop_assert!((wd.file_bytes(FileId(0)) - expected).abs() < 1.0);
     }
@@ -120,8 +120,8 @@ proptest! {
     /// can only help; barriers keep the phases aligned).
     #[test]
     fn async_never_slower_than_sync(w in arb_workload()) {
-        let sync = world(&w, false).run().makespan();
-        let asy = world(&w, true).run().makespan();
+        let sync = world(&w, false).try_run().unwrap().makespan();
+        let asy = world(&w, true).try_run().unwrap().makespan();
         prop_assert!(
             asy <= sync * (1.0 + 1e-9) + 1e-9,
             "async {asy} vs sync {sync}"
@@ -132,7 +132,7 @@ proptest! {
     /// sum of compute and I/O through the shared channel.
     #[test]
     fn makespan_bounds(w in arb_workload(), asynchronous in any::<bool>()) {
-        let s = world(&w, asynchronous).run();
+        let s = world(&w, asynchronous).try_run().unwrap();
         let mk = s.makespan();
         let min_compute = w.segments as f64 * w.compute_s * 0.95; // noise floor
         prop_assert!(mk >= min_compute - 1e-9, "makespan {mk} < compute {min_compute}");
@@ -146,8 +146,8 @@ proptest! {
     /// exist that differ — determinism without degeneracy.
     #[test]
     fn determinism(w in arb_workload()) {
-        let a = world(&w, true).run();
-        let b = world(&w, true).run();
+        let a = world(&w, true).try_run().unwrap();
+        let b = world(&w, true).try_run().unwrap();
         prop_assert_eq!(a.makespan(), b.makespan());
         for (x, y) in a.finished_at.iter().zip(&b.finished_at) {
             prop_assert_eq!(x, y);
@@ -160,7 +160,7 @@ proptest! {
     fn gentle_limiting_is_harmless(mut w in arb_workload()) {
         // Uniform phases; ensure the I/O actually fits its window at B·1.3.
         w.with_barrier = false;
-        let base = world(&w, true).run().makespan();
+        let base = world(&w, true).try_run().unwrap().makespan();
 
         let mut cfg = WorldConfig::new(w.ranks).with_seed(w.seed).with_limiter(true);
         cfg.pfs = PfsConfig {
@@ -171,7 +171,7 @@ proptest! {
         let tracer = tmio_shim::tracer(w.ranks);
         let mut wd = World::new(cfg, vec![program(&w, true); w.ranks], tracer);
         wd.create_file("f");
-        let lim = wd.run().makespan();
+        let lim = wd.try_run().unwrap().makespan();
         prop_assert!(
             lim <= base * 1.35 + 0.2,
             "limited {lim} vs base {base}"

@@ -22,7 +22,7 @@ fn merged_sync_writes_terminate() {
         NoHooks,
     );
     w.create_file("x");
-    let s = w.run();
+    let s = w.try_run().unwrap();
     // 2 GB over the 106 GB/s write channel ≈ 18.9 ms after the 0.5 s compute.
     assert!(
         s.makespan() > 0.5 && s.makespan() < 0.53,
@@ -48,6 +48,6 @@ fn merged_writes_terminate_at_large_times() {
         NoHooks,
     );
     w.create_file("x");
-    let s = w.run();
+    let s = w.try_run().unwrap();
     assert!(s.makespan() >= 50_000.0 && s.makespan() < 50_001.0);
 }

@@ -1,7 +1,8 @@
 //! Tests for `MPI_Test` and the poll-wait completion pattern.
 
-use mpisim::{threaded::Threaded, FileId, NoHooks, Op, Program, ReqTag, World, WorldConfig};
+use mpisim::{FileId, IoHooks, Limits, NoHooks, Op, Program, ReqTag, SimError, World, WorldConfig};
 use pfsim::PfsConfig;
+use simcore::SimTime;
 
 const MB: f64 = 1e6;
 
@@ -32,7 +33,7 @@ fn test_probe_keeps_request_live() {
     assert!(p.validate().is_ok());
     let mut w = World::new(cfg(1, 100.0 * MB), vec![p], NoHooks);
     w.create_file("f");
-    let s = w.run();
+    let s = w.try_run().unwrap();
     assert!(
         (s.makespan() - 1.0).abs() < 1e-6,
         "makespan {}",
@@ -57,7 +58,7 @@ fn poll_wait_completes_and_accounts_lost_time() {
     ];
     let mut w = World::new(cfg(1, 100.0 * MB), vec![Program::from_ops(ops)], NoHooks);
     w.create_file("f");
-    let s = w.run();
+    let s = w.try_run().unwrap();
     // Completion lands on a poll boundary: within one interval of 2.0 s.
     assert!(
         s.makespan() >= 2.0 && s.makespan() < 2.02,
@@ -84,40 +85,56 @@ fn poll_wait_returns_immediately_when_done() {
     ];
     let mut w = World::new(cfg(1, 100.0 * MB), vec![Program::from_ops(ops)], NoHooks);
     w.create_file("f");
-    let s = w.run();
+    let s = w.try_run().unwrap();
     assert!((s.makespan() - 1.0).abs() < 1e-6);
     assert!(s.accounting[0].wait_write < 1e-9);
 }
 
 #[test]
-fn threaded_test_reports_status() {
-    let mut tw = Threaded::new(cfg(1, 100.0 * MB), NoHooks);
-    let f = tw.create_file("f");
-    let (summary, _) = tw.run(move |ctx| {
-        let req = ctx.iwrite(f, 50.0 * MB); // 0.5 s of I/O
-        assert!(!ctx.test(&req), "cannot be done at submit time");
-        ctx.compute(1.0);
-        assert!(ctx.test(&req), "must be done after 1 s");
-        ctx.wait(req);
-    });
-    assert!((summary.makespan() - 1.0).abs() < 1e-6);
+fn test_reports_status_to_hooks() {
+    /// Records every `MPI_Test` outcome the world reports.
+    #[derive(Default)]
+    struct TestLog(Vec<(f64, ReqTag, bool)>);
+    impl IoHooks for TestLog {
+        fn on_test(
+            &mut self,
+            t: SimTime,
+            _rank: usize,
+            tag: ReqTag,
+            done: bool,
+            _limits: &mut Limits,
+        ) -> f64 {
+            self.0.push((t.as_secs(), tag, done));
+            0.0
+        }
+    }
+    let ops = vec![
+        Op::IWrite {
+            file: FileId(0),
+            bytes: 50.0 * MB, // 0.5 s of I/O
+            tag: ReqTag(0),
+        },
+        Op::Test { tag: ReqTag(0) }, // at submit time: not done
+        Op::Compute { seconds: 1.0 },
+        Op::Test { tag: ReqTag(0) }, // after 1 s: done
+        Op::Wait { tag: ReqTag(0) },
+    ];
+    let mut w = World::new(
+        cfg(1, 100.0 * MB),
+        vec![Program::from_ops(ops)],
+        TestLog::default(),
+    );
+    w.create_file("f");
+    let s = w.try_run().unwrap();
+    assert!((s.makespan() - 1.0).abs() < 1e-6);
+    assert_eq!(
+        w.into_hooks().0,
+        vec![(0.0, ReqTag(0), false), (1.0, ReqTag(0), true)]
+    );
 }
 
 #[test]
-fn threaded_poll_wait() {
-    let mut tw = Threaded::new(cfg(1, 100.0 * MB), NoHooks);
-    let f = tw.create_file("f");
-    let (summary, _) = tw.run(move |ctx| {
-        let req = ctx.iwrite(f, 100.0 * MB); // 1 s of I/O
-        ctx.compute(0.2);
-        ctx.poll_wait(req, 0.01);
-    });
-    assert!(summary.makespan() >= 1.0 && summary.makespan() < 1.02);
-}
-
-#[test]
-#[should_panic(expected = "unknown request")]
-fn test_on_unknown_request_panics() {
+fn test_on_unknown_request_is_rejected() {
     let ops = vec![
         Op::IWrite {
             file: FileId(0),
@@ -138,5 +155,10 @@ fn test_on_unknown_request_panics() {
     }
     let mut w: World<NoHooks> = World::with_driver(cfg(1, 1e9), Box::new(Raw(ops, 0)), NoHooks);
     w.create_file("f");
-    w.run();
+    match w.try_run().unwrap_err() {
+        SimError::InvalidProgram { reason, .. } => {
+            assert!(reason.contains("unknown request"), "{reason}")
+        }
+        e => panic!("expected an invalid program, got {e}"),
+    }
 }

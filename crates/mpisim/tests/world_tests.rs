@@ -1,7 +1,7 @@
 //! Integration tests of the scripted world: timing semantics, overlap,
 //! pacing, collectives, and accounting.
 
-use mpisim::{NoHooks, Op, Program, World, WorldConfig};
+use mpisim::{NoHooks, Op, Program, SimError, World, WorldConfig};
 use pfsim::PfsConfig;
 
 fn cfg(n: usize, cap: f64) -> WorldConfig {
@@ -23,7 +23,7 @@ const MB: f64 = 1e6;
 #[test]
 fn compute_only_runtime() {
     let mut w = uniform_world(4, 1e9, vec![Op::Compute { seconds: 2.0 }]);
-    let s = w.run();
+    let s = w.try_run().unwrap();
     assert!((s.makespan() - 2.0).abs() < 1e-9);
     for a in &s.accounting {
         assert!((a.compute - 2.0).abs() < 1e-9);
@@ -45,7 +45,7 @@ fn sync_write_time_adds_to_runtime() {
         ],
     );
     w.create_file("f");
-    let s = w.run();
+    let s = w.try_run().unwrap();
     assert!(
         (s.makespan() - 2.0).abs() < 1e-6,
         "makespan {}",
@@ -72,7 +72,7 @@ fn async_write_fully_hidden() {
         ],
     );
     w.create_file("f");
-    let s = w.run();
+    let s = w.try_run().unwrap();
     assert!(
         (s.makespan() - 1.0).abs() < 1e-6,
         "makespan {}",
@@ -100,7 +100,7 @@ fn async_write_partially_visible() {
         ],
     );
     w.create_file("f");
-    let s = w.run();
+    let s = w.try_run().unwrap();
     assert!(
         (s.makespan() - 2.0).abs() < 1e-6,
         "makespan {}",
@@ -135,7 +135,7 @@ fn reads_and_writes_use_separate_channels() {
         ],
     );
     w.create_file("f");
-    let s = w.run();
+    let s = w.try_run().unwrap();
     // Both transfers take 1 s in parallel on separate channels, hidden by 2 s.
     assert!(
         (s.makespan() - 2.0).abs() < 1e-6,
@@ -156,7 +156,7 @@ fn contention_slows_sync_writers() {
         }],
     );
     w.create_file("f");
-    let s = w.run();
+    let s = w.try_run().unwrap();
     assert!(
         (s.makespan() - 4.0).abs() < 1e-6,
         "makespan {}",
@@ -174,7 +174,7 @@ fn barrier_synchronizes() {
         ])
     };
     let mut w = World::new(cfg(2, 1e9), vec![mk(1.0), mk(3.0)], NoHooks);
-    let s = w.run();
+    let s = w.try_run().unwrap();
     // Slow rank reaches barrier at 3.0; both finish ≈ 3.5.
     assert!(
         (s.makespan() - 3.5).abs() < 1e-3,
@@ -190,9 +190,9 @@ fn barrier_synchronizes() {
 #[test]
 fn bcast_costs_scale_with_bytes() {
     let mut w1 = uniform_world(8, 1e9, vec![Op::Bcast { bytes: 0.0 }]);
-    let small = w1.run().makespan();
+    let small = w1.try_run().unwrap().makespan();
     let mut w2 = uniform_world(8, 1e9, vec![Op::Bcast { bytes: 125e9 }]);
-    let big = w2.run().makespan();
+    let big = w2.try_run().unwrap().makespan();
     // 125 GB over 12.5 GB/s net = 10 s extra.
     assert!(big > small + 9.9, "bcast bytes ignored: {big} vs {small}");
 }
@@ -200,7 +200,7 @@ fn bcast_costs_scale_with_bytes() {
 #[test]
 fn memcpy_modeled_as_bandwidth() {
     let mut w = uniform_world(1, 1e9, vec![Op::Memcpy { bytes: 10e9 }]);
-    let s = w.run();
+    let s = w.try_run().unwrap();
     // Default memcpy bandwidth 10 GB/s -> 1 s.
     assert!((s.makespan() - 1.0).abs() < 1e-9);
     assert!((s.accounting[0].memcpy - 1.0).abs() < 1e-12);
@@ -217,7 +217,7 @@ fn limiter_disabled_ignores_limits() {
     }]);
     let mut w = World::new(c, vec![p], NoHooks);
     w.create_file("f");
-    let s = w.run();
+    let s = w.try_run().unwrap();
     assert!((s.makespan() - 1.0).abs() < 1e-6);
 }
 
@@ -242,7 +242,7 @@ fn file_bytes_accumulate() {
         ],
     );
     let f = w.create_file("f");
-    w.run();
+    w.try_run().unwrap();
     assert_eq!(w.file_bytes(f), 20.0 * MB);
 }
 
@@ -264,7 +264,7 @@ fn deterministic_with_noise() {
         ];
         let mut w = World::new(c, vec![Program::from_ops(ops); 8], NoHooks);
         w.create_file("f");
-        w.run().makespan()
+        w.try_run().unwrap().makespan()
     };
     let a = run();
     let b = run();
@@ -281,13 +281,13 @@ fn different_seeds_differ() {
             .with_seed(seed);
         let ops = vec![Op::Compute { seconds: 1.0 }];
         let mut w = World::new(c, vec![Program::from_ops(ops); 4], NoHooks);
-        w.run().makespan()
+        w.try_run().unwrap().makespan()
     };
     assert_ne!(run(1), run(2));
 }
 
 #[test]
-#[should_panic(expected = "program invalid")]
+#[should_panic(expected = "invalid program on rank 0")]
 fn invalid_program_rejected() {
     let p = Program::from_ops(vec![Op::Wait {
         tag: mpisim::ReqTag(0),
@@ -296,12 +296,16 @@ fn invalid_program_rejected() {
 }
 
 #[test]
-#[should_panic(expected = "collective mismatch")]
-fn mismatched_collectives_panic() {
+fn mismatched_collectives_are_rejected() {
     let a = Program::from_ops(vec![Op::Barrier]);
     let b = Program::from_ops(vec![Op::Bcast { bytes: 8.0 }]);
     let mut w = World::new(cfg(2, 1e9), vec![a, b], NoHooks);
-    w.run();
+    match w.try_run().unwrap_err() {
+        SimError::InvalidProgram { reason, .. } => {
+            assert!(reason.contains("collective mismatch"), "{reason}")
+        }
+        e => panic!("expected an invalid program, got {e}"),
+    }
 }
 
 #[test]
@@ -315,7 +319,7 @@ fn pfs_series_recorded() {
         }],
     );
     w.create_file("f");
-    w.run();
+    w.try_run().unwrap();
     let s = w.pfs_series(mpisim::Channel::Write);
     let moved = s.integral(simcore::SimTime::ZERO, simcore::SimTime::from_secs(10.0));
     assert!((moved - 100.0 * MB).abs() < 1.0, "bytes moved {moved}");
@@ -356,7 +360,7 @@ fn limited_async_write_stretches_to_limit() {
     ];
     let mut w = World::new(c, vec![Program::from_ops(ops)], SetLimit);
     w.create_file("f");
-    let s = w.run();
+    let s = w.try_run().unwrap();
     // 20 MB at 10 MB/s = 2 s of paced I/O, hidden in the 3 s window.
     assert!(
         (s.makespan() - 3.0).abs() < 1e-6,
@@ -408,7 +412,7 @@ fn limit_above_capacity_adds_no_delay() {
     ];
     let mut w = World::new(c, vec![Program::from_ops(ops)], SetLimit);
     w.create_file("f");
-    let s = w.run();
+    let s = w.try_run().unwrap();
     assert!(
         (s.makespan() - 1.0).abs() < 1e-6,
         "makespan {}",
@@ -458,7 +462,7 @@ fn deficit_reduces_later_sleeps() {
     // (uses the capacity-noise hookless path by direct PFS access is not
     // exposed; instead rely on contention: a second rank is not present, so
     // emulate by low capacity the whole run.)
-    let s = w.run();
+    let s = w.try_run().unwrap();
     // At 10 MB/s the 50 MB take 5 s; the limit would demand only 1 s.
     // Deficit means no *additional* sleeps: total I/O ≈ 5 s < compute 10 s.
     assert!(
@@ -484,7 +488,7 @@ fn capacity_noise_changes_makespan_deterministically() {
         }];
         let mut w = World::new(c, vec![Program::from_ops(ops)], NoHooks);
         w.create_file("f");
-        w.run().makespan()
+        w.try_run().unwrap().makespan()
     };
     let a = run(3);
     assert_eq!(a, run(3));

@@ -116,12 +116,6 @@ impl BurstBuffer {
         self.last_t = now + t_through;
         now + t_through
     }
-
-    /// Time at which the buffer becomes empty if nothing else arrives.
-    pub fn drained_at(&mut self, t: f64) -> f64 {
-        self.advance(t);
-        t + self.occupied / self.cfg.drain_rate
-    }
 }
 
 /// The future-work metric: the drain bandwidth a periodic synchronous
@@ -235,15 +229,6 @@ mod tests {
         assert!(!sustainable(38e9, 30.0, &c));
         // A burst larger than the buffer cannot be hidden at all.
         assert_eq!(required_drain_bandwidth(200e9, 60.0, &c), None);
-    }
-
-    #[test]
-    fn drained_at_is_consistent() {
-        let mut bb = BurstBuffer::new(cfg(100.0, 10.0, 1.0));
-        bb.absorb(0.0, 50.0);
-        let t_empty = bb.drained_at(5.0);
-        assert!((t_empty - 50.0).abs() < 1e-9); // 45 left at t=5, 1 B/s
-        assert_eq!(bb.occupancy(t_empty), 0.0);
     }
 
     #[test]

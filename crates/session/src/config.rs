@@ -82,7 +82,7 @@ impl ExpConfig {
     /// negative capacities, tolerances and sub-request sizes, bad overhead
     /// overrides, and invalid fault plans (overlapping windows, bad
     /// probabilities) — as typed [`SimError::InvalidConfig`] values.
-    /// [`crate::SessionBuilder::build`] calls this, so misconfiguration
+    /// [`crate::SessionBuilder::try_build`] calls this, so misconfiguration
     /// surfaces before any run starts.
     pub fn validate(&self) -> SimResult<()> {
         fn tol(field: &str, v: f64) -> SimResult<()> {

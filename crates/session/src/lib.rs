@@ -16,9 +16,6 @@
 //!    composes the config, the workload, the tracer and the fault plan,
 //!    and can stream results into a [`MetricsSink`] ([`MemorySink`],
 //!    [`CsvSink`], [`JsonReportSink`]).
-//!
-//! The legacy free functions ([`run_hacc`], [`run_wacomm`], …) are thin
-//! wrappers over a [`Session`] and remain the stable convenience API.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -34,6 +31,4 @@ pub use run::{RunOutput, Session, SessionBuilder};
 // direct simcore dependency.
 pub use simcore::{SimError, SimResult, StallSnapshot};
 pub use sink::{CsvSink, JsonReportSink, MemorySink, MetricsSink, RunMeta};
-pub use workload::{
-    run_hacc, run_hacc_sync, run_wacomm, run_wacomm_sync, HaccIo, RawWorkload, Wacomm, Workload,
-};
+pub use workload::{HaccIo, RawWorkload, Wacomm, Workload};

@@ -33,7 +33,7 @@ impl RunOutput {
 }
 
 /// A fully composed run: config + workload, ready to execute any number of
-/// times (each [`Session::run`] is an independent, deterministic replay).
+/// times (each [`Session::try_run`] is an independent, deterministic replay).
 pub struct Session {
     cfg: ExpConfig,
     workload: Box<dyn Workload>,
@@ -63,20 +63,9 @@ impl Session {
         }
     }
 
-    /// Runs the workload under the tracer and collects everything.
-    ///
-    /// # Panics
-    /// On any [`SimError`] raised by the engine (deadlock, tripped
-    /// watchdog, invalid program); [`Session::try_run`] is the supervised,
-    /// non-panicking path.
-    pub fn run(&self) -> RunOutput {
-        match self.try_run() {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Runs the workload, surfacing engine failures as typed errors.
+    /// Runs the workload under the tracer and collects everything. Engine
+    /// failures (deadlock, tripped watchdog, invalid program, a program
+    /// count that differs from the rank count) come back as typed errors.
     pub fn try_run(&self) -> SimResult<RunOutput> {
         let cfg = &self.cfg;
         let programs = self.workload.programs(cfg.n_ranks);
@@ -108,15 +97,8 @@ impl Session {
         })
     }
 
-    /// Runs and streams the result into `sink` (also returning it).
-    pub fn run_into(&self, sink: &mut dyn MetricsSink) -> RunOutput {
-        let out = self.run();
-        sink.on_run(&self.meta(), &out);
-        out
-    }
-
-    /// Supervised variant of [`Session::run_into`]: engine failures come
-    /// back as typed errors and nothing reaches the sink.
+    /// Runs and streams the result into `sink` (also returning it). On an
+    /// engine failure nothing reaches the sink.
     pub fn try_run_into(&self, sink: &mut dyn MetricsSink) -> SimResult<RunOutput> {
         let out = self.try_run()?;
         sink.on_run(&self.meta(), &out);
@@ -141,19 +123,6 @@ impl SessionBuilder {
     pub fn workload_boxed(mut self, w: Box<dyn Workload>) -> Self {
         self.workload = Some(w);
         self
-    }
-
-    /// Finalizes the session, validating the configuration first.
-    ///
-    /// # Panics
-    /// If no workload was attached or the configuration is invalid
-    /// ([`SessionBuilder::try_build`] is the supervised, non-panicking
-    /// path).
-    pub fn build(self) -> Session {
-        match self.try_build() {
-            Ok(s) => s,
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// Finalizes the session, surfacing a missing workload or an invalid

@@ -1,4 +1,5 @@
-//! The [`Workload`] abstraction: what runs inside a [`Session`].
+//! The [`Workload`] abstraction: what runs inside a
+//! [`Session`](crate::Session).
 //!
 //! A workload knows how to emit one [`Program`] per rank and the names of
 //! the files those programs touch. The paper's two applications implement
@@ -6,12 +7,11 @@
 //! including raw op lists via [`RawWorkload`] — without touching the
 //! runners.
 
-use crate::{ExpConfig, RunOutput, Session};
 use hpcwl::hacc::HaccConfig;
 use hpcwl::wacomm::WacommConfig;
 use mpisim::{FileId, Program};
 
-/// A workload that a [`Session`] can execute: per-rank programs plus the
+/// A workload that a [`Session`](crate::Session) can execute: per-rank programs plus the
 /// file names they reference.
 pub trait Workload {
     /// Short name used in sinks, registries and reports.
@@ -154,51 +154,13 @@ impl Workload for RawWorkload {
         &self.name
     }
 
-    fn programs(&self, n_ranks: usize) -> Vec<Program> {
-        assert_eq!(
-            self.programs.len(),
-            n_ranks,
-            "RawWorkload holds {} programs but the session runs {} ranks",
-            self.programs.len(),
-            n_ranks
-        );
+    /// The wrapped programs as given; a count that differs from the
+    /// session's rank count fails [`crate::Session::try_run`] with a typed error.
+    fn programs(&self, _n_ranks: usize) -> Vec<Program> {
         self.programs.clone()
     }
 
     fn files(&self, _n_ranks: usize) -> Vec<String> {
         self.files.clone()
     }
-}
-
-/// Runs the modified HACC-IO benchmark (legacy convenience wrapper over a
-/// [`Session`]).
-pub fn run_hacc(cfg: &ExpConfig, hacc: &HaccConfig) -> RunOutput {
-    Session::builder(cfg.clone())
-        .workload(HaccIo::new(*hacc))
-        .build()
-        .run()
-}
-
-/// Runs the vanilla synchronous HACC-IO baseline.
-pub fn run_hacc_sync(cfg: &ExpConfig, hacc: &HaccConfig) -> RunOutput {
-    Session::builder(cfg.clone())
-        .workload(HaccIo::sync(*hacc))
-        .build()
-        .run()
-}
-
-/// Runs the WaComM-like pollutant transport workload.
-pub fn run_wacomm(cfg: &ExpConfig, wc: &WacommConfig) -> RunOutput {
-    Session::builder(cfg.clone())
-        .workload(Wacomm::new(*wc))
-        .build()
-        .run()
-}
-
-/// Runs the original synchronous WaComM++ baseline.
-pub fn run_wacomm_sync(cfg: &ExpConfig, wc: &WacommConfig) -> RunOutput {
-    Session::builder(cfg.clone())
-        .workload(Wacomm::sync(*wc))
-        .build()
-        .run()
 }

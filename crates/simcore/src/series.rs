@@ -106,11 +106,6 @@ impl StepSeries {
         self.points.iter().map(|p| p.1).fold(0.0, f64::max)
     }
 
-    /// Timestamp of the last change, if any.
-    pub fn last_time(&self) -> Option<SimTime> {
-        self.points.last().map(|p| SimTime::from_secs(p.0))
-    }
-
     /// Raw `(time, value)` change points.
     pub fn points(&self) -> &[(f64, f64)] {
         &self.points

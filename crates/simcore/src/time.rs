@@ -57,12 +57,6 @@ impl SimTime {
         self.0 - earlier.0
     }
 
-    /// True if this is the `FAR_FUTURE` sentinel.
-    #[inline]
-    pub fn is_far_future(self) -> bool {
-        self.0 == f64::MAX
-    }
-
     /// The earlier of two times.
     #[inline]
     pub fn min(self, other: SimTime) -> SimTime {
@@ -161,14 +155,12 @@ mod tests {
     #[test]
     fn far_future_dominates() {
         assert!(SimTime::FAR_FUTURE > SimTime::from_secs(1e300));
-        assert!(SimTime::FAR_FUTURE.is_far_future());
-        assert!(!SimTime::ZERO.is_far_future());
     }
 
     #[test]
     fn after_infinite_duration_saturates() {
         let t = SimTime::from_secs(1.0).after(f64::INFINITY);
-        assert!(t.is_far_future());
+        assert_eq!(t, SimTime::FAR_FUTURE);
     }
 
     #[test]

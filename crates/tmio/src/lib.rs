@@ -21,23 +21,24 @@
 //!
 //! ```
 //! use tmio::{Strategy, Tracer, TracerConfig};
-//! use mpisim::{threaded::Threaded, WorldConfig};
+//! use mpisim::{FileId, Op, Program, ReqTag, World, WorldConfig};
 //!
 //! let n = 4;
 //! let cfg = WorldConfig::new(n).with_limiter(true);
 //! let tracer = Tracer::new(n, TracerConfig::with_strategy(
 //!     Strategy::Direct { tol: 1.1 }));
-//! let mut tw = Threaded::new(cfg, tracer);
-//! let f = tw.create_file("ckpt");
-//! let (_summary, tracer) = tw.run(move |ctx| {
-//!     for _ in 0..5 {
-//!         let r = ctx.iwrite(f, 8e6);
-//!         ctx.compute(0.01);
-//!         ctx.wait(r);
-//!     }
-//! });
-//! let report = tracer.into_report();
+//! let mut ckpt = Program::new();
+//! for k in 0..5 {
+//!     ckpt.push(Op::IWrite { file: FileId(0), bytes: 8e6, tag: ReqTag(k) })
+//!         .push(Op::Compute { seconds: 0.01 })
+//!         .push(Op::Wait { tag: ReqTag(k) });
+//! }
+//! let mut world = World::new(cfg, vec![ckpt; n], tracer);
+//! world.create_file("ckpt");
+//! world.try_run()?;
+//! let report = world.into_hooks().into_report();
 //! assert!(report.required_bandwidth() > 0.0);
+//! # Ok::<(), mpisim::SimError>(())
 //! ```
 
 #![warn(missing_docs)]

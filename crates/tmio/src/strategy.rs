@@ -137,11 +137,6 @@ impl StrategyState {
     pub fn current_limit(&self) -> Option<f64> {
         self.prev_limit
     }
-
-    /// The most recent required bandwidth observed, if any.
-    pub fn prev_b(&self) -> Option<f64> {
-        self.prev_b
-    }
 }
 
 /// Logarithmic binning for the MFU table: bin k covers

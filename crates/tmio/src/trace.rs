@@ -268,7 +268,7 @@ mod tests {
         let log = TraceLog::new(Tracer::new(1, TracerConfig::trace_only()));
         let mut w = World::new(WorldConfig::new(1), vec![Program::from_ops(ops)], log);
         w.create_file("f");
-        w.run();
+        w.try_run().unwrap();
         std::mem::replace(
             w.hooks_mut(),
             TraceLog::new(Tracer::new(0, TracerConfig::trace_only())),

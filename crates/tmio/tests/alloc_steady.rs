@@ -86,7 +86,7 @@ fn alloc_calls_for_run(phases: usize) -> u64 {
     w.create_file("out");
 
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    let summary = w.run();
+    let summary = w.try_run().unwrap();
     let after = ALLOC_CALLS.load(Ordering::Relaxed);
     assert!(summary.makespan() > 0.0);
 

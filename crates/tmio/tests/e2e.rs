@@ -44,7 +44,7 @@ fn run_app(
     let tracer = Tracer::new(n, tcfg);
     let mut w = World::new(wc, vec![periodic_app(loops, bytes, compute); n], tracer);
     w.create_file("out");
-    let s = w.run();
+    let s = w.try_run().unwrap();
     let report = std::mem::replace(w.hooks_mut(), Tracer::new(0, tcfg)).into_report();
     (s, report)
 }
@@ -224,7 +224,7 @@ fn aggregation_mean_vs_sum() {
         tc.peri_call_overhead = 0.0;
         let mut w = World::new(wc, vec![Program::from_ops(ops)], Tracer::new(1, tc));
         w.create_file("out");
-        w.run();
+        w.try_run().unwrap();
         std::mem::replace(w.hooks_mut(), Tracer::new(0, tc)).into_report()
     };
     let sum = mk(Aggregation::Sum);
@@ -268,7 +268,7 @@ fn te_mode_last_wait_gives_lower_b() {
         tc.peri_call_overhead = 0.0;
         let mut w = World::new(wc, vec![Program::from_ops(ops.clone())], Tracer::new(1, tc));
         w.create_file("out");
-        w.run();
+        w.try_run().unwrap();
         std::mem::replace(w.hooks_mut(), Tracer::new(0, tc)).into_report()
     };
     let first = run(TeMode::FirstWait);
@@ -295,7 +295,7 @@ fn peri_overhead_counts_calls() {
     let tracer = Tracer::new(1, tc);
     let mut w = World::new(wc, vec![periodic_app(10, MB, 0.01)], tracer);
     w.create_file("out");
-    let s = w.run();
+    let s = w.try_run().unwrap();
     let report = std::mem::replace(w.hooks_mut(), Tracer::new(0, tc)).into_report();
     // 10 loops × (submit + wait_enter + wait_exit) = 30 calls.
     assert_eq!(report.calls, 30);
@@ -334,7 +334,7 @@ fn sync_app_has_no_async_records() {
     let tc = TracerConfig::trace_only();
     let mut w = World::new(wc, vec![Program::from_ops(ops); 2], Tracer::new(2, tc));
     w.create_file("out");
-    w.run();
+    w.try_run().unwrap();
     let report = std::mem::replace(w.hooks_mut(), Tracer::new(0, tc)).into_report();
     assert!(report.phases.is_empty());
     assert!(report.spans.is_empty());
@@ -369,7 +369,7 @@ fn poll_wait_closes_tracer_phase_at_first_probe() {
     };
     let mut w = World::new(wc, vec![Program::from_ops(ops)], Tracer::new(1, tc));
     w.create_file("f");
-    w.run();
+    w.try_run().unwrap();
     let report = std::mem::replace(w.hooks_mut(), Tracer::new(0, tc)).into_report();
     assert_eq!(report.phases.len(), 1);
     // te = first probe (end of the 0.5 s compute), not the completion at 1 s:
@@ -396,7 +396,7 @@ fn ftio_detects_hacc_loop_period() {
         Tracer::new(4, tc),
     );
     w.create_file("out");
-    let s = w.run();
+    let s = w.try_run().unwrap();
     let series = w.pfs_series(mpisim::Channel::Write).clone();
     let est = tmio::ftio::detect_period(&series, 0.0, s.makespan(), 2048)
         .expect("periodic signal detected");

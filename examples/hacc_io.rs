@@ -7,7 +7,7 @@
 
 use iobts::prelude::*;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let mut args = std::env::args().skip(1);
     let ranks: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(64);
     let particles: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(100_000);
@@ -49,8 +49,8 @@ fn main() {
     for strategy in strategies {
         let out = Session::builder(ExpConfig::new(ranks, strategy))
             .workload(HaccIo::new(hacc))
-            .build()
-            .run();
+            .try_build()?
+            .try_run()?;
         let d = out.report.decomposition();
         let pct = d.percentages();
         // Peak throughput after the limiter engages (whole run for "none").
@@ -79,4 +79,5 @@ fn main() {
          the I/O bursts;\nexploitation of the compute phases rises, visible I/O \
          shrinks — the paper's Fig. 11/13 behaviour."
     );
+    Ok(())
 }

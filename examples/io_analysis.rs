@@ -9,7 +9,7 @@ use pfsim::burstbuffer::{required_drain_bandwidth, sustainable};
 use pfsim::BurstBufferConfig;
 use tmio::ftio;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let hacc = HaccConfig {
         particles_per_rank: 500_000,
         loops: 12,
@@ -21,8 +21,8 @@ fn main() {
     println!("=== FTIO period detection (HACC-IO, 16 ranks, 12 loops) ===");
     let out = Session::builder(ExpConfig::new(16, Strategy::None))
         .workload(HaccIo::new(hacc))
-        .build()
-        .run();
+        .try_build()?
+        .try_run()?;
     let loop_period = hacc.compute_seconds() + hacc.verify_seconds() + hacc.data_bytes() / 10e9; // + memcpy
     match ftio::detect_period(&out.pfs_write, 0.0, out.app_time(), 2048) {
         Some(est) => {
@@ -61,12 +61,12 @@ fn main() {
     let sync_run = |cfg| {
         Session::builder(cfg)
             .workload(HaccIo::sync(hacc))
-            .build()
-            .run()
+            .try_build()?
+            .try_run()
     };
-    let d = sync_run(direct);
-    let b = sync_run(buffered);
-    let dw = |o: &iobts::experiments::RunOutput| o.report.decomposition().sync_write / 16.0;
+    let d = sync_run(direct)?;
+    let b = sync_run(buffered)?;
+    let dw = |o: &RunOutput| o.report.decomposition().sync_write / 16.0;
     println!(
         "sync HACC-IO on a 1 GB/s PFS: {:.2} s without the tier, {:.2} s with it \
          (visible write time {:.2} s -> {:.2} s per rank)",
@@ -87,4 +87,5 @@ fn main() {
         back.phases.len(),
         back.required_bandwidth() / 1e6
     );
+    Ok(())
 }

@@ -1,18 +1,19 @@
 //! Quickstart: the smallest end-to-end use of the public API.
 //!
 //! Four ranks run a periodic async-checkpoint loop (the Fig. 3 pattern)
-//! through the ergonomic closure API, while TMIO traces the required
+//! as scripted per-rank programs, while TMIO traces the required
 //! bandwidth and the direct strategy throttles the next phase.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use iobts::mpisim::{FileId, Op, Program, ReqTag, World};
 use iobts::prelude::*;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let n_ranks = 4;
 
     // 1. Configure the runtime: limiter on (the "modified MPICH") …
-    let world = WorldConfig::new(n_ranks).with_limiter(true);
+    let cfg = WorldConfig::new(n_ranks).with_limiter(true);
 
     // 2. … and TMIO with the direct strategy, tol = 1.1 (the paper's value).
     let tracer = Tracer::new(
@@ -22,19 +23,25 @@ fn main() {
 
     // 3. Write the application like an MPI program: each rank overlaps a
     //    16 MB checkpoint with 50 ms of compute, ten times (Fig. 3).
-    let mut tw = Threaded::new(world, tracer);
-    let ckpt = tw.create_file("checkpoint.dat");
-    let (summary, tracer) = tw.run(move |ctx| {
-        for _ in 0..10 {
-            let req = ctx.iwrite(ckpt, 16e6); // MPI_File_iwrite_at
-            ctx.compute(0.050); //               …overlapped compute…
-            ctx.wait(req); //                    MPI_Wait
-        }
-        ctx.barrier();
-    });
+    let mut program = Program::new();
+    for k in 0..10 {
+        let (file, tag) = (FileId(0), ReqTag(k));
+        program
+            .push(Op::IWrite {
+                file,
+                bytes: 16e6,
+                tag,
+            }) // MPI_File_iwrite_at
+            .push(Op::Compute { seconds: 0.050 }) //        …overlapped compute…
+            .push(Op::Wait { tag }); //                     MPI_Wait
+    }
+    program.push(Op::Barrier);
+    let mut world = World::new(cfg, vec![program; n_ranks], tracer);
+    world.create_file("checkpoint.dat");
+    let summary = world.try_run()?;
 
     // 4. Pull the TMIO report.
-    let report = tracer.into_report();
+    let report = world.into_hooks().into_report();
 
     println!("=== quickstart: 4 ranks × 10 async checkpoints of 16 MB ===\n");
     println!("application runtime : {:>9.3} s", summary.makespan());
@@ -82,4 +89,5 @@ fn main() {
             w.throughput() / 1e6
         );
     }
+    Ok(())
 }

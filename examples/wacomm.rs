@@ -9,7 +9,7 @@ use hpcwl::wacomm::kernel;
 use iobts::prelude::*;
 use simcore::SimTime;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let mut args = std::env::args().skip(1);
     let ranks: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(96);
     let iterations: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(50);
@@ -45,12 +45,12 @@ fn main() {
     let run = |strategy| {
         Session::builder(ExpConfig::new(ranks, strategy))
             .workload(Wacomm::new(wc))
-            .build()
-            .run()
+            .try_build()?
+            .try_run()
     };
-    let none = run(Strategy::None);
-    let uponly = run(Strategy::UpOnly { tol: 1.1 });
-    let direct = run(Strategy::Direct { tol: 2.0 });
+    let none = run(Strategy::None)?;
+    let uponly = run(Strategy::UpOnly { tol: 1.1 })?;
+    let direct = run(Strategy::Direct { tol: 2.0 })?;
 
     println!(
         "{:<16} {:>9} {:>11} {:>12} {:>9}",
@@ -110,4 +110,5 @@ fn main() {
             / 1e6
     );
     let _ = t_end;
+    Ok(())
 }

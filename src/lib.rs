@@ -12,15 +12,10 @@
 //! * [`hpcwl`] — the HACC-IO and WaComM-like workloads;
 //! * [`clustersim`] — the batch-system simulator behind the motivation
 //!   study;
-//! * [`simcore`] — the discrete-event core.
-//!
+//! * [`simcore`] — the discrete-event core;
 //! * [`session`] — the canonical run pipeline: the `Workload` trait, the
 //!   `ExpConfig` builder, the `Session` entry point and streaming
 //!   `MetricsSink` backends.
-//!
-//! [`experiments`] re-exports the session crate's standard configurations
-//! and legacy runner wrappers used by the examples, the integration tests
-//! and the figure-regeneration harness.
 
 #![warn(missing_docs)]
 
@@ -32,17 +27,14 @@ pub use session;
 pub use simcore;
 pub use tmio;
 
-pub mod experiments;
-
 /// Convenient re-exports for typical use.
 pub mod prelude {
-    pub use crate::experiments::{run_hacc, run_wacomm, ExpConfig, RunOutput};
     pub use hpcwl::hacc::HaccConfig;
     pub use hpcwl::wacomm::WacommConfig;
-    pub use mpisim::{threaded::Threaded, WatchdogCfg, WorldConfig};
+    pub use mpisim::{WatchdogCfg, WorldConfig};
     pub use session::{
-        HaccIo, MemorySink, MetricsSink, RawWorkload, Session, SessionBuilder, SimError, SimResult,
-        StallSnapshot, Wacomm, Workload,
+        ExpConfig, HaccIo, MemorySink, MetricsSink, RawWorkload, RunOutput, Session,
+        SessionBuilder, SimError, SimResult, StallSnapshot, Wacomm, Workload,
     };
     pub use tmio::{Strategy, Tracer, TracerConfig};
 }

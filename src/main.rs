@@ -12,7 +12,6 @@
 //! overheads); `--json PATH` additionally writes the full trace in the
 //! format the real TMIO emits at `MPI_Finalize`.
 
-use iobts::experiments::{ExpConfig, RunOutput};
 use iobts::prelude::*;
 use iobts::session::JsonReportSink;
 use std::collections::HashMap;

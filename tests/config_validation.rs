@@ -196,3 +196,19 @@ fn invalid_program_is_a_typed_error_on_the_session_path() {
         other => panic!("expected InvalidProgram, got {other:?}"),
     }
 }
+
+#[test]
+fn raw_workload_with_the_wrong_rank_count_is_a_typed_error() {
+    let program = Program::from_ops(vec![Op::Compute { seconds: 0.01 }]);
+    let session = Session::builder(ExpConfig::new(2, Strategy::None))
+        .workload(RawWorkload::new("one-program", vec![program], vec!["f"]))
+        .try_build()
+        .expect("the config is valid");
+    match session.try_run() {
+        Err(SimError::InvalidConfig { field, reason }) => {
+            assert_eq!(field, "n_ranks");
+            assert!(reason.contains("2 ranks but 1 programs"), "{reason}");
+        }
+        other => panic!("expected InvalidConfig, got {other:?}"),
+    }
+}

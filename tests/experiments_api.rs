@@ -1,6 +1,9 @@
-//! Tests of the `iobts::experiments` public API surface itself.
+//! Tests of the experiment API surface itself: the `ExpConfig` builder, a
+//! `Session` run and its `RunOutput`.
 
-use iobts::experiments::{run_hacc, run_hacc_sync, run_wacomm, ExpConfig, RunOutput};
+mod common;
+
+use common::run;
 use iobts::prelude::*;
 
 fn small_hacc() -> HaccConfig {
@@ -24,7 +27,10 @@ fn exp_config_builder_round_trips() {
 
 #[test]
 fn run_output_totals_are_consistent() {
-    let out = run_hacc(&ExpConfig::new(4, Strategy::None), &small_hacc());
+    let out = run(
+        &ExpConfig::new(4, Strategy::None),
+        HaccIo::new(small_hacc()),
+    );
     assert!(out.total_time() >= out.app_time());
     assert!((out.total_time() - out.app_time() - out.report.post_overhead).abs() < 1e-12);
     // The summary and the report agree on the makespan.
@@ -33,7 +39,10 @@ fn run_output_totals_are_consistent() {
 
 #[test]
 fn pfs_series_cover_both_channels() {
-    let out = run_hacc(&ExpConfig::new(4, Strategy::None), &small_hacc());
+    let out = run(
+        &ExpConfig::new(4, Strategy::None),
+        HaccIo::new(small_hacc()),
+    );
     let horizon = simcore::SimTime::from_secs(out.app_time() + 1.0);
     let written = out.pfs_write.integral(simcore::SimTime::ZERO, horizon);
     let read = out.pfs_read.integral(simcore::SimTime::ZERO, horizon);
@@ -46,7 +55,10 @@ fn pfs_series_cover_both_channels() {
 
 #[test]
 fn sync_baseline_has_no_phases() {
-    let out = run_hacc_sync(&ExpConfig::new(2, Strategy::None), &small_hacc());
+    let out = run(
+        &ExpConfig::new(2, Strategy::None),
+        HaccIo::sync(small_hacc()),
+    );
     assert!(out.report.phases.is_empty());
     assert!(out.report.decomposition().sync_write > 0.0 || out.app_time() > 0.0);
 }
@@ -54,12 +66,12 @@ fn sync_baseline_has_no_phases() {
 #[test]
 fn record_pfs_off_yields_empty_series() {
     let cfg = ExpConfig::new(2, Strategy::None).with_record_pfs(false);
-    let out = run_wacomm(
+    let out = run(
         &cfg,
-        &WacommConfig {
+        Wacomm::new(WacommConfig {
             iterations: 4,
             ..Default::default()
-        },
+        }),
     );
     assert!(out.pfs_write.is_empty());
     assert!(out.report.required_bandwidth() > 0.0, "tracing still works");
@@ -69,7 +81,7 @@ fn record_pfs_off_yields_empty_series() {
 fn seeds_thread_through_the_pipeline() {
     let time = |seed| {
         let cfg = ExpConfig::new(4, Strategy::Direct { tol: 1.1 }).with_seed(seed);
-        run_hacc(&cfg, &small_hacc()).app_time()
+        run(&cfg, HaccIo::new(small_hacc())).app_time()
     };
     assert_eq!(time(1), time(1));
     assert_ne!(time(1), time(2), "different seeds must differ under noise");
@@ -81,13 +93,13 @@ fn burst_buffer_passes_through_exp_config() {
         write_capacity: 50e6,
         read_capacity: 1e9,
     });
-    let slow: RunOutput = run_hacc_sync(&cfg, &small_hacc());
+    let slow: RunOutput = run(&cfg, HaccIo::sync(small_hacc()));
     let cfg = cfg.with_burst_buffer(pfsim::BurstBufferConfig {
         size_bytes: 1e9,
         absorb_rate: 5e9,
         drain_rate: 50e6,
     });
-    let buffered = run_hacc_sync(&cfg, &small_hacc());
+    let buffered = run(&cfg, HaccIo::sync(small_hacc()));
     assert!(
         buffered.app_time() < slow.app_time(),
         "buffered {} vs direct {}",

@@ -1,4 +1,4 @@
-//! Fault-injection invariants at the `iobts::experiments` API level.
+//! Fault-injection invariants at the session API level.
 //!
 //! The load-bearing property: a **zero-magnitude** fault plan — windows
 //! with factor 1, an error model with probability 0, stragglers with
@@ -7,7 +7,8 @@
 //! the decomposition. This is what guarantees the figure pipeline cannot
 //! drift merely because fault injection is compiled in.
 
-use iobts::experiments::{run_hacc, ExpConfig, RunOutput};
+mod common;
+
 use iobts::prelude::*;
 use proptest::prelude::*;
 use proptest::Strategy as PropStrategy;
@@ -27,7 +28,7 @@ fn small_hacc() -> HaccConfig {
 
 fn run(cfg: &ExpConfig) -> RunOutput {
     let cfg = cfg.clone().with_record_pfs(false);
-    run_hacc(&cfg, &small_hacc())
+    common::run(&cfg, HaccIo::new(small_hacc()))
 }
 
 /// Everything the figure CSVs read off a run, at full bit precision, plus

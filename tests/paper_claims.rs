@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the paper's headline claims, end-to-end.
 
-use iobts::experiments::{run_hacc, run_wacomm, run_wacomm_sync, ExpConfig};
+mod common;
+
 use iobts::prelude::*;
 use tmio::Report;
 
@@ -16,8 +17,11 @@ fn limiting_flattens_bursts_at_stable_runtime() {
         loops: 8,
         ..Default::default()
     };
-    let base = run_hacc(&ExpConfig::new(16, Strategy::None), &hacc);
-    let lim = run_hacc(&ExpConfig::new(16, Strategy::UpOnly { tol: 1.1 }), &hacc);
+    let base = common::run(&ExpConfig::new(16, Strategy::None), HaccIo::new(hacc));
+    let lim = common::run(
+        &ExpConfig::new(16, Strategy::UpOnly { tol: 1.1 }),
+        HaccIo::new(hacc),
+    );
 
     let slowdown = (lim.app_time() - base.app_time()) / base.app_time();
     assert!(
@@ -61,7 +65,7 @@ fn exploitation_rises_with_limiting() {
         ..Default::default()
     };
     let exploit = |strategy| {
-        let out = run_hacc(&ExpConfig::new(8, strategy), &hacc);
+        let out = common::run(&ExpConfig::new(8, strategy), HaccIo::new(hacc));
         let d = out.report.decomposition();
         100.0 * d.exploit() / d.total
     };
@@ -88,8 +92,8 @@ fn app_level_b_scales_with_ranks() {
         iterations: 10,
         ..Default::default()
     };
-    let out8 = run_wacomm(&ExpConfig::new(8, Strategy::None).exact(), &wc);
-    let out16 = run_wacomm(&ExpConfig::new(16, Strategy::None).exact(), &wc);
+    let out8 = common::run(&ExpConfig::new(8, Strategy::None).exact(), Wacomm::new(wc));
+    let out16 = common::run(&ExpConfig::new(16, Strategy::None).exact(), Wacomm::new(wc));
     let b8 = out8.report.required_bandwidth();
     let b16 = out16.report.required_bandwidth();
     // Halving the per-rank particle share halves per-rank B and bytes, but
@@ -109,7 +113,10 @@ fn throughput_follows_previous_phase_limit() {
         iterations: 12,
         ..Default::default()
     };
-    let out = run_wacomm(&ExpConfig::new(4, Strategy::UpOnly { tol: 1.1 }), &wc);
+    let out = common::run(
+        &ExpConfig::new(4, Strategy::UpOnly { tol: 1.1 }),
+        Wacomm::new(wc),
+    );
     let mut checked = 0;
     for w in &out.report.windows {
         let phase = out
@@ -152,7 +159,7 @@ fn async_issue_beats_sync_issue() {
         let programs = vec![cfg.program(mpisim::FileId(0)); 8];
         let mut w = World::new(wc, programs, NoHooks);
         w.create_file("f");
-        w.run().makespan()
+        w.try_run().unwrap().makespan()
     };
     let sync = mk(IssueMode::Sync);
     let asynchronous = mk(IssueMode::Async);
@@ -169,8 +176,8 @@ fn async_issue_beats_sync_issue() {
         iterations: 10,
         ..Default::default()
     };
-    let sync_orig = run_wacomm_sync(&ExpConfig::new(8, Strategy::None), &wc);
-    let async_none = run_wacomm(&ExpConfig::new(8, Strategy::None), &wc);
+    let sync_orig = common::run(&ExpConfig::new(8, Strategy::None), Wacomm::sync(wc));
+    let async_none = common::run(&ExpConfig::new(8, Strategy::None), Wacomm::new(wc));
     assert!(async_none.app_time() <= sync_orig.app_time() * 1.01);
 }
 
@@ -184,7 +191,10 @@ fn overhead_bounds_hold() {
         ..Default::default()
     };
     for n in [1, 8, 32] {
-        let out = run_hacc(&ExpConfig::new(n, Strategy::Direct { tol: 1.1 }), &hacc);
+        let out = common::run(
+            &ExpConfig::new(n, Strategy::Direct { tol: 1.1 }),
+            HaccIo::new(hacc),
+        );
         let (app, peri, post, total) = out.report.overhead_split();
         assert!(peri / (app * n as f64) < 0.001, "peri > 0.1 % at {n} ranks");
         assert!(
@@ -203,7 +213,10 @@ fn report_json_roundtrip() {
         loops: 4,
         ..Default::default()
     };
-    let out = run_hacc(&ExpConfig::new(4, Strategy::Direct { tol: 1.1 }), &hacc);
+    let out = common::run(
+        &ExpConfig::new(4, Strategy::Direct { tol: 1.1 }),
+        HaccIo::new(hacc),
+    );
     let json = out.report.to_json();
     let back = Report::from_json(&json).expect("parse");
     assert_eq!(back.phases.len(), out.report.phases.len());
@@ -221,54 +234,6 @@ fn report_json_roundtrip() {
     }
 }
 
-/// Scripted programs and the threaded closure API produce identical timing
-/// for the same workload (the two front ends share one virtual machine).
-#[test]
-fn threaded_matches_scripted() {
-    use mpisim::{FileId, NoHooks, Op, Program, ReqTag, World, WorldConfig};
-
-    let loops = 6u32;
-    let bytes = 4e6;
-    let compute = 0.05;
-
-    // Scripted.
-    let mut ops = Vec::new();
-    for k in 0..loops {
-        ops.push(Op::IWrite {
-            file: FileId(0),
-            bytes,
-            tag: ReqTag(k),
-        });
-        ops.push(Op::Compute { seconds: compute });
-        ops.push(Op::Wait { tag: ReqTag(k) });
-        ops.push(Op::Barrier);
-    }
-    let mut w = World::new(
-        WorldConfig::new(4),
-        vec![Program::from_ops(ops); 4],
-        NoHooks,
-    );
-    w.create_file("f");
-    let scripted = w.run().makespan();
-
-    // Threaded.
-    let mut tw = Threaded::new(WorldConfig::new(4), NoHooks);
-    let f = tw.create_file("f");
-    let (summary, _) = tw.run(move |ctx| {
-        for _ in 0..loops {
-            let r = ctx.iwrite(f, bytes);
-            ctx.compute(compute);
-            ctx.wait(r);
-            ctx.barrier();
-        }
-    });
-    let threaded = summary.makespan();
-    assert!(
-        (scripted - threaded).abs() < 1e-9,
-        "scripted {scripted} vs threaded {threaded}"
-    );
-}
-
 /// Full-pipeline determinism: identical seeds reproduce identical reports.
 #[test]
 fn experiment_pipeline_is_deterministic() {
@@ -278,7 +243,7 @@ fn experiment_pipeline_is_deterministic() {
         ..Default::default()
     };
     let run = || {
-        let out = run_hacc(
+        let out = common::run(
             &ExpConfig::new(
                 8,
                 Strategy::Adaptive {
@@ -286,7 +251,7 @@ fn experiment_pipeline_is_deterministic() {
                     tol_i: 0.5,
                 },
             ),
-            &hacc,
+            HaccIo::new(hacc),
         );
         (out.app_time(), out.report.to_json())
     };
@@ -328,8 +293,11 @@ fn underestimating_strategy_degrades_gracefully() {
         loops: 6,
         ..Default::default()
     };
-    let base = run_hacc(&ExpConfig::new(4, Strategy::None), &hacc);
-    let tight = run_hacc(&ExpConfig::new(4, Strategy::Direct { tol: 0.7 }), &hacc);
+    let base = common::run(&ExpConfig::new(4, Strategy::None), HaccIo::new(hacc));
+    let tight = common::run(
+        &ExpConfig::new(4, Strategy::Direct { tol: 0.7 }),
+        HaccIo::new(hacc),
+    );
     // Waits appear (the paper's "too-low value" hazard) …
     let d = tight.report.decomposition();
     assert!(d.async_write_lost + d.async_read_lost > 0.1);

@@ -2,8 +2,11 @@
 //! runner: for any configuration, running a workload through
 //! `Session::builder(..)` is bit-identical to constructing the
 //! `WorldConfig`/`TracerConfig`/`Tracer`/`World` by hand from the public
-//! `ExpConfig` fields — the wiring `run_hacc`/`run_wacomm` used to do
-//! inline. This pins every config knob the session layer translates.
+//! `ExpConfig` fields, the wiring the runners did inline before the
+//! session layer existed. This pins every config knob the session layer
+//! translates.
+
+mod common;
 
 use iobts::prelude::*;
 use mpisim::{FileId, World};
@@ -33,8 +36,7 @@ fn fingerprint(
 }
 
 /// The legacy runner wiring, reconstructed by hand from the public
-/// `ExpConfig` fields (this is what `experiments::run_*` inlined before
-/// the session layer existed).
+/// `ExpConfig` fields.
 fn legacy_run(cfg: &ExpConfig, programs: Vec<mpisim::Program>, files: &[String]) -> String {
     let mut wc = WorldConfig::new(cfg.n_ranks)
         .with_limiter(cfg.strategy.limits())
@@ -58,7 +60,7 @@ fn legacy_run(cfg: &ExpConfig, programs: Vec<mpisim::Program>, files: &[String])
     for f in files {
         world.create_file(f);
     }
-    let summary = world.run();
+    let summary = world.try_run().unwrap();
     let pfs_write = world.pfs_series(mpisim::Channel::Write).clone();
     let report = std::mem::replace(
         world.hooks_mut(),
@@ -69,10 +71,7 @@ fn legacy_run(cfg: &ExpConfig, programs: Vec<mpisim::Program>, files: &[String])
 }
 
 fn session_fingerprint(cfg: &ExpConfig, workload: impl Workload + 'static) -> String {
-    let out = Session::builder(cfg.clone())
-        .workload(workload)
-        .build()
-        .run();
+    let out = common::run(cfg, workload);
     fingerprint(&out.summary, &out.report, &out.pfs_write)
 }
 
