@@ -503,6 +503,10 @@ pub struct RunStats {
     /// Events scheduled into the slot of the event popped just before (one
     /// sift-down each, in place of a removal plus a push).
     pub root_reuses: u64,
+    /// PFS allocation solves, both channels.
+    pub pfs_solves: u64,
+    /// Largest flow-group count either PFS channel held after a solve.
+    pub pfs_peak_groups: u64,
 }
 
 impl RunSummary {
@@ -727,6 +731,8 @@ impl<H: IoHooks> World<H> {
                 events,
                 heap_pushes: self.queue.heap_pushes(),
                 root_reuses: self.queue.root_reuses(),
+                pfs_solves: self.pfs.solves(),
+                pfs_peak_groups: self.pfs.peak_groups(),
             },
         })
     }

@@ -1,14 +1,32 @@
 //! Event-driven fluid parallel-file-system engine.
 //!
-//! Flows progress at the rates produced by [`crate::alloc::water_fill_into`];
-//! rates are piecewise-constant between *events* (submissions, completions,
-//! cap or capacity changes). The engine is passive: a host simulation calls
+//! Flows progress at the rates of a bounded max-min allocation; rates are
+//! piecewise-constant between *events* (submissions, completions, cap or
+//! capacity changes). The engine is passive: a host simulation calls
 //! [`Pfs::advance_to`] to move virtual time forward and collects completed
 //! flows, and uses [`Pfs::next_completion`] to know when to call back.
 //!
 //! Identical flows submitted at the same instant merge into *flow groups*
 //! that progress and complete together, which keeps 9216-rank synchronized
-//! bursts O(1) instead of O(ranks) per event.
+//! bursts O(1) instead of O(ranks) per event. A channel stores its groups
+//! as parallel columns (members, remaining bytes, rate, weight, cap,
+//! meter), so the per-event passes over all groups read only the columns
+//! they need.
+//!
+//! Each reallocation takes one of two paths, with bit-identical results:
+//!
+//! * **uniform** — no group is capped and every weight is 1, as for every
+//!   flow `mpisim` submits. Every rate is `θ = capacity / n_flows`, exactly
+//!   what [`water_fill_into`] computes: its weight sum adds `1.0 · count`
+//!   per group, and every partial sum is an integer below 2^53, so the sum
+//!   is exact in any order. Division by `θ > 0` and [`SimTime::after`] are
+//!   both monotone non-decreasing, so the earliest completion
+//!   `min_i now.after(rem_i / θ)` is `now.after(min_i rem_i / θ)`: one
+//!   division per solve, and a `min` over the remaining-bytes column that
+//!   is exact in any order.
+//! * **general** — caps or weights ≠ 1 (burst-buffer drains, weighted
+//!   cluster jobs): the demand table goes through [`water_fill_into`], and
+//!   the earliest completion is `now.after` of the smallest quotient.
 
 use crate::alloc::{water_fill_into, Demand, WaterFillScratch};
 use simcore::{SimTime, StepSeries};
@@ -65,19 +83,6 @@ impl FlowSpec {
     }
 }
 
-/// A group of identical flows progressing in lockstep.
-#[derive(Clone, Debug)]
-struct Group {
-    members: Vec<FlowId>,
-    /// Remaining bytes of each member (identical across members).
-    remaining: f64,
-    weight: f64,
-    cap: Option<f64>,
-    meter: Option<MeterId>,
-    /// Per-member rate from the last allocation.
-    rate: f64,
-}
-
 /// Configuration of the PFS model.
 #[derive(Clone, Copy, Debug)]
 pub struct PfsConfig {
@@ -97,18 +102,33 @@ impl Default for PfsConfig {
     }
 }
 
+/// One channel's flow groups, one column per field, indexed by group.
+/// Groups are appended on creation and removed by `swap_remove`; that
+/// order decides harvest order, and harvest order decides event order.
 struct ChannelState {
     capacity: f64,
     /// Fault-plan capacity multiplier (1 = healthy, 0 = outage). Kept
     /// separate from `capacity` so capacity noise and injected faults
     /// compose instead of overwriting each other.
     fault_factor: f64,
-    groups: Vec<Group>,
+    /// The flows of each group, which progress in lockstep.
+    members: Vec<Vec<FlowId>>,
+    /// Remaining bytes of each member (identical across members).
+    rem: Vec<f64>,
+    /// Per-member rate from the last allocation.
+    rate: Vec<f64>,
+    weight: Vec<f64>,
+    cap: Vec<Option<f64>>,
+    meter: Vec<Option<MeterId>>,
+    /// Live flows (members over all groups).
+    n_flows: usize,
+    /// Groups with a cap.
+    n_capped: usize,
+    /// Groups with a weight other than 1.
+    n_weighted: usize,
     total_series: StepSeries,
-    /// Resident demand buffer, rebuilt in place by each reallocation.
+    /// Resident demand buffer for the general solve path.
     demands: Vec<Demand>,
-    /// Resident rate output buffer for the water-fill solve.
-    rates: Vec<f64>,
     /// Resident sort/freeze buffers for the water-fill solve.
     fill: WaterFillScratch,
     /// Earliest absolute completion time over groups with positive rate.
@@ -126,25 +146,128 @@ impl ChannelState {
         ChannelState {
             capacity,
             fault_factor: 1.0,
-            groups: Vec::new(),
+            members: Vec::new(),
+            rem: Vec::new(),
+            rate: Vec::new(),
+            weight: Vec::new(),
+            cap: Vec::new(),
+            meter: Vec::new(),
+            n_flows: 0,
+            n_capped: 0,
+            n_weighted: 0,
             total_series: StepSeries::new(),
             demands: Vec::new(),
-            rates: Vec::new(),
             fill: WaterFillScratch::default(),
             next_done: None,
         }
     }
 
-    /// Earliest completion of a group with positive rate, computed from
-    /// `now`; only groups due strictly after `after` count, if given.
-    fn min_completion(&self, now: SimTime, after: Option<SimTime>) -> Option<SimTime> {
-        self.groups
-            .iter()
-            .filter(|g| g.rate > 0.0)
-            .map(|g| now.after(g.remaining / g.rate))
-            .filter(|&at| after.is_none_or(|a| at > a))
-            .min()
+    /// Appends a group of `members` with `bytes` remaining each.
+    fn push(
+        &mut self,
+        members: Vec<FlowId>,
+        bytes: f64,
+        weight: f64,
+        cap: Option<f64>,
+        meter: Option<MeterId>,
+    ) {
+        self.n_flows += members.len();
+        self.n_capped += usize::from(cap.is_some());
+        self.n_weighted += usize::from(weight != 1.0);
+        self.members.push(members);
+        self.rem.push(bytes);
+        self.rate.push(0.0);
+        self.weight.push(weight);
+        self.cap.push(cap);
+        self.meter.push(meter);
     }
+
+    /// Removes group `i` by `swap_remove` and returns its member buffer.
+    fn swap_remove(&mut self, i: usize) -> Vec<FlowId> {
+        let members = self.members.swap_remove(i);
+        self.n_flows -= members.len();
+        self.n_capped -= usize::from(self.cap.swap_remove(i).is_some());
+        self.n_weighted -= usize::from(self.weight.swap_remove(i) != 1.0);
+        self.rem.swap_remove(i);
+        self.rate.swap_remove(i);
+        self.meter.swap_remove(i);
+        members
+    }
+
+    /// The group a new flow of `spec` merges into: one with the same
+    /// remaining bytes, cap, weight and meter.
+    fn find(&self, spec: &FlowSpec) -> Option<usize> {
+        let mut i = 0;
+        loop {
+            i = first_hit(&self.rem, &self.weight, i, |x, w| {
+                x == spec.bytes && w == spec.weight
+            });
+            if i == self.rem.len() {
+                return None;
+            }
+            if self.cap[i] == spec.cap && self.meter[i] == spec.meter {
+                return Some(i);
+            }
+            i += 1;
+        }
+    }
+
+    /// Earliest completion of a group with positive rate, computed from
+    /// `now`: `now.after` of the smallest `rem / rate` quotient, which is
+    /// exact because both steps are monotone.
+    fn min_completion(&self, now: SimTime) -> Option<SimTime> {
+        let mut any = false;
+        let mut q = f64::INFINITY;
+        for (&x, &r) in self.rem.iter().zip(&self.rate) {
+            if r > 0.0 {
+                any = true;
+                q = q.min(x / r);
+            }
+        }
+        any.then(|| now.after(q))
+    }
+}
+
+/// The smallest element of `xs` (∞ when empty), over eight independent
+/// running minima so the scan is not one serial dependency chain. `min` is
+/// exact, so the result does not depend on the lane split.
+fn min_of(xs: &[f64]) -> f64 {
+    let min = |a: f64, b: f64| if b < a { b } else { a };
+    let mut lanes = [f64::INFINITY; 8];
+    let mut chunks = xs.chunks_exact(8);
+    for c in &mut chunks {
+        for (m, &x) in lanes.iter_mut().zip(c) {
+            *m = min(*m, x);
+        }
+    }
+    let [a, b, c, d, e, f, g, h] = lanes;
+    let tail = chunks
+        .remainder()
+        .iter()
+        .fold(f64::INFINITY, |m, &x| min(m, x));
+    min(
+        tail,
+        min(min(min(a, e), min(b, f)), min(min(c, g), min(d, h))),
+    )
+}
+
+/// The first index `i >= from` with `hit(xs[i], ys[i])`, or `xs.len()`.
+/// Tests eight pairs per step without an early exit, so the test
+/// vectorizes; the result is the same as a plain forward scan.
+fn first_hit(xs: &[f64], ys: &[f64], from: usize, hit: impl Fn(f64, f64) -> bool) -> usize {
+    let n = xs.len();
+    let ys = &ys[..n];
+    let mut i = from;
+    while i + 8 <= n {
+        if (i..i + 8).fold(false, |any, k| any | hit(xs[k], ys[k])) {
+            break;
+        }
+        i += 8;
+    }
+    while i < n && !hit(xs[i], ys[i]) {
+        i += 1;
+    }
+    i
 }
 
 /// The fluid PFS engine. See module docs.
@@ -161,6 +284,10 @@ pub struct Pfs {
     /// vector here, and the next group creation reuses it, so steady-state
     /// submit/complete churn performs no heap allocation.
     member_pool: Vec<Vec<FlowId>>,
+    /// Allocation solves so far, both channels.
+    solves: u64,
+    /// Largest group count either channel held after a solve.
+    peak_groups: u64,
 }
 
 /// Bytes below which a flow counts as finished (guards FP drift).
@@ -183,6 +310,8 @@ impl Pfs {
             record: true,
             meter_rates: Vec::new(),
             member_pool: Vec::new(),
+            solves: 0,
+            peak_groups: 0,
         }
     }
 
@@ -214,21 +343,27 @@ impl Pfs {
         &self.channels[channel.index()].total_series
     }
 
-    /// Number of in-flight flows on a channel.
+    /// Allocation solves so far, both channels: one per submission, cap,
+    /// capacity or fault change and per harvest that retired a group.
+    pub fn solves(&self) -> u64 {
+        self.solves
+    }
+
+    /// Largest number of flow groups either channel held after a solve.
+    pub fn peak_groups(&self) -> u64 {
+        self.peak_groups
+    }
+
+    /// Number of in-flight flows on a channel. O(1).
     pub fn active_flows(&self, channel: Channel) -> usize {
-        self.channels[channel.index()]
-            .groups
-            .iter()
-            .map(|g| g.members.len())
-            .sum()
+        self.channels[channel.index()].n_flows
     }
 
     /// Submits `count` identical flows at time `t`; returns their ids.
     ///
-    /// `t` must be ≥ all previously observed times. Zero-byte flows are
-    /// returned as completed immediately via the `completed` out-list of the
-    /// next [`Pfs::advance_to`]; to keep the API simple they are instead
-    /// reported by this call's return value `(ids, completed_now)`.
+    /// `t` must be ≥ all previously observed times. Like [`Pfs::submit`],
+    /// zero-byte flows are not reported here: they complete at `t` and come
+    /// back from the next [`Pfs::advance_to`] (or [`Pfs::advance_into`]).
     pub fn submit_many(
         &mut self,
         t: SimTime,
@@ -258,25 +393,15 @@ impl Pfs {
         let ch = &mut self.channels[channel.index()];
         // Merge with an existing identical group (same remaining/cap/weight/
         // meter) — the common case for synchronized bursts.
-        let found = ch.groups.iter_mut().find(|g| {
-            g.remaining == spec.bytes
-                && g.cap == spec.cap
-                && g.weight == spec.weight
-                && g.meter == spec.meter
-        });
-        match found {
-            Some(g) => g.members.extend_from_slice(&ids),
+        match ch.find(&spec) {
+            Some(i) => {
+                ch.members[i].extend_from_slice(&ids);
+                ch.n_flows += count;
+            }
             None => {
                 let mut members = self.member_pool.pop().unwrap_or_default();
                 members.extend_from_slice(&ids);
-                ch.groups.push(Group {
-                    members,
-                    remaining: spec.bytes,
-                    weight: spec.weight,
-                    cap: spec.cap,
-                    meter: spec.meter,
-                    rate: 0.0,
-                });
+                ch.push(members, spec.bytes, spec.weight, spec.cap, spec.meter);
             }
         }
         self.reallocate(channel);
@@ -299,25 +424,15 @@ impl Pfs {
         let id = FlowId(self.next_flow);
         self.next_flow += 1;
         let ch = &mut self.channels[channel.index()];
-        let found = ch.groups.iter_mut().find(|g| {
-            g.remaining == spec.bytes
-                && g.cap == spec.cap
-                && g.weight == spec.weight
-                && g.meter == spec.meter
-        });
-        match found {
-            Some(g) => g.members.push(id),
+        match ch.find(&spec) {
+            Some(i) => {
+                ch.members[i].push(id);
+                ch.n_flows += 1;
+            }
             None => {
                 let mut members = self.member_pool.pop().unwrap_or_default();
                 members.push(id);
-                ch.groups.push(Group {
-                    members,
-                    remaining: spec.bytes,
-                    weight: spec.weight,
-                    cap: spec.cap,
-                    meter: spec.meter,
-                    rate: 0.0,
-                });
+                ch.push(members, spec.bytes, spec.weight, spec.cap, spec.meter);
             }
         }
         self.reallocate(channel);
@@ -334,32 +449,27 @@ impl Pfs {
         let done = self.advance_to(t);
         assert!(done.is_empty(), "handle completions before set_cap");
         let Some((channel, gi)) = [Channel::Write, Channel::Read].into_iter().find_map(|c| {
-            let groups = &self.channels[c.index()].groups;
-            Some((c, groups.iter().position(|g| g.members.contains(&flow))?))
+            let members = &self.channels[c.index()].members;
+            Some((c, members.iter().position(|m| m.contains(&flow))?))
         }) else {
             return;
         };
         let ch = &mut self.channels[channel.index()];
-        if ch.groups[gi].cap == cap {
+        if ch.cap[gi] == cap {
             return;
         }
-        if ch.groups[gi].members.len() == 1 {
-            ch.groups[gi].cap = cap;
+        if ch.members[gi].len() == 1 {
+            ch.n_capped =
+                ch.n_capped + usize::from(cap.is_some()) - usize::from(ch.cap[gi].is_some());
+            ch.cap[gi] = cap;
         } else {
             // Split this member into its own group.
             let mut members = self.member_pool.pop().unwrap_or_default();
             members.push(flow);
-            let g = &mut ch.groups[gi];
-            g.members.retain(|&m| m != flow);
-            let split = Group {
-                members,
-                remaining: g.remaining,
-                weight: g.weight,
-                cap,
-                meter: g.meter,
-                rate: 0.0,
-            };
-            ch.groups.push(split);
+            ch.members[gi].retain(|&m| m != flow);
+            ch.n_flows -= 1;
+            let (rem, weight, meter) = (ch.rem[gi], ch.weight[gi], ch.meter[gi]);
+            ch.push(members, rem, weight, cap, meter);
         }
         self.reallocate(channel);
     }
@@ -436,7 +546,7 @@ impl Pfs {
             self.progress_all(step_to);
             self.now = step_to;
             // Harvest groups that reached zero. The threshold must absorb
-            // float residue from `remaining -= rate·dt`, AND the case where a
+            // float residue from `rem -= rate·dt`, AND the case where a
             // group's remaining maps to a time increment below the ulp of
             // `now` (otherwise the loop would spin at dt = 0 forever): any
             // remaining the clock cannot resolve counts as finished.
@@ -450,21 +560,19 @@ impl Pfs {
                     Some(due) if due <= step_to => {}
                     _ => continue,
                 }
+                let ch = &mut self.channels[idx];
                 let mut finished_any = false;
-                let mut i = 0;
-                while i < self.channels[idx].groups.len() {
-                    let g = &self.channels[idx].groups[i];
-                    let eps = EPSILON_BYTES.max(g.rate * time_ulp * 4.0);
-                    if g.remaining <= eps {
-                        let mut g = self.channels[idx].groups.swap_remove(i);
-                        for &m in &g.members {
-                            completed.push((step_to, m));
-                        }
-                        g.members.clear();
-                        self.member_pool.push(g.members);
+                let done = |x: f64, r: f64| x <= EPSILON_BYTES.max(r * time_ulp * 4.0);
+                let mut i = first_hit(&ch.rem, &ch.rate, 0, done);
+                while i < ch.rem.len() {
+                    if done(ch.rem[i], ch.rate[i]) {
+                        let mut members = ch.swap_remove(i);
+                        completed.extend(members.iter().map(|&m| (step_to, m)));
+                        members.clear();
+                        self.member_pool.push(members);
                         finished_any = true;
                     } else {
-                        i += 1;
+                        i = first_hit(&ch.rem, &ch.rate, i + 1, done);
                     }
                 }
                 if finished_any {
@@ -476,8 +584,11 @@ impl Pfs {
                     // strictly past `step_to` so the loop is guaranteed to
                     // make progress.
                     debug_assert!(finished_any, "due completion harvested nothing");
-                    let ch = &mut self.channels[idx];
-                    ch.next_done = ch.min_completion(step_to, Some(step_to));
+                    ch.next_done = (0..ch.rem.len())
+                        .filter(|&i| ch.rate[i] > 0.0)
+                        .map(|i| step_to.after(ch.rem[i] / ch.rate[i]))
+                        .filter(|&at| at > step_to)
+                        .min();
                 }
             }
         }
@@ -491,37 +602,47 @@ impl Pfs {
             return;
         }
         for ch in &mut self.channels {
-            for g in &mut ch.groups {
-                if g.rate > 0.0 {
-                    let moved = g.rate * dt;
-                    // Snap to exactly zero when the step covers the group's
-                    // remaining bytes, so FP residue cannot survive the step.
-                    g.remaining = if moved >= g.remaining {
-                        0.0
-                    } else {
-                        g.remaining - moved
-                    };
-                }
+            for (x, &r) in ch.rem.iter_mut().zip(&ch.rate) {
+                let moved = r * dt;
+                // Snap to exactly zero when the step covers the group's
+                // remaining bytes, so FP residue cannot survive the step.
+                let left = if moved >= *x { 0.0 } else { *x - moved };
+                *x = if r > 0.0 { left } else { *x };
             }
         }
     }
 
-    /// Test support: asserts that the incremental allocator state and the
-    /// cached earliest completions agree with a from-scratch recomputation.
+    /// Test support: asserts that the incremental allocator state, the
+    /// group counts and the cached earliest completions agree with a
+    /// from-scratch recomputation.
     ///
-    /// Rates must match *bitwise* (the incremental path runs the same solve
-    /// into resident buffers); cached completion times may differ from a
-    /// rescan by FP ulps because they were computed against an earlier `now`.
+    /// Rates must match *bitwise* (both solve paths reproduce the
+    /// water-fill bits); cached completion times may differ from a rescan
+    /// by FP ulps because they were computed against an earlier `now`.
     #[doc(hidden)]
     pub fn validate_invariants(&self) {
         for (ci, ch) in self.channels.iter().enumerate() {
-            let demands: Vec<Demand> = ch
-                .groups
-                .iter()
-                .map(|g| Demand {
-                    count: g.members.len(),
-                    weight: g.weight,
-                    cap: g.cap,
+            let n = ch.members.len();
+            for len in [
+                ch.rem.len(),
+                ch.rate.len(),
+                ch.weight.len(),
+                ch.cap.len(),
+                ch.meter.len(),
+            ] {
+                assert_eq!(len, n, "channel {ci}: column lengths differ");
+            }
+            assert_eq!(ch.n_flows, ch.members.iter().map(Vec::len).sum::<usize>());
+            assert_eq!(ch.n_capped, ch.cap.iter().filter(|c| c.is_some()).count());
+            assert_eq!(
+                ch.n_weighted,
+                ch.weight.iter().filter(|&&w| w != 1.0).count()
+            );
+            let demands: Vec<Demand> = (0..n)
+                .map(|i| Demand {
+                    count: ch.members[i].len(),
+                    weight: ch.weight[i],
+                    cap: ch.cap[i],
                 })
                 .collect();
             let mut fresh = Vec::new();
@@ -531,15 +652,13 @@ impl Pfs {
                 &mut WaterFillScratch::default(),
                 &mut fresh,
             );
-            for (gi, (g, r)) in ch.groups.iter().zip(&fresh).enumerate() {
+            for (gi, (r, f)) in ch.rate.iter().zip(&fresh).enumerate() {
                 assert!(
-                    g.rate == *r,
-                    "channel {ci} group {gi}: incremental rate {} != from-scratch {}",
-                    g.rate,
-                    r
+                    r.to_bits() == f.to_bits(),
+                    "channel {ci} group {gi}: incremental rate {r} != from-scratch {f}"
                 );
             }
-            match (ch.next_done, ch.min_completion(self.now, None)) {
+            match (ch.next_done, ch.min_completion(self.now)) {
                 (None, None) => {}
                 (Some(a), Some(b)) => {
                     let (a, b) = (a.as_secs(), b.as_secs());
@@ -556,32 +675,34 @@ impl Pfs {
     /// Recomputes rates on `channel` after a state change, recomputes the
     /// channel's earliest completion time, and records series.
     ///
-    /// Allocation-free on the hot path: demands, rates and sort scratch are
-    /// all resident in the channel state. Only the dirty channel is touched
-    /// — the other channel's allocation and earliest completion remain
-    /// valid because channels never share capacity.
+    /// Allocation-free on the hot path: the general path's demands and sort
+    /// scratch are resident in the channel state. Only the dirty channel is
+    /// touched — the other channel's allocation and earliest completion
+    /// remain valid because channels never share capacity.
     fn reallocate(&mut self, channel: Channel) {
         let now = self.now;
         let ch = &mut self.channels[channel.index()];
-        ch.demands.clear();
-        ch.demands.extend(ch.groups.iter().map(|g| Demand {
-            count: g.members.len(),
-            weight: g.weight,
-            cap: g.cap,
-        }));
-        water_fill_into(
-            ch.capacity * ch.fault_factor,
-            &ch.demands,
-            &mut ch.fill,
-            &mut ch.rates,
-        );
-        for (g, &r) in ch.groups.iter_mut().zip(&ch.rates) {
-            g.rate = r;
+        self.solves += 1;
+        self.peak_groups = self.peak_groups.max(ch.members.len() as u64);
+        let capacity = ch.capacity * ch.fault_factor;
+        if ch.n_capped == 0 && ch.n_weighted == 0 {
+            // Uniform path (module docs): one level θ for every group.
+            let theta = capacity / ch.n_flows as f64;
+            ch.rate.fill(theta);
+            ch.next_done =
+                (theta > 0.0 && !ch.rem.is_empty()).then(|| now.after(min_of(&ch.rem) / theta));
+        } else {
+            ch.demands.clear();
+            ch.demands.extend((0..ch.members.len()).map(|i| Demand {
+                count: ch.members[i].len(),
+                weight: ch.weight[i],
+                cap: ch.cap[i],
+            }));
+            water_fill_into(capacity, &ch.demands, &mut ch.fill, &mut ch.rate);
+            // Stalled groups (rate 0) never complete, matching
+            // `next_completion`'s contract.
+            ch.next_done = ch.min_completion(now);
         }
-        // A reallocation may change every rate on this channel, so the
-        // earliest completion is recomputed. Stalled groups (rate 0) never
-        // complete, matching `next_completion`'s contract.
-        ch.next_done = ch.min_completion(now, None);
         if self.record {
             self.record_series(channel);
         }
@@ -589,22 +710,27 @@ impl Pfs {
 
     fn record_series(&mut self, channel: Channel) {
         let idx = channel.index();
-        let total: f64 = self.channels[idx]
-            .groups
+        let ch = &self.channels[idx];
+        let total: f64 = ch
+            .rate
             .iter()
-            .map(|g| g.rate * g.members.len() as f64)
+            .zip(&ch.members)
+            .map(|(r, m)| r * m.len() as f64)
             .sum();
         let now = self.now;
         self.channels[idx].total_series.push(now, total);
+        if self.meter_series.is_empty() {
+            return;
+        }
         // Meter rates are summed across BOTH channels (a meter may track read
         // and write flows of the same job). Every allocated meter is updated
         // so rates fall back to 0 once its flows complete.
         self.meter_rates.clear();
         self.meter_rates.resize(self.meter_series.len(), 0.0);
         for ch in &self.channels {
-            for g in &ch.groups {
-                if let Some(m) = g.meter {
-                    self.meter_rates[m.0] += g.rate * g.members.len() as f64;
+            for ((m, r), members) in ch.meter.iter().zip(&ch.rate).zip(&ch.members) {
+                if let Some(m) = m {
+                    self.meter_rates[m.0] += r * members.len() as f64;
                 }
             }
         }
@@ -713,7 +839,7 @@ mod tests {
         assert_eq!(ids.len(), 4);
         assert_eq!(p.active_flows(Channel::Write), 4);
         // One group internally.
-        assert_eq!(p.channels[0].groups.len(), 1);
+        assert_eq!(p.channels[0].members.len(), 1);
         let done = p.advance_to(t(10.0));
         assert_eq!(done.len(), 4);
         // 4 flows à 50 B at 25 B/s each -> t = 2.
@@ -725,7 +851,7 @@ mod tests {
         let mut p = pfs(100.0);
         p.submit(t(0.0), Channel::Write, FlowSpec::simple(50.0));
         p.submit(t(0.0), Channel::Write, FlowSpec::simple(50.0));
-        assert_eq!(p.channels[0].groups.len(), 1);
+        assert_eq!(p.channels[0].members.len(), 1);
     }
 
     #[test]
@@ -918,9 +1044,9 @@ mod tests {
         let scanned = {
             let mut best: Option<f64> = None;
             for ch in &p.channels {
-                for g in &ch.groups {
-                    if g.rate > 0.0 {
-                        let ct = p.now.after(g.remaining / g.rate).as_secs();
+                for (&x, &r) in ch.rem.iter().zip(&ch.rate) {
+                    if r > 0.0 {
+                        let ct = p.now.after(x / r).as_secs();
                         best = Some(best.map_or(ct, |b: f64| b.min(ct)));
                     }
                 }
@@ -951,5 +1077,15 @@ mod tests {
         let id = p.submit(t(1.0), Channel::Write, FlowSpec::simple(0.0));
         let done = p.advance_to(t(1.0));
         assert_eq!(done, vec![(t(1.0), id)]);
+    }
+
+    #[test]
+    fn zero_byte_submit_many_flows_come_back_from_the_next_advance() {
+        let mut p = pfs(100.0);
+        let ids = p.submit_many(t(2.0), Channel::Read, FlowSpec::simple(0.0), 3);
+        assert_eq!(p.next_completion(), Some(t(2.0)));
+        let done = p.advance_to(t(2.0));
+        assert_eq!(done, ids.iter().map(|&id| (t(2.0), id)).collect::<Vec<_>>());
+        assert_eq!(p.active_flows(Channel::Read), 0);
     }
 }

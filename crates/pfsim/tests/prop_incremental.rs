@@ -34,8 +34,21 @@ enum Op {
     Advance { dt: f64 },
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
+/// One random op. With `uniform`, every submit is unit-weight and
+/// uncapped, so until a `SetCap` lands the engine stays on its uniform-rate
+/// path with many groups; otherwise weights come from {1, 2, 4} and half
+/// the submits are capped.
+fn arb_op(uniform: bool) -> impl Strategy<Value = Op> {
+    let submit = if uniform {
+        (any::<bool>(), 1.0f64..2000.0)
+            .prop_map(|(read, bytes)| Op::Submit {
+                read,
+                bytes,
+                weight: 1.0,
+                cap: None,
+            })
+            .boxed()
+    } else {
         (
             any::<bool>(),
             1.0f64..2000.0,
@@ -46,13 +59,26 @@ fn arb_op() -> impl Strategy<Value = Op> {
                 read,
                 bytes,
                 weight,
-                cap
-            }),
+                cap,
+            })
+            .boxed()
+    };
+    prop_oneof![
+        submit,
         (0usize..64, prop::option::of(5.0f64..150.0))
             .prop_map(|(pick, cap)| Op::SetCap { pick, cap }),
         (any::<bool>(), 20.0f64..300.0)
             .prop_map(|(read, capacity)| Op::SetCapacity { read, capacity }),
         (0.01f64..3.0).prop_map(|dt| Op::Advance { dt }),
+    ]
+}
+
+/// Op programs, about a third of them with only uniform submits.
+fn arb_program() -> impl Strategy<Value = Vec<Op>> {
+    prop_oneof![
+        prop::collection::vec(arb_op(true), 1..40),
+        prop::collection::vec(arb_op(false), 1..40),
+        prop::collection::vec(arb_op(false), 1..40),
     ]
 }
 
@@ -64,7 +90,7 @@ proptest! {
     /// capacity is restored and time runs out, every submitted flow has
     /// completed exactly once.
     #[test]
-    fn incremental_state_matches_from_scratch(ops in prop::collection::vec(arb_op(), 1..40)) {
+    fn incremental_state_matches_from_scratch(ops in arb_program()) {
         let mut p = Pfs::new(PfsConfig { write_capacity: 100.0, read_capacity: 100.0 });
         let mut now = 0.0f64;
         let mut live: Vec<pfsim::FlowId> = Vec::new();
