@@ -8,6 +8,7 @@
 //! centralised in [`csv`]; [`par`] bounds the worker pool.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 use simcore::{SimTime, StepSeries};
 

@@ -15,14 +15,14 @@
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 use pfsim::{Channel, FlowId, FlowSpec, MeterId, Pfs, PfsConfig};
-use serde::{Deserialize, Serialize};
 use simcore::{EventQueue, Invariant, SimTime, StepSeries};
 use std::collections::HashMap;
 
 /// Node-allocation policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scheduler {
     /// Strict first-come-first-served: the queue head blocks everyone.
     Fcfs,
@@ -60,7 +60,7 @@ impl Default for ClusterConfig {
 }
 
 /// One phase of a job profile.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum JobPhase {
     /// Pure computation for the given seconds.
     Compute(f64),
@@ -71,7 +71,7 @@ pub enum JobPhase {
 }
 
 /// How a job performs its I/O phases.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IoStyle {
     /// I/O blocks the job (the common case).
     Sync,
@@ -162,7 +162,7 @@ impl JobSpec {
 }
 
 /// Result of one job.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct JobResult {
     /// Job name.
     pub name: String,

@@ -28,13 +28,12 @@
 //! ```
 
 use mpisim::{FileId, Op, Program, ReqTag};
-use serde::{Deserialize, Serialize};
 /// Bytes per HACC particle record: xx,yy,zz,vx,vy,vz,phi (7×f32) +
 /// pid (i64) + mask (u16) = 38 B, matching the original benchmark.
 pub const BYTES_PER_PARTICLE: f64 = 38.0;
 
 /// HACC-IO workload parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct HaccConfig {
     /// Particles per rank (paper: 10⁵ for Fig. 11, 10⁶ for Fig. 5).
     pub particles_per_rank: u64,

@@ -10,12 +10,10 @@
 //! * [`wacomm::WacommConfig`] — a WaComM++-like Lagrangian pollutant
 //!   transport model with asynchronous per-iteration writes;
 //!   [`wacomm::kernel`] advects real particles.
-//! * [`iorlike::IorConfig`] — an IOR-style parametric pattern generator for
-//!   ablations and background jobs.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod hacc;
-pub mod iorlike;
 pub mod wacomm;

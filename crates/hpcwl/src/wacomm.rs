@@ -21,14 +21,13 @@
 //! ```
 
 use mpisim::{FileId, Op, Program, ReqTag};
-use serde::{Deserialize, Serialize};
 
 /// Bytes per serialized WaComM particle (3×f64 position + 1×f64 health +
 /// u64 id = 40 B).
 pub const BYTES_PER_PARTICLE: f64 = 40.0;
 
 /// WaComM-like workload parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct WacommConfig {
     /// Total particles across all ranks (paper: 2·10⁶).
     pub total_particles: u64,
@@ -158,10 +157,9 @@ impl WacommConfig {
 /// data: explicit-Euler advection in a steady analytic current field plus a
 /// deterministic turbulent kick — the numerical heart of WaComM.
 pub mod kernel {
-    use serde::{Deserialize, Serialize};
 
     /// One pollutant particle.
-    #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+    #[derive(Clone, Copy, Debug, PartialEq)]
     pub struct Particle {
         /// Position (lon-like), metres.
         pub x: f64,

@@ -5,20 +5,18 @@
 //! build programs; the interpreter in [`crate::World`] executes them in
 //! virtual time, pulling one op at a time through a [`crate::RankDriver`].
 
-use serde::{Deserialize, Serialize};
-
 /// Handle to a simulated file (created via [`crate::World::create_file`]).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct FileId(pub u32);
 
 /// Caller-chosen tag pairing a non-blocking I/O op with its matching wait,
 /// like an `MPI_Request` slot. Must be unique among a rank's outstanding
 /// requests.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ReqTag(pub u32);
 
 /// One operation of a rank program.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Op {
     /// Pure computation for a nominal duration (seconds). The world applies
     /// its configured compute noise.
@@ -121,7 +119,7 @@ pub enum Op {
 }
 
 /// A rank's scripted op sequence.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Program {
     ops: Vec<Op>,
 }

@@ -8,10 +8,8 @@
 //! analytic model here computes absorption completion times and the
 //! required drain bandwidth; `mpisim` uses it as an optional write path.
 
-use serde::{Deserialize, Serialize};
-
 /// Burst-buffer parameters (per node / per rank).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct BurstBufferConfig {
     /// Buffer capacity in bytes.
     pub size_bytes: f64,

@@ -15,6 +15,7 @@
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod alloc;
 pub mod burstbuffer;

@@ -17,10 +17,9 @@ use crate::error::{SimError, SimResult};
 use crate::rng::stream_rng;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Which PFS channel a fault window applies to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultChannel {
     /// The write channel only.
     Write,
@@ -46,7 +45,7 @@ impl FaultChannel {
 /// capacity is multiplied by `factor` (0 = hard outage, completions freeze;
 /// 1 = no effect). Overlapping windows on the same channel compound
 /// multiplicatively.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChannelFaultWindow {
     /// Affected channel(s).
     pub channel: FaultChannel,
@@ -59,7 +58,7 @@ pub struct ChannelFaultWindow {
 }
 
 /// POSIX-style error codes for injected I/O failures.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum IoErrorKind {
     /// Generic I/O error (`EIO`).
     Io,
@@ -99,7 +98,7 @@ impl IoErrorKind {
 
 /// Transient sub-request failure model: each sub-request transfer fails with
 /// probability `prob`, drawing its error code uniformly from `kinds`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct IoErrorModel {
     /// Per-sub-request failure probability in `[0, 1]`.
     pub prob: f64,
@@ -140,7 +139,7 @@ impl IoErrorModel {
 
 /// A straggler rank: every compute phase of `rank` takes `factor`× its
 /// (noise-adjusted) nominal duration. `factor` 1 is a no-op.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StragglerSpec {
     /// Affected rank.
     pub rank: usize,
@@ -152,7 +151,7 @@ pub struct StragglerSpec {
 /// async submit (0-based) of `rank` is cancelled by the runtime after its
 /// in-flight sub-request, surfacing as an [`IoErrorKind::Cancelled`] op
 /// error.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CancelSpec {
     /// Affected rank.
     pub rank: usize,
@@ -161,7 +160,7 @@ pub struct CancelSpec {
 }
 
 /// Bounded deterministic exponential backoff for sub-request retries.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetryPolicy {
     /// Maximum retries per sub-request before the op fails.
     pub max_retries: u32,
@@ -195,7 +194,7 @@ impl RetryPolicy {
 
 /// A seeded schedule of fault events. `FaultPlan::default()` is the empty
 /// (fault-free) plan.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     /// Seed for all fault-related RNG streams (independent of the world's
     /// noise streams).

@@ -6,7 +6,6 @@
 //! (integral, maximum, resampling, pointwise addition across series).
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A right-open step function: `value(t) = v_k` for `t ∈ [t_k, t_{k+1})`.
 /// Before the first point the value is 0.
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.value_at(SimTime::from_secs(2.0)), 50.0);
 /// assert_eq!(s.integral(SimTime::ZERO, SimTime::from_secs(10.0)), 100.0);
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StepSeries {
     points: Vec<(f64, f64)>, // (time_secs, value) — strictly increasing times
 }

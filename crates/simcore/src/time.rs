@@ -6,7 +6,6 @@
 //! matters.
 
 use crate::error::Invariant;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -16,7 +15,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// Construction rejects NaN so that `Ord` is total. Negative times are
 /// permitted (useful for "before the simulation" sentinels) but the engine
 /// never produces them.
-#[derive(Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Default)]
 pub struct SimTime(f64);
 
 impl SimTime {

@@ -15,9 +15,7 @@
 //! * reports the run: time decomposition, overheads, JSON traces
 //!   ([`Report`]),
 //! * detects periodic I/O behaviour with FTIO-style frequency analysis
-//!   ([`ftio`], the companion-tool capability mentioned in Sec. VII),
-//! * optionally records the raw event stream ([`trace::TraceLog`], the
-//!   machine-readable Fig. 3).
+//!   ([`ftio`], the companion-tool capability mentioned in Sec. VII).
 //!
 //! ```
 //! use tmio::{Strategy, Tracer, TracerConfig};
@@ -43,14 +41,16 @@
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod ftio;
+mod json;
 pub mod regions;
 mod report;
 mod strategy;
-pub mod trace;
 mod tracer;
 
+pub use json::JsonError;
 pub use regions::{IncrementalSweep, Interval, Opened};
 pub use report::{Decomposition, FaultEventRecord, Report};
 pub use strategy::{Strategy, StrategyState, LIMIT_FLOOR};

@@ -2,15 +2,15 @@
 //! aggregates (Eq. 3), the time decomposition behind Figs. 6/7/11, and JSON
 //! serialization (the real tool's trace-file role).
 
+use crate::json::{self, Fields, Json, JsonError};
 use crate::regions::{IncrementalSweep, Interval};
 use crate::tracer::{AsyncSpan, ChannelKind, PhaseRecord, SyncInterval, ThroughputWindow};
-use serde::{Deserialize, Serialize};
-use simcore::{Invariant, StepSeries};
+use simcore::StepSeries;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Everything TMIO recorded about one run, plus modeled overheads.
 ///
-/// `Serialize`/`Deserialize` are implemented by hand (below) so the cache
+/// [`Report::to_json`] writes the first twelve fields, in order; the cache
 /// fields stay out of the JSON trace format.
 #[derive(Clone, Debug)]
 pub struct Report {
@@ -47,59 +47,6 @@ pub struct Report {
     pub(crate) throughput: LazySeries,
     /// Cached time decomposition. Not serialized.
     pub(crate) decomposition_cache: OnceLock<Decomposition>,
-}
-
-/// The serialized field set, in trace-format order. The hand-written
-/// impls below must mirror what `#[derive(Serialize, Deserialize)]`
-/// produced before the cache fields existed, keeping the JSON trace
-/// format byte-compatible.
-macro_rules! report_fields {
-    ($m:ident) => {
-        $m!(
-            n_ranks,
-            strategy_name,
-            phases,
-            windows,
-            spans,
-            syncs,
-            rank_end,
-            calls,
-            peri_overhead,
-            post_overhead,
-            faults,
-            retry_time
-        )
-    };
-}
-
-impl Serialize for Report {
-    fn serialize(&self) -> serde::Value {
-        macro_rules! ser {
-            ($($f:ident),+) => {
-                serde::Value::Map(vec![
-                    $((String::from(stringify!($f)), Serialize::serialize(&self.$f)),)+
-                ])
-            };
-        }
-        report_fields!(ser)
-    }
-}
-
-impl Deserialize for Report {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        macro_rules! de {
-            ($($f:ident),+) => {
-                Report {
-                    $($f: Deserialize::deserialize(serde::__field(v, stringify!($f))?)?,)+
-                    required: LazySeries::default(),
-                    limit: LazySeries::default(),
-                    throughput: LazySeries::default(),
-                    decomposition_cache: OnceLock::new(),
-                }
-            };
-        }
-        Ok(report_fields!(de))
-    }
 }
 
 /// One Eq. 3 series of a [`Report`], built on its first query.
@@ -158,7 +105,7 @@ impl Clone for LazySeries {
 }
 
 /// One observed fault event: a sub-request retry or a terminal op error.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultEventRecord {
     /// Virtual time of the event, seconds.
     pub t: f64,
@@ -181,7 +128,7 @@ pub struct FaultEventRecord {
 
 /// Aggregate split of the application time (the stacked bars of
 /// Figs. 6/7/11). All values are rank-seconds summed over ranks.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Decomposition {
     /// Blocking writes.
     pub sync_write: f64,
@@ -377,14 +324,176 @@ impl Report {
     }
 
     /// Serializes to the JSON trace format (the file the real TMIO writes at
-    /// `MPI_Finalize` for the plotting scripts).
+    /// `MPI_Finalize` for the plotting scripts). A non-finite number is
+    /// written as `null`.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).invariant("report serializes")
+        let phases = self.phases.iter().map(|p| {
+            Json::obj([
+                ("rank", p.rank.into()),
+                ("phase", p.phase.into()),
+                ("ts", p.ts.into()),
+                ("te", p.te.into()),
+                ("bytes", p.bytes.into()),
+                ("b_required", p.b_required.into()),
+                ("limit_during", p.limit_during.into()),
+                ("limit_next", p.limit_next.into()),
+                ("n_requests", p.n_requests.into()),
+            ])
+        });
+        let windows = self.windows.iter().map(|w| {
+            Json::obj([
+                ("rank", w.rank.into()),
+                ("start", w.start.into()),
+                ("end", w.end.into()),
+                ("bytes", w.bytes.into()),
+            ])
+        });
+        let spans = self.spans.iter().map(|s| {
+            Json::obj([
+                ("rank", s.rank.into()),
+                ("submit", s.submit.into()),
+                ("complete", s.complete.into()),
+                ("wait_enter", s.wait_enter.into()),
+                ("bytes", s.bytes.into()),
+                ("channel", channel_name(s.channel).into()),
+            ])
+        });
+        let syncs = self.syncs.iter().map(|s| {
+            Json::obj([
+                ("rank", s.rank.into()),
+                ("begin", s.begin.into()),
+                ("end", s.end.into()),
+                ("bytes", s.bytes.into()),
+                ("channel", channel_name(s.channel).into()),
+            ])
+        });
+        let faults = self.faults.iter().map(|f| {
+            Json::obj([
+                ("t", f.t.into()),
+                ("rank", f.rank.into()),
+                ("tag", f.tag.into()),
+                ("kind", f.kind.as_str().into()),
+                ("code", f.code.into()),
+                ("retry", f.retry.into()),
+                ("backoff", f.backoff.into()),
+                ("terminal", f.terminal.into()),
+            ])
+        });
+        Json::obj([
+            ("n_ranks", self.n_ranks.into()),
+            ("strategy_name", self.strategy_name.as_str().into()),
+            ("phases", phases.collect()),
+            ("windows", windows.collect()),
+            ("spans", spans.collect()),
+            ("syncs", syncs.collect()),
+            ("rank_end", self.rank_end.iter().copied().collect()),
+            ("calls", self.calls.into()),
+            ("peri_overhead", self.peri_overhead.into()),
+            ("post_overhead", self.post_overhead.into()),
+            ("faults", faults.collect()),
+            ("retry_time", self.retry_time.into()),
+        ])
+        .to_pretty()
     }
 
-    /// Parses a JSON trace produced by [`Report::to_json`].
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
+    /// Parses a JSON trace produced by [`Report::to_json`]. Unknown keys are
+    /// ignored; a missing key, a value of the wrong kind or an integer that
+    /// does not fit its field is an error naming the field. A `null` read
+    /// into a number field gives NaN.
+    pub fn from_json(s: &str) -> Result<Self, JsonError> {
+        let root = json::parse(s)?;
+        let r = Fields::of(&root)?;
+        let phases = r.arr("phases", |v| {
+            let f = Fields::of(v)?;
+            Ok(PhaseRecord {
+                rank: f.int("rank")?,
+                phase: f.int("phase")?,
+                ts: f.num("ts")?,
+                te: f.num("te")?,
+                bytes: f.num("bytes")?,
+                b_required: f.num("b_required")?,
+                limit_during: f.opt_num("limit_during")?,
+                limit_next: f.opt_num("limit_next")?,
+                n_requests: f.int("n_requests")?,
+            })
+        })?;
+        let windows = r.arr("windows", |v| {
+            let f = Fields::of(v)?;
+            Ok(ThroughputWindow {
+                rank: f.int("rank")?,
+                start: f.num("start")?,
+                end: f.num("end")?,
+                bytes: f.num("bytes")?,
+            })
+        })?;
+        let spans = r.arr("spans", |v| {
+            let f = Fields::of(v)?;
+            Ok(AsyncSpan {
+                rank: f.int("rank")?,
+                submit: f.num("submit")?,
+                complete: f.num("complete")?,
+                wait_enter: f.num("wait_enter")?,
+                bytes: f.num("bytes")?,
+                channel: f.read("channel", channel_kind)?,
+            })
+        })?;
+        let syncs = r.arr("syncs", |v| {
+            let f = Fields::of(v)?;
+            Ok(SyncInterval {
+                rank: f.int("rank")?,
+                begin: f.num("begin")?,
+                end: f.num("end")?,
+                bytes: f.num("bytes")?,
+                channel: f.read("channel", channel_kind)?,
+            })
+        })?;
+        let faults = r.arr("faults", |v| {
+            let f = Fields::of(v)?;
+            Ok(FaultEventRecord {
+                t: f.num("t")?,
+                rank: f.int("rank")?,
+                tag: f.opt_int("tag")?,
+                kind: f.str("kind")?.to_owned(),
+                code: f.int("code")?,
+                retry: f.int("retry")?,
+                backoff: f.num("backoff")?,
+                terminal: f.bool("terminal")?,
+            })
+        })?;
+        Ok(Report {
+            n_ranks: r.int("n_ranks")?,
+            strategy_name: r.str("strategy_name")?.to_owned(),
+            phases,
+            windows,
+            spans,
+            syncs,
+            rank_end: r.arr("rank_end", json::num)?,
+            calls: r.int("calls")?,
+            peri_overhead: r.num("peri_overhead")?,
+            post_overhead: r.num("post_overhead")?,
+            faults,
+            retry_time: r.num("retry_time")?,
+            required: LazySeries::default(),
+            limit: LazySeries::default(),
+            throughput: LazySeries::default(),
+            decomposition_cache: OnceLock::new(),
+        })
+    }
+}
+
+/// The trace's name of a channel.
+fn channel_name(c: ChannelKind) -> &'static str {
+    match c {
+        ChannelKind::Write => "Write",
+        ChannelKind::Read => "Read",
+    }
+}
+
+fn channel_kind(v: &Json) -> Result<ChannelKind, JsonError> {
+    match v {
+        Json::Str(s) if s == "Write" => Ok(ChannelKind::Write),
+        Json::Str(s) if s == "Read" => Ok(ChannelKind::Read),
+        other => Err(JsonError::expected("\"Write\" or \"Read\"", other)),
     }
 }
 
@@ -526,6 +635,46 @@ mod tests {
         let back = Report::from_json(&r.to_json()).unwrap();
         assert_eq!(back.faults, r.faults);
         assert_eq!(back.retry_time, r.retry_time);
+    }
+
+    /// Integers are range-checked, not cast: a negative count, an
+    /// oversized rank and a tag above `u32::MAX` are errors naming the field.
+    /// Escaped strings and non-finite numbers survive a round trip.
+    #[test]
+    fn from_json_checks_integers_and_round_trips_strings() {
+        let mut r = sample_report();
+        r.faults.push(FaultEventRecord {
+            t: 1.0,
+            rank: 1,
+            tag: Some(3),
+            kind: "EIO".into(),
+            code: 5,
+            retry: 1,
+            backoff: 1e-3,
+            terminal: false,
+        });
+        let json = r.to_json();
+        for (from, to, field) in [
+            ("\"n_ranks\": 2", "\"n_ranks\": -1", "`n_ranks`"),
+            ("\"n_ranks\": 2", "\"n_ranks\": 2.5", "`n_ranks`"),
+            ("\"rank\": 1,", "\"rank\": 1e300,", "`phases[1].rank`"),
+            ("\"tag\": 3", "\"tag\": 5e9", "`faults[0].tag`"),
+        ] {
+            assert!(json.contains(from), "{from}");
+            let bad = json.replacen(from, to, 1);
+            let err = Report::from_json(&bad).expect_err(to).to_string();
+            assert!(err.contains(field), "{to}: {err}");
+        }
+
+        r.strategy_name = "a\"b\\c\nd\u{1}é".into();
+        r.retry_time = f64::INFINITY;
+        let json = r.to_json();
+        assert!(json.contains(r#""a\"b\\c\nd\u0001é""#), "{json}");
+        assert!(json.contains("\"retry_time\": null"), "{json}");
+        let back = Report::from_json(&json).unwrap();
+        assert_eq!(back.strategy_name, r.strategy_name);
+        assert!(back.retry_time.is_nan());
+        assert_eq!(back.to_json(), json);
     }
 
     #[test]

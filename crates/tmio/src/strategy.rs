@@ -12,12 +12,10 @@
 //! * **mfu** — (paper future work, Sec. VI-B) limit from a
 //!   most-frequently-used table of past required bandwidths.
 
-use serde::{Deserialize, Serialize};
-
 /// The limit-selection strategy, including the tolerance factor(s) that
 /// compensate for effects invisible at the MPI level (thread competition,
 /// Sec. IV-B).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Strategy {
     /// No limiting: trace only (runs "without bandwidth limitation").
     None,

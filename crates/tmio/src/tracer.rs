@@ -38,12 +38,11 @@ use crate::regions::{IncrementalSweep, Opened};
 use crate::report::LazySeries;
 use crate::strategy::{Strategy, StrategyState};
 use mpisim::{Channel, IoHooks, Limits, ReqTag};
-use serde::{Deserialize, Serialize};
 use simcore::StepSeries;
 use simcore::{GenKey, GenSlab, Invariant, SimTime};
 
 /// How per-request bandwidths combine into the rank metric `B_{i,j}`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Aggregation {
     /// Sum of per-request bandwidths ("results in higher values", the
     /// paper's choice).
@@ -53,7 +52,7 @@ pub enum Aggregation {
 }
 
 /// When the required-bandwidth window ends (Sec. IV-A).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TeMode {
     /// `te` = when the *first* queued request reaches its matching wait
     /// (higher B; the paper's choice).
@@ -65,7 +64,7 @@ pub enum TeMode {
 
 /// Model of TMIO's post-runtime overhead (the `MPI_Finalize` gather that
 /// collects per-rank records; grows with rank count — Fig. 6).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PostOverheadModel {
     /// Fixed cost (file creation, serialization), seconds.
     pub base: f64,
@@ -94,7 +93,7 @@ impl PostOverheadModel {
 }
 
 /// Tracer configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TracerConfig {
     /// Limit strategy fed back into the runtime.
     pub strategy: Strategy,
@@ -130,7 +129,7 @@ impl TracerConfig {
 }
 
 /// One closed I/O phase of one rank: the `B_{i,j}` record.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PhaseRecord {
     /// Rank index i.
     pub rank: usize,
@@ -153,7 +152,7 @@ pub struct PhaseRecord {
 }
 
 /// One closed throughput window: the `T_{i,j}` record.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ThroughputWindow {
     /// Rank index.
     pub rank: usize,
@@ -174,7 +173,7 @@ impl ThroughputWindow {
 }
 
 /// Lifetime of one asynchronous request, for exploit/lost accounting.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct AsyncSpan {
     /// Rank index.
     pub rank: usize,
@@ -203,8 +202,9 @@ impl AsyncSpan {
     }
 }
 
-/// Serializable channel tag (mirror of [`mpisim::Channel`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// Direction of a trace row (mirror of [`mpisim::Channel`]); the JSON trace
+/// writes it as `"Write"` or `"Read"`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChannelKind {
     /// Write direction.
     Write,
@@ -222,7 +222,7 @@ impl From<Channel> for ChannelKind {
 }
 
 /// One blocking I/O interval (sync tracing).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SyncInterval {
     /// Rank index.
     pub rank: usize,

@@ -18,6 +18,7 @@
 //!   `MetricsSink` backends.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub use clustersim;
 pub use hpcwl;

@@ -141,28 +141,34 @@ fn throughput_follows_previous_phase_limit() {
 /// The original end-writing WaComM++ stays at least as fast asynchronously.
 #[test]
 fn async_issue_beats_sync_issue() {
-    use hpcwl::iorlike::{AccessMode, IorConfig, IssueMode};
-    use mpisim::{NoHooks, World, WorldConfig};
-    let mk = |issue| {
-        let cfg = IorConfig {
-            segments: 8,
-            block_bytes: 64e6,
-            compute_seconds: 0.2,
-            mode: AccessMode::WriteOnly,
-            issue,
-        };
+    use mpisim::{FileId, NoHooks, Op, Program, ReqTag, World, WorldConfig};
+    // Eight checkpoint segments of 64 MB per rank, each followed by 0.2 s
+    // of compute: issued asynchronously, the write overlaps the compute and
+    // is waited for after it.
+    let mk = |asynchronous: bool| {
+        let (file, bytes) = (FileId(0), 64e6);
+        let mut ops = Vec::new();
+        for k in 0..8 {
+            let compute = Op::Compute { seconds: 0.2 };
+            if asynchronous {
+                let tag = ReqTag(k);
+                ops.extend([Op::IWrite { file, bytes, tag }, compute, Op::Wait { tag }]);
+            } else {
+                ops.extend([Op::Write { file, bytes }, compute]);
+            }
+        }
         let mut wc = WorldConfig::new(8);
         wc.pfs = pfsim::PfsConfig {
             write_capacity: 4e9,
             read_capacity: 4e9,
         };
-        let programs = vec![cfg.program(mpisim::FileId(0)); 8];
+        let programs = vec![Program::from_ops(ops); 8];
         let mut w = World::new(wc, programs, NoHooks);
         w.create_file("f");
         w.try_run().unwrap().makespan()
     };
-    let sync = mk(IssueMode::Sync);
-    let asynchronous = mk(IssueMode::Async);
+    let sync = mk(false);
+    let asynchronous = mk(true);
     // 8 ranks × 64 MB over 4 GB/s: each burst ≈ 0.128 s on top of 0.2 s
     // compute when synchronous; fully hidden when asynchronous.
     assert!(
