@@ -22,7 +22,7 @@ use crate::seqmap::SeqMap;
 use pfsim::{BurstBuffer, BurstBufferConfig, Channel, FlowId, FlowSpec, Pfs, PfsConfig};
 use simcore::{
     rank_phase_stream, stream_rng, EventQueue, FaultPlan, Invariant, IoErrorKind, Noise, SimError,
-    SimResult, SimTime, StallSnapshot, StepSeries,
+    SimResult, SimTime, SmallRng, StallSnapshot, StepSeries,
 };
 use std::collections::HashMap;
 
@@ -298,7 +298,7 @@ struct IoTask {
     /// Failed attempts of the current sub-request (reset on success).
     attempts: u32,
     /// Per-task fault-decision stream; `None` when no error model is active.
-    fault_rng: Option<rand::rngs::SmallRng>,
+    fault_rng: Option<SmallRng>,
     /// Marked by the fault plan: abort after the in-flight sub-request.
     cancelled: bool,
 }
@@ -539,7 +539,7 @@ pub struct World<H: IoHooks> {
     bbs: Vec<BurstBuffer>,
     live_ranks: usize,
     cap_tick: u64,
-    cap_rng: rand::rngs::SmallRng,
+    cap_rng: SmallRng,
     op_errors: Vec<OpErrorRecord>,
     /// Virtual time of the last observed progress (watchdog).
     last_advance: SimTime,

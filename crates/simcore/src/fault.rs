@@ -14,9 +14,7 @@
 //! the [`RetryPolicy`] of its ADIO layer.
 
 use crate::error::{SimError, SimResult};
-use crate::rng::stream_rng;
-use rand::rngs::SmallRng;
-use rand::Rng;
+use crate::rng::{stream_rng, SmallRng};
 
 /// Which PFS channel a fault window applies to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -477,7 +475,6 @@ mod tests {
         let mut b = stream_rng(1, 2);
         assert_eq!(model.draw(&mut a), None);
         // `a` must be untouched: next draws match a virgin stream.
-        use rand::RngCore;
         assert_eq!(a.next_u64(), b.next_u64());
     }
 

@@ -8,7 +8,8 @@
 //!   hold-style heap (a pop followed by a schedule costs one sift),
 //! * [`GenSlab`] — a generation-stamped slot arena (hash-free hot-path id
 //!   maps),
-//! * [`stream_rng`] / [`Noise`] — reproducible per-stream randomness,
+//! * [`stream_rng`] / [`Noise`] — reproducible per-stream randomness from
+//!   one generator ([`SmallRng`], xoshiro256++),
 //! * [`StepSeries`] — step-function time series for bandwidth plots.
 //!
 //! The engine is intentionally minimal: world state lives in the crates that
@@ -35,7 +36,7 @@ pub use fault::{
     RetryPolicy, StragglerSpec,
 };
 pub use queue::EventQueue;
-pub use rng::{rank_phase_stream, stream_rng, Noise};
+pub use rng::{rank_phase_stream, stream_rng, Noise, SmallRng};
 pub use series::StepSeries;
 pub use slab::{GenKey, GenSlab};
 pub use time::SimTime;

@@ -1,7 +1,6 @@
 //! The [`Strategy`] trait and combinators for the proptest shim.
 
-use rand::rngs::SmallRng;
-use rand::Rng;
+use crate::TestRng;
 use std::fmt;
 use std::ops::{Range, RangeInclusive};
 use std::rc::Rc;
@@ -12,7 +11,7 @@ pub trait Strategy {
     type Value: fmt::Debug;
 
     /// Draws one value.
-    fn generate(&self, rng: &mut SmallRng) -> Self::Value;
+    fn generate(&self, rng: &mut TestRng) -> Self::Value;
 
     /// Maps generated values through `f`.
     fn prop_map<O: fmt::Debug, F: Fn(Self::Value) -> O>(self, f: F) -> Map<Self, F>
@@ -37,7 +36,7 @@ pub struct Just<T: Clone + fmt::Debug>(pub T);
 
 impl<T: Clone + fmt::Debug> Strategy for Just<T> {
     type Value = T;
-    fn generate(&self, _rng: &mut SmallRng) -> T {
+    fn generate(&self, _rng: &mut TestRng) -> T {
         self.0.clone()
     }
 }
@@ -50,13 +49,13 @@ pub struct Map<S, F> {
 
 impl<S: Strategy, O: fmt::Debug, F: Fn(S::Value) -> O> Strategy for Map<S, F> {
     type Value = O;
-    fn generate(&self, rng: &mut SmallRng) -> O {
+    fn generate(&self, rng: &mut TestRng) -> O {
         (self.f)(self.inner.generate(rng))
     }
 }
 
 /// A type-erased strategy (clonable, single-threaded).
-pub struct BoxedStrategy<V>(Rc<dyn Fn(&mut SmallRng) -> V>);
+pub struct BoxedStrategy<V>(Rc<dyn Fn(&mut TestRng) -> V>);
 
 impl<V> Clone for BoxedStrategy<V> {
     fn clone(&self) -> Self {
@@ -66,7 +65,7 @@ impl<V> Clone for BoxedStrategy<V> {
 
 impl<V: fmt::Debug> Strategy for BoxedStrategy<V> {
     type Value = V;
-    fn generate(&self, rng: &mut SmallRng) -> V {
+    fn generate(&self, rng: &mut TestRng) -> V {
         (self.0)(rng)
     }
 }
@@ -84,36 +83,62 @@ impl<V> Union<V> {
 
 impl<V: fmt::Debug> Strategy for Union<V> {
     type Value = V;
-    fn generate(&self, rng: &mut SmallRng) -> V {
-        let i = rng.gen_range(0..self.0.len());
+    fn generate(&self, rng: &mut TestRng) -> V {
+        let i = (0..self.0.len()).generate(rng);
         self.0[i].generate(rng)
     }
 }
 
-macro_rules! impl_range_strategy {
+// Integer ranges: a modulo draw on 64 fresh bits, computed in 128 bits so
+// every span of every width fits.
+macro_rules! impl_int_range_strategy {
     ($($t:ty),*) => {$(
         impl Strategy for Range<$t> {
             type Value = $t;
-            fn generate(&self, rng: &mut SmallRng) -> $t {
-                rng.gen_range(self.clone())
+            fn generate(&self, rng: &mut TestRng) -> $t {
+                assert!(self.start < self.end, "cannot sample empty range");
+                let span = (self.end as u128).wrapping_sub(self.start as u128);
+                let off = u128::from(rng.next_u64()) % span;
+                (self.start as i128 + off as i128) as $t
             }
         }
         impl Strategy for RangeInclusive<$t> {
             type Value = $t;
-            fn generate(&self, rng: &mut SmallRng) -> $t {
-                rng.gen_range(self.clone())
+            fn generate(&self, rng: &mut TestRng) -> $t {
+                let (start, end) = (*self.start(), *self.end());
+                assert!(start <= end, "cannot sample empty range");
+                let span = (end as u128).wrapping_sub(start as u128) + 1;
+                let off = u128::from(rng.next_u64()) % span;
+                (start as i128 + off as i128) as $t
             }
         }
     )*};
 }
 
-impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f64);
+impl_int_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+
+impl Strategy for Range<f64> {
+    type Value = f64;
+    fn generate(&self, rng: &mut TestRng) -> f64 {
+        assert!(self.start < self.end, "cannot sample empty range");
+        self.start + rng.next_f64() * (self.end - self.start)
+    }
+}
+
+impl Strategy for RangeInclusive<f64> {
+    type Value = f64;
+    fn generate(&self, rng: &mut TestRng) -> f64 {
+        let (start, end) = (*self.start(), *self.end());
+        assert!(start <= end, "cannot sample empty range");
+        start + rng.next_f64() * (end - start)
+    }
+}
 
 macro_rules! impl_tuple_strategy {
     ($(($($name:ident : $idx:tt),+))*) => {$(
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
-            fn generate(&self, rng: &mut SmallRng) -> Self::Value {
+            fn generate(&self, rng: &mut TestRng) -> Self::Value {
                 ($(self.$idx.generate(rng),)+)
             }
         }
