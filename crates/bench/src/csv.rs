@@ -4,10 +4,10 @@
 //! [`crate::scenarios::DistRow`], [`crate::chaosrun::ChaosRow`], …)
 //! implement [`CsvRow`]; [`write_rows`] dumps them and [`rows`] formats
 //! them for byte-identity tests. Free-form tables go through
-//! [`write_csv`]. All file writing is backed by the streaming
-//! [`CsvSink`] of the session layer.
+//! [`write_csv`], which writes each file whole through the session layer's
+//! crash-safe [`write_atomic`].
 
-use iobts::session::CsvSink;
+use iobts::session::write_atomic;
 use simcore::{SimTime, StepSeries};
 use std::path::PathBuf;
 use std::sync::{Mutex, PoisonError};
@@ -54,14 +54,17 @@ pub fn results_dir() -> PathBuf {
     p
 }
 
-/// Writes CSV rows (with a header) to `results/<name>.csv`, returning the
-/// path. The rows land in a temp sibling first and are renamed into place
-/// on success, so an interrupted run never leaves a truncated CSV.
+/// Writes `header` and `rows`, one per line, to `results/<name>.csv`,
+/// returning the path. The file is replaced whole ([`write_atomic`]), so an
+/// interrupted run never leaves a truncated CSV.
 pub fn write_csv(name: &str, header: &str, rows: &[String]) -> std::io::Result<PathBuf> {
     let path = results_dir().join(format!("{name}.csv"));
-    let mut sink = CsvSink::create(&path, header)?;
-    sink.rows(rows)?;
-    let path = sink.finish()?;
+    let mut body = format!("{header}\n");
+    for row in rows {
+        body.push_str(row);
+        body.push('\n');
+    }
+    write_atomic(&path, body.as_bytes())?;
     WRITTEN
         .lock()
         .unwrap_or_else(PoisonError::into_inner)

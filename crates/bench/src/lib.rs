@@ -78,9 +78,9 @@ mod tests {
     fn csv_written_to_results() {
         std::env::set_var("IOBTS_RESULTS_DIR", "/tmp/iobts-test-results");
         let p = write_csv("unit_test", "a,b", &["1,2".into(), "3,4".into()]).unwrap();
-        let body = std::fs::read_to_string(&p).unwrap();
-        assert_eq!(body.lines().count(), 3);
-        assert!(body.starts_with("a,b\n"));
+        assert_eq!(std::fs::read_to_string(&p).unwrap(), "a,b\n1,2\n3,4\n");
+        let p = write_csv("unit_test_empty", "a,b", &[]).unwrap();
+        assert_eq!(std::fs::read_to_string(&p).unwrap(), "a,b\n");
     }
 
     #[test]

@@ -13,23 +13,25 @@
 //!    builder surface (`with_seed`, `with_noise`, `with_pfs`, …) and the
 //!    seeded [`simcore::FaultPlan`] for chaos runs.
 //! 3. [`Session`] / [`SessionBuilder`] — one execution entry point that
-//!    composes the config, the workload, the tracer and the fault plan,
-//!    and can stream results into a [`MetricsSink`] ([`MemorySink`],
-//!    [`CsvSink`], [`JsonReportSink`]).
+//!    composes the config, the workload, the tracer and the fault plan
+//!    into a [`RunOutput`].
+//!
+//! [`write_atomic`] is the one crash-safe file writer: every figure CSV,
+//! `--resume` manifest and JSON trace goes through it.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
+mod atomic;
 mod config;
 mod run;
-mod sink;
 mod workload;
 
+pub use atomic::write_atomic;
 pub use config::ExpConfig;
 pub use run::{RunOutput, Session, SessionBuilder};
 // Error vocabulary, re-exported so supervising frontends don't need a
 // direct simcore dependency.
 pub use simcore::{SimError, SimResult, StallSnapshot};
-pub use sink::{CsvSink, JsonReportSink, MemorySink, MetricsSink, RunMeta};
 pub use workload::{HaccIo, RawWorkload, Wacomm, Workload};

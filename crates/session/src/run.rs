@@ -1,7 +1,6 @@
 //! The [`Session`]: one execution entry point composing an [`ExpConfig`],
 //! a [`Workload`], the TMIO tracer and the fault plan.
 
-use crate::sink::{MetricsSink, RunMeta};
 use crate::{ExpConfig, Workload};
 use mpisim::{RunSummary, ScriptedDriver, World};
 use simcore::{SimError, SimResult, StepSeries};
@@ -53,16 +52,6 @@ impl Session {
         &self.cfg
     }
 
-    /// Metadata identifying this session's runs in sinks and registries.
-    pub fn meta(&self) -> RunMeta {
-        RunMeta {
-            workload: self.workload.name().to_string(),
-            n_ranks: self.cfg.n_ranks,
-            strategy: self.cfg.strategy.name(),
-            seed: self.cfg.seed,
-        }
-    }
-
     /// Runs the workload under the tracer and collects everything. Engine
     /// failures (deadlock, tripped watchdog, invalid program, a program
     /// count that differs from the rank count) come back as typed errors.
@@ -95,14 +84,6 @@ impl Session {
             pfs_write,
             pfs_read,
         })
-    }
-
-    /// Runs and streams the result into `sink` (also returning it). On an
-    /// engine failure nothing reaches the sink.
-    pub fn try_run_into(&self, sink: &mut dyn MetricsSink) -> SimResult<RunOutput> {
-        let out = self.try_run()?;
-        sink.on_run(&self.meta(), &out);
-        Ok(out)
     }
 }
 

@@ -14,8 +14,8 @@
 //!   study;
 //! * [`simcore`] — the discrete-event core;
 //! * [`session`] — the canonical run pipeline: the `Workload` trait, the
-//!   `ExpConfig` builder, the `Session` entry point and streaming
-//!   `MetricsSink` backends.
+//!   `ExpConfig` builder, the `Session` entry point and `write_atomic`,
+//!   the crash-safe writer behind every CSV, manifest and JSON trace.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(unused_crate_dependencies))]
@@ -34,8 +34,8 @@ pub mod prelude {
     pub use hpcwl::wacomm::WacommConfig;
     pub use mpisim::{WatchdogCfg, WorldConfig};
     pub use session::{
-        ExpConfig, HaccIo, MemorySink, MetricsSink, RawWorkload, RunOutput, Session,
-        SessionBuilder, SimError, SimResult, StallSnapshot, Wacomm, Workload,
+        ExpConfig, HaccIo, RawWorkload, RunOutput, Session, SessionBuilder, SimError, SimResult,
+        StallSnapshot, Wacomm, Workload,
     };
     pub use tmio::{Strategy, Tracer, TracerConfig};
 }

@@ -13,8 +13,8 @@
 //! format the real TMIO emits at `MPI_Finalize`.
 
 use iobts::prelude::*;
-use iobts::session::JsonReportSink;
 use std::collections::HashMap;
+use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -170,18 +170,14 @@ fn print_summary(out: &RunOutput) {
     }
 }
 
-/// Runs a fully built session, streaming the TMIO trace to `--json PATH`
+/// Runs a fully built session, writes the TMIO trace to `--json PATH`
 /// when requested, and prints the summary.
 fn run_and_report(opts: &Opts, session: &Session) -> Result<(), String> {
-    let out = match opts.0.get("json") {
-        Some(path) => {
-            let mut sink = JsonReportSink::new(path);
-            let out = session.try_run_into(&mut sink).map_err(|e| e.to_string())?;
-            sink.finish().map_err(|e| format!("writing {path}: {e}"))?;
-            out
-        }
-        None => session.try_run().map_err(|e| e.to_string())?,
-    };
+    let out = session.try_run().map_err(|e| e.to_string())?;
+    if let Some(path) = opts.0.get("json") {
+        iobts::session::write_atomic(Path::new(path), out.report.to_json().as_bytes())
+            .map_err(|e| format!("writing {path}: {e}"))?;
+    }
     print_summary(&out);
     if let Some(path) = opts.0.get("json") {
         println!("\ntrace written to {path}");
