@@ -14,7 +14,7 @@ use mpisim::{FileId, Program};
 /// A workload that a [`Session`](crate::Session) can execute: per-rank programs plus the
 /// file names they reference.
 pub trait Workload {
-    /// Short name used in sinks, registries and reports.
+    /// Short name identifying the workload (e.g. `hacc`, `wacomm`).
     fn name(&self) -> &str;
 
     /// One program per rank.
