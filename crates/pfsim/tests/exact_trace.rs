@@ -9,9 +9,15 @@
 //! hundreds of distinct-size groups, mixed weights without caps, capped
 //! flows (the water-fill sort path), `set_cap` splits and same-instant
 //! merges with `submit_many`, capacity and fault-factor changes down to 0
-//! and back, and zero-byte flows.
+//! and back, zero-byte flows, and metered groups. One scripted program
+//! ([`edge_cases`]) builds the corner cases of the uniform path by hand:
+//! a same-instant harvest in which `swap_remove` moves a due tail group
+//! into the hole, equal-remaining groups that differ only in their meter,
+//! ties that form by rounding during progress (so that two groups a new
+//! flow could merge into have equal remaining bytes), and a channel that
+//! goes uniform → capped → uniform.
 
-use pfsim::{Channel, FlowId, FlowSpec, Pfs, PfsConfig};
+use pfsim::{Channel, FlowId, FlowSpec, MeterId, Pfs, PfsConfig};
 use simcore::SimTime;
 
 /// FNV-1a over the little-endian bytes of each folded word.
@@ -81,6 +87,8 @@ struct Mix {
     set_cap: f64,
     set_capacity: f64,
     fault: f64,
+    /// Meters a submit draws from (0 = unmetered, no draw).
+    meters: usize,
 }
 
 const BASE: Mix = Mix {
@@ -97,6 +105,7 @@ const BASE: Mix = Mix {
     set_cap: 0.0,
     set_capacity: 0.0,
     fault: 0.0,
+    meters: 0,
 };
 
 fn t(s: f64) -> SimTime {
@@ -122,6 +131,7 @@ fn run(seed: u64, mix: Mix) -> u64 {
     let mut d = Digest::new();
     let mut now = 0.0f64;
     let mut live: Vec<FlowId> = Vec::new();
+    let meters: Vec<MeterId> = (0..mix.meters).map(|_| p.meter()).collect();
     let harvest = |p: &mut Pfs, at: f64, live: &mut Vec<FlowId>, d: &mut Digest| {
         for (ct, id) in p.advance_to(t(at)) {
             d.fold(ct.as_secs().to_bits());
@@ -142,7 +152,7 @@ fn run(seed: u64, mix: Mix) -> u64 {
             bytes,
             weight: rng.pick(mix.weights),
             cap: rng.chance(mix.capped).then(|| rng.uniform(5.0, 150.0)),
-            meter: None,
+            meter: (!meters.is_empty()).then(|| rng.pick(&meters)),
         }
     };
 
@@ -301,4 +311,120 @@ fn zero_byte_flows() {
         digests(mix),
         [0x096caefb66fbc601, 0xb15d01cc1226121e, 0xb6f0b4e4f328d98f]
     );
+}
+
+#[test]
+fn metered_ties_and_cap_round_trips() {
+    // Same-size submits on a small set of meters: equal-remaining groups
+    // that differ only in their meter, same-instant harvests of several
+    // groups, and `set_cap` moving a channel off the uniform path and back.
+    let mix = Mix {
+        sizes: Some(&[64.0, 256.0, 1000.0]),
+        submit_many: 0.2,
+        set_cap: 0.1,
+        meters: 3,
+        ..BASE
+    };
+    assert_eq!(
+        digests(mix),
+        [0xfb7a36d7b8c2a8e1, 0x5f193fc23e8310fd, 0xa72268e6088257d3]
+    );
+}
+
+/// The scripted corner cases of the module docs, folded like [`run`].
+fn edge_cases() -> u64 {
+    let mut p = Pfs::new(PfsConfig {
+        write_capacity: 100.0,
+        read_capacity: 64.0,
+    });
+    let m: Vec<MeterId> = (0..3).map(|_| p.meter()).collect();
+    let mut d = Digest::new();
+    let spec = |bytes: f64, meter: Option<MeterId>| FlowSpec {
+        bytes,
+        weight: 1.0,
+        cap: None,
+        meter,
+    };
+    let fold_next = |p: &Pfs, d: &mut Digest| {
+        d.fold(
+            p.next_completion()
+                .map_or(u64::MAX, |c| c.as_secs().to_bits()),
+        );
+    };
+    let harvest = |p: &mut Pfs, at: f64, d: &mut Digest| {
+        for (ct, id) in p.advance_to(t(at)) {
+            d.fold(ct.as_secs().to_bits());
+            d.fold(id.0);
+        }
+    };
+    let w = Channel::Write;
+    let r = Channel::Read;
+
+    // Columns A(100, m0) B(900) C(700) D(100, m1) E(100, m2): three equal
+    // groups apart only by meter. The merges below must pick D and E, not
+    // A, and the harvest at t = 8 scans A, then E (swapped into A's hole),
+    // then D (swapped into the same hole) before C lands there.
+    p.submit(t(0.0), w, spec(100.0, Some(m[0])));
+    p.submit(t(0.0), w, spec(900.0, None));
+    p.submit(t(0.0), w, spec(700.0, None));
+    p.submit(t(0.0), w, spec(100.0, Some(m[1])));
+    p.submit(t(0.0), w, spec(100.0, Some(m[2])));
+    p.submit(t(0.0), w, spec(100.0, Some(m[1])));
+    p.submit_many(t(0.0), w, spec(100.0, Some(m[2])), 2);
+    fold_next(&p, &mut d);
+    harvest(&mut p, 7.0, &mut d);
+    p.submit(t(7.0), w, spec(12.5, Some(m[0])));
+    fold_next(&p, &mut d);
+    harvest(&mut p, 10.0, &mut d);
+    fold_next(&p, &mut d);
+
+    // Ties formed by rounding: at 2^54 the grid step is 4, and moving a
+    // group by exactly 2 bytes rounds 2^54 + 10 down and 2^54 + 6 up, both
+    // to even: 2^54 + 8. So the larger groups (columns 0 and 2) now tie
+    // with the smaller ones (columns 1 and 3) against their index order,
+    // and a merge on meter m2 must pick column 2, not column 3.
+    let big = 2f64.powi(54);
+    p.submit(t(10.0), r, spec(big + 12.0, Some(m[0])));
+    p.submit(t(10.0), r, spec(big + 8.0, Some(m[1])));
+    p.submit(t(10.0), r, spec(big + 12.0, Some(m[2])));
+    p.submit(t(10.0), r, spec(big + 8.0, Some(m[2])));
+    fold_next(&p, &mut d);
+    // 64 B/s over four flows for 1/8 s: exactly 2 bytes each.
+    harvest(&mut p, 10.125, &mut d);
+    p.submit(t(10.125), r, spec(big + 8.0, Some(m[2])));
+    p.submit(t(10.125), r, spec(big + 8.0, Some(m[1])));
+    p.submit(t(10.125), r, spec(big + 8.0, Some(m[0])));
+    p.submit(t(10.125), r, spec(big + 8.0, None));
+    fold_next(&p, &mut d);
+    // Finish the five tied groups at one instant.
+    p.set_capacity(t(10.125), r, big);
+    fold_next(&p, &mut d);
+    harvest(&mut p, 100.0, &mut d);
+    p.set_capacity(t(100.0), r, 64.0);
+
+    // Uniform -> capped -> uniform on the read channel, with submits and
+    // a same-instant harvest while capped.
+    let a = p.submit(t(100.0), r, spec(640.0, None));
+    p.submit(t(100.0), r, spec(320.0, Some(m[2])));
+    p.submit(t(100.0), r, spec(960.0, None));
+    p.set_cap(t(101.0), a, Some(8.0));
+    fold_next(&p, &mut d);
+    p.submit(t(102.0), r, spec(200.0, None));
+    p.submit(t(102.0), r, spec(200.0, Some(m[1])));
+    fold_next(&p, &mut d);
+    harvest(&mut p, 110.0, &mut d);
+    p.set_cap(t(110.0), a, None);
+    fold_next(&p, &mut d);
+    p.submit(t(110.0), r, spec(50.0, None));
+    fold_next(&p, &mut d);
+    harvest(&mut p, 1e6, &mut d);
+    harvest(&mut p, 1e6, &mut d);
+    assert_eq!(p.next_completion(), None);
+    assert_eq!(p.active_flows(w) + p.active_flows(r), 0);
+    d.0
+}
+
+#[test]
+fn scripted_index_edge_cases() {
+    assert_eq!(edge_cases(), 0xb7bd07834487cd25);
 }
