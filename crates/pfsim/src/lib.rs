@@ -17,6 +17,10 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
+// Lets the property tests share `tests/common`, which names this crate.
+#[cfg(test)]
+extern crate self as pfsim;
+
 pub mod alloc;
 pub mod burstbuffer;
 mod pfs;
