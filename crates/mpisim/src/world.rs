@@ -22,7 +22,7 @@ use crate::seqmap::SeqMap;
 use pfsim::{BurstBuffer, BurstBufferConfig, Channel, FlowId, FlowSpec, Pfs, PfsConfig};
 use simcore::{
     rank_phase_stream, stream_rng, EventQueue, FaultPlan, Invariant, IoErrorKind, Noise, SimError,
-    SimResult, SimTime, SmallRng, StallSnapshot, StepSeries,
+    SimResult, SimTime, SmallRng, StallSnapshot, StepSeries, TagMap,
 };
 use std::collections::HashMap;
 
@@ -354,19 +354,17 @@ pub struct RankAccounting {
     pub retry: f64,
 }
 
-/// One outstanding async request of a rank. Ranks keep at most a handful
-/// outstanding, so a linear-scanned inline vector beats hashing on the
-/// per-event path.
+/// One outstanding async request of a rank, keyed by its tag.
 #[derive(Clone, Copy, Debug)]
 struct ReqEntry {
-    tag: ReqTag,
     state: ReqState,
     channel: Channel,
 }
 
 struct RankState {
     status: Status,
-    requests: Vec<ReqEntry>,
+    /// Outstanding async requests by tag: O(1) however many are in flight.
+    requests: TagMap<ReqEntry>,
     compute_count: u64,
     collective_seq: u64,
     /// Async submits issued so far (indexes [`simcore::CancelSpec`]).
@@ -387,7 +385,7 @@ impl RankState {
     fn new() -> Self {
         RankState {
             status: Status::Runnable,
-            requests: Vec::with_capacity(4),
+            requests: TagMap::default(),
             compute_count: 0,
             collective_seq: 0,
             async_seq: 0,
@@ -400,21 +398,6 @@ impl RankState {
             acct: RankAccounting::default(),
             finished_at: None,
         }
-    }
-
-    fn req(&self, tag: ReqTag) -> Option<&ReqEntry> {
-        self.requests.iter().find(|r| r.tag == tag)
-    }
-
-    fn req_mut(&mut self, tag: ReqTag) -> Option<&mut ReqEntry> {
-        self.requests.iter_mut().find(|r| r.tag == tag)
-    }
-
-    /// Unregisters `tag`. Order is irrelevant (lookups are by tag), so the
-    /// swap-remove keeps this O(1) after the scan.
-    fn remove_req(&mut self, tag: ReqTag) -> Option<ReqEntry> {
-        let i = self.requests.iter().position(|r| r.tag == tag)?;
-        Some(self.requests.swap_remove(i))
     }
 }
 
@@ -996,7 +979,7 @@ impl<H: IoHooks> World<H> {
     /// `PollWait` still completes it.
     fn exec_test(&mut self, rank: usize, tag: ReqTag) -> bool {
         let now = self.queue.now();
-        let Some(entry) = self.ranks[rank].req(tag) else {
+        let Some(entry) = self.ranks[rank].requests.get(tag.0) else {
             self.fail_run(SimError::invalid_program(
                 rank,
                 format!("test on unknown request {tag:?}"),
@@ -1022,7 +1005,7 @@ impl<H: IoHooks> World<H> {
             return true;
         }
         let now = self.queue.now();
-        let Some(entry) = self.ranks[rank].req(tag) else {
+        let Some(entry) = self.ranks[rank].requests.get(tag.0) else {
             self.fail_run(SimError::invalid_program(
                 rank,
                 format!("poll-wait on unknown request {tag:?}"),
@@ -1044,7 +1027,8 @@ impl<H: IoHooks> World<H> {
             let entered = self.ranks[rank].wait_entered;
             let lost = now - entered;
             let entry = self.ranks[rank]
-                .remove_req(tag)
+                .requests
+                .remove(tag.0)
                 .invariant("request registered");
             match entry.channel {
                 Channel::Write => self.ranks[rank].acct.wait_write += lost,
@@ -1231,7 +1215,7 @@ impl<H: IoHooks> World<H> {
         channel: Channel,
     ) -> bool {
         let now = self.queue.now();
-        if self.ranks[rank].req(tag).is_some() {
+        if self.ranks[rank].requests.get(tag.0).is_some() {
             self.fail_run(SimError::invalid_program(
                 rank,
                 format!("request tag {tag:?} already outstanding"),
@@ -1245,11 +1229,11 @@ impl<H: IoHooks> World<H> {
         if channel == Channel::Write {
             self.files[file.0 as usize].1 += bytes;
         }
-        self.ranks[rank].requests.push(ReqEntry {
-            tag,
+        let entry = ReqEntry {
             state: ReqState::InFlight,
             channel,
-        });
+        };
+        self.ranks[rank].requests.insert(tag.0, entry);
         let seq = self.ranks[rank].async_seq;
         self.ranks[rank].async_seq += 1;
         let task = self.new_task(rank, Some(tag), bytes, channel);
@@ -1271,7 +1255,7 @@ impl<H: IoHooks> World<H> {
 
     fn exec_wait(&mut self, rank: usize, tag: ReqTag) -> bool {
         let now = self.queue.now();
-        let Some(entry) = self.ranks[rank].req(tag) else {
+        let Some(entry) = self.ranks[rank].requests.get(tag.0) else {
             self.fail_run(SimError::invalid_program(
                 rank,
                 format!("wait on unknown request {tag:?}"),
@@ -1284,7 +1268,7 @@ impl<H: IoHooks> World<H> {
             .on_wait_enter(now, rank, tag, already_done, &mut self.limits);
         if already_done {
             o += self.hooks.on_wait_exit(now, rank, tag, &mut self.limits);
-            self.ranks[rank].remove_req(tag);
+            self.ranks[rank].requests.remove(tag.0);
             self.ranks[rank].acct.overhead += o;
             self.block_for(rank, o, BlockKind::Overhead)
         } else {
@@ -1539,7 +1523,8 @@ impl<H: IoHooks> World<H> {
             Some(tag) => {
                 // Async request: mark complete (or failed), notify tool.
                 self.ranks[rank]
-                    .req_mut(tag)
+                    .requests
+                    .get_mut(tag.0)
                     .invariant("request registered")
                     .state = match error {
                     None => ReqState::Completed,
@@ -1558,7 +1543,7 @@ impl<H: IoHooks> World<H> {
                         .hooks
                         .on_wait_exit(release_at, rank, tag, &mut self.limits);
                     self.ranks[rank].acct.overhead += o;
-                    self.ranks[rank].remove_req(tag);
+                    self.ranks[rank].requests.remove(tag.0);
                     // Resume via the queue so completions drain first.
                     self.ranks[rank].status = Status::Blocked(BlockKind::Overhead);
                     self.queue

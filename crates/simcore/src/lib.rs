@@ -10,7 +10,8 @@
 //!   maps),
 //! * [`stream_rng`] / [`Noise`] — reproducible per-stream randomness from
 //!   one generator ([`SmallRng`], xoshiro256++),
-//! * [`StepSeries`] — step-function time series for bandwidth plots.
+//! * [`StepSeries`] — step-function time series for bandwidth plots,
+//! * [`TagMap`] — a hash-free map keyed by request tag.
 //!
 //! The engine is intentionally minimal: world state lives in the crates that
 //! own it (`pfsim`, `mpisim`, `clustersim`); `simcore` only guarantees that
@@ -28,6 +29,7 @@ mod queue;
 mod rng;
 mod series;
 mod slab;
+mod tags;
 mod time;
 
 pub use error::{Invariant, SimError, SimResult, StallSnapshot};
@@ -39,4 +41,5 @@ pub use queue::EventQueue;
 pub use rng::{rank_phase_stream, stream_rng, Noise, SmallRng};
 pub use series::StepSeries;
 pub use slab::{GenKey, GenSlab};
+pub use tags::TagMap;
 pub use time::SimTime;

@@ -32,17 +32,6 @@ impl GenKey {
     fn gen(self) -> u32 {
         (self.0 >> 32) as u32
     }
-
-    /// The packed `(slot, generation)` representation.
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-
-    /// Rebuilds a key from [`GenKey::as_u64`]. The caller is responsible for
-    /// round-tripping values obtained from the same slab.
-    pub fn from_u64(v: u64) -> Self {
-        GenKey(v)
-    }
 }
 
 struct Entry<T> {
@@ -228,13 +217,5 @@ mod tests {
         s.remove(a);
         let got: Vec<&str> = s.iter().map(|(_, v)| *v).collect();
         assert_eq!(got, ["b", "c"]);
-    }
-
-    #[test]
-    fn key_u64_roundtrip() {
-        let mut s = GenSlab::new();
-        let k = s.insert(7);
-        let k2 = GenKey::from_u64(k.as_u64());
-        assert_eq!(s.get(k2), Some(&7));
     }
 }

@@ -39,7 +39,7 @@ use crate::report::LazySeries;
 use crate::strategy::{Strategy, StrategyState};
 use mpisim::{Channel, IoHooks, Limits, ReqTag};
 use simcore::StepSeries;
-use simcore::{GenKey, GenSlab, Invariant, SimTime};
+use simcore::{GenKey, GenSlab, Invariant, SimTime, TagMap};
 
 /// How per-request bandwidths combine into the rank metric `B_{i,j}`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -253,79 +253,12 @@ struct OpenSpan {
     channel: Channel,
 }
 
-/// Tags below this bound resolve through a direct per-rank array probe;
-/// larger (unusual) tag values fall back to a small linear-scan list so a
-/// hostile tag like `u32::MAX` cannot balloon the index.
-const DENSE_TAGS: u32 = 4096;
-
-const NO_SPAN: u64 = u64::MAX;
-
-/// Per-rank index from [`ReqTag`] to the slot-arena key of its open span.
-#[derive(Default)]
-struct TagIndex {
-    /// `tag -> packed GenKey` for tags `< DENSE_TAGS`; grown lazily to the
-    /// highest tag seen. `NO_SPAN` marks an empty cell.
-    dense: Vec<u64>,
-    /// Overflow entries for out-of-range tags (linear scan; rare).
-    sparse: Vec<(u32, u64)>,
-}
-
-impl TagIndex {
-    /// Binds `tag` to `key`, returning a displaced key if the tag was
-    /// already bound (mirrors `HashMap::insert` semantics).
-    fn insert(&mut self, tag: u32, key: GenKey) -> Option<GenKey> {
-        let key = key.as_u64();
-        if tag < DENSE_TAGS {
-            let i = tag as usize;
-            if i >= self.dense.len() {
-                self.dense.resize(i + 1, NO_SPAN);
-            }
-            let old = std::mem::replace(&mut self.dense[i], key);
-            (old != NO_SPAN).then(|| GenKey::from_u64(old))
-        } else {
-            match self.sparse.iter_mut().find(|(t, _)| *t == tag) {
-                Some(e) => Some(GenKey::from_u64(std::mem::replace(&mut e.1, key))),
-                None => {
-                    self.sparse.push((tag, key));
-                    None
-                }
-            }
-        }
-    }
-
-    fn get(&self, tag: u32) -> Option<GenKey> {
-        if tag < DENSE_TAGS {
-            match self.dense.get(tag as usize) {
-                Some(&k) if k != NO_SPAN => Some(GenKey::from_u64(k)),
-                _ => None,
-            }
-        } else {
-            self.sparse
-                .iter()
-                .find(|(t, _)| *t == tag)
-                .map(|&(_, k)| GenKey::from_u64(k))
-        }
-    }
-
-    fn remove(&mut self, tag: u32) -> Option<GenKey> {
-        if tag < DENSE_TAGS {
-            match self.dense.get_mut(tag as usize) {
-                Some(k) if *k != NO_SPAN => Some(GenKey::from_u64(std::mem::replace(k, NO_SPAN))),
-                _ => None,
-            }
-        } else {
-            let i = self.sparse.iter().position(|(t, _)| *t == tag)?;
-            Some(GenKey::from_u64(self.sparse.swap_remove(i).1))
-        }
-    }
-}
-
 struct RankTrace {
     phase: usize,
     queue: Vec<Pending>,
     waited: Vec<ReqTag>,
-    /// Open-span index of this rank's outstanding requests.
-    tags: TagIndex,
+    /// Tag -> slot-arena key of the open span of each outstanding request.
+    tags: TagMap<GenKey>,
     tq_outstanding: usize,
     tq_start: SimTime,
     tq_bytes: f64,
@@ -345,7 +278,7 @@ impl RankTrace {
             phase: 0,
             queue: Vec::with_capacity(8),
             waited: Vec::with_capacity(8),
-            tags: TagIndex::default(),
+            tags: TagMap::default(),
             tq_outstanding: 0,
             tq_start: SimTime::ZERO,
             tq_bytes: 0.0,
@@ -364,7 +297,7 @@ impl RankTrace {
 pub struct Tracer {
     cfg: TracerConfig,
     ranks: Vec<RankTrace>,
-    /// Open async spans, keyed through each rank's [`TagIndex`].
+    /// Open async spans, keyed through each rank's tag map.
     open_spans: GenSlab<OpenSpan>,
     /// Finished records, in the order they closed: the report's rows.
     phases: Vec<PhaseRecord>,
@@ -564,7 +497,7 @@ impl IoHooks for Tracer {
         if let Some(span) = self.ranks[rank]
             .tags
             .get(tag.0)
-            .and_then(|k| self.open_spans.get_mut(k))
+            .and_then(|&k| self.open_spans.get_mut(k))
         {
             span.complete = Some(t);
         }
@@ -602,7 +535,7 @@ impl IoHooks for Tracer {
         if let Some(span) = self.ranks[rank]
             .tags
             .get(tag.0)
-            .and_then(|k| self.open_spans.get_mut(k))
+            .and_then(|&k| self.open_spans.get_mut(k))
         {
             span.wait_enter = Some(t);
         }
@@ -716,7 +649,7 @@ impl Tracer {
     /// Emits the finished [`AsyncSpan`] once both completion and wait-enter
     /// are known.
     fn try_close_span(&mut self, rank: usize, tag: ReqTag) {
-        let Some(key) = self.ranks[rank].tags.get(tag.0) else {
+        let Some(&key) = self.ranks[rank].tags.get(tag.0) else {
             return;
         };
         let ready = self
