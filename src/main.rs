@@ -19,37 +19,61 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    let cmd = match args.next() {
-        Some(c) => c,
-        None => {
-            eprintln!("{USAGE}");
-            return ExitCode::FAILURE;
-        }
+    let Some(cmd) = args.next() else {
+        eprintln!("{USAGE}");
+        return ExitCode::FAILURE;
     };
-    let opts = match parse_opts(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::FAILURE;
+    let result = parse_opts(args).and_then(|opts| {
+        check_json_dir(&opts)?;
+        match cmd.as_str() {
+            "hacc" => cmd_hacc(&opts),
+            "wacomm" => cmd_wacomm(&opts),
+            "cluster" => cmd_cluster(&opts),
+            "period" => cmd_period(&opts),
+            "help" | "--help" | "-h" => {
+                println!("{USAGE}");
+                Ok(())
+            }
+            other => Err(Failure::Usage(format!("unknown command `{other}`"))),
         }
-    };
-    let result = match cmd.as_str() {
-        "hacc" => cmd_hacc(&opts),
-        "wacomm" => cmd_wacomm(&opts),
-        "cluster" => cmd_cluster(&opts),
-        "period" => cmd_period(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`")),
-    };
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Failure::Usage(e)) => {
             eprintln!("error: {e}\n{USAGE}");
             ExitCode::FAILURE
         }
+        Err(Failure::Run(e)) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Why a command failed: a bad command line (answered with the usage
+/// text) or a run that could not complete (one line).
+enum Failure {
+    Usage(String),
+    Run(String),
+}
+
+/// A failure of the run itself.
+fn run_failed(e: impl std::fmt::Display) -> Failure {
+    Failure::Run(e.to_string())
+}
+
+/// Fails before any work when `--json PATH` names a missing directory,
+/// so a whole run is not spent on a trace that cannot be written.
+fn check_json_dir(opts: &Opts) -> Result<(), Failure> {
+    let Some(path) = opts.0.get("json") else {
+        return Ok(());
+    };
+    match Path::new(path).parent() {
+        Some(dir) if !dir.as_os_str().is_empty() && !dir.is_dir() => Err(Failure::Run(format!(
+            "cannot write {path}: no directory {}",
+            dir.display()
+        ))),
+        _ => Ok(()),
     }
 }
 
@@ -80,12 +104,12 @@ OPTIONS (with defaults):
 struct Opts(HashMap<String, String>);
 
 impl Opts {
-    fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+    fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, Failure> {
         match self.0.get(key) {
             None => Ok(default),
             Some(v) => v
                 .parse()
-                .map_err(|_| format!("invalid value `{v}` for --{key}")),
+                .map_err(|_| Failure::Usage(format!("invalid value `{v}` for --{key}"))),
         }
     }
 
@@ -93,7 +117,7 @@ impl Opts {
         self.0.contains_key(key)
     }
 
-    fn strategy(&self) -> Result<Strategy, String> {
+    fn strategy(&self) -> Result<Strategy, Failure> {
         let tol: f64 = self.get("tol", 1.1)?;
         match self
             .0
@@ -106,17 +130,17 @@ impl Opts {
             "up-only" | "uponly" => Ok(Strategy::UpOnly { tol }),
             "adaptive" => Ok(Strategy::Adaptive { tol, tol_i: 0.5 }),
             "mfu" => Ok(Strategy::Mfu { tol, bins: 32 }),
-            other => Err(format!("unknown strategy `{other}`")),
+            other => Err(Failure::Usage(format!("unknown strategy `{other}`"))),
         }
     }
 }
 
-fn parse_opts(args: impl Iterator<Item = String>) -> Result<Opts, String> {
+fn parse_opts(args: impl Iterator<Item = String>) -> Result<Opts, Failure> {
     let mut map = HashMap::new();
     let mut args = args.peekable();
     while let Some(a) = args.next() {
         let Some(key) = a.strip_prefix("--") else {
-            return Err(format!("unexpected argument `{a}`"));
+            return Err(Failure::Usage(format!("unexpected argument `{a}`")));
         };
         // Flags without values.
         if key == "limit" {
@@ -124,7 +148,7 @@ fn parse_opts(args: impl Iterator<Item = String>) -> Result<Opts, String> {
             continue;
         }
         let Some(value) = args.next() else {
-            return Err(format!("--{key} needs a value"));
+            return Err(Failure::Usage(format!("--{key} needs a value")));
         };
         map.insert(key.to_string(), value);
     }
@@ -172,11 +196,11 @@ fn print_summary(out: &RunOutput) {
 
 /// Runs a fully built session, writes the TMIO trace to `--json PATH`
 /// when requested, and prints the summary.
-fn run_and_report(opts: &Opts, session: &Session) -> Result<(), String> {
-    let out = session.try_run().map_err(|e| e.to_string())?;
+fn run_and_report(opts: &Opts, session: &Session) -> Result<(), Failure> {
+    let out = session.try_run().map_err(run_failed)?;
     if let Some(path) = opts.0.get("json") {
         iobts::session::write_atomic(Path::new(path), out.report.to_json().as_bytes())
-            .map_err(|e| format!("writing {path}: {e}"))?;
+            .map_err(|e| Failure::Run(format!("writing {path}: {e}")))?;
     }
     print_summary(&out);
     if let Some(path) = opts.0.get("json") {
@@ -185,7 +209,7 @@ fn run_and_report(opts: &Opts, session: &Session) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_hacc(opts: &Opts) -> Result<(), String> {
+fn cmd_hacc(opts: &Opts) -> Result<(), Failure> {
     let ranks = opts.get("ranks", 64usize)?;
     let hacc = HaccConfig {
         particles_per_rank: opts.get("particles", 100_000u64)?,
@@ -202,11 +226,11 @@ fn cmd_hacc(opts: &Opts) -> Result<(), String> {
     let session = Session::builder(cfg)
         .workload(HaccIo::new(hacc))
         .try_build()
-        .map_err(|e| e.to_string())?;
+        .map_err(run_failed)?;
     run_and_report(opts, &session)
 }
 
-fn cmd_wacomm(opts: &Opts) -> Result<(), String> {
+fn cmd_wacomm(opts: &Opts) -> Result<(), Failure> {
     let ranks = opts.get("ranks", 96usize)?;
     let wc = WacommConfig {
         iterations: opts.get("iterations", 50usize)?,
@@ -221,11 +245,11 @@ fn cmd_wacomm(opts: &Opts) -> Result<(), String> {
     let session = Session::builder(cfg)
         .workload(Wacomm::new(wc))
         .try_build()
-        .map_err(|e| e.to_string())?;
+        .map_err(run_failed)?;
     run_and_report(opts, &session)
 }
 
-fn cmd_cluster(opts: &Opts) -> Result<(), String> {
+fn cmd_cluster(opts: &Opts) -> Result<(), Failure> {
     use clustersim::{motivation_scenario, Cluster};
     let limit = opts.flag("limit");
     let (cfg, jobs) = motivation_scenario(limit, 1.0);
@@ -258,7 +282,7 @@ fn cmd_cluster(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_period(opts: &Opts) -> Result<(), String> {
+fn cmd_period(opts: &Opts) -> Result<(), Failure> {
     let ranks = opts.get("ranks", 16usize)?;
     let hacc = HaccConfig {
         particles_per_rank: opts.get("particles", 500_000u64)?,
@@ -270,7 +294,7 @@ fn cmd_period(opts: &Opts) -> Result<(), String> {
         .workload(HaccIo::new(hacc))
         .try_build()
         .and_then(|s| s.try_run())
-        .map_err(|e| e.to_string())?;
+        .map_err(run_failed)?;
     println!("HACC-IO {ranks} ranks: runtime {:.2} s", out.app_time());
     match iobts::tmio::ftio::detect_period(&out.pfs_write, 0.0, out.app_time(), 2048) {
         Some(est) => {

@@ -1,6 +1,7 @@
 //! The CLI's `--json PATH`: the trace file is exactly the session's report,
-//! staged through a temp sibling, and a path that cannot be written is an
-//! error that names it.
+//! staged through a temp sibling, and a path that cannot be written is a
+//! one-line error that names it, raised before the run starts. Only
+//! command-line mistakes are answered with the usage text.
 
 use iobts::prelude::*;
 use std::fs;
@@ -61,7 +62,31 @@ fn unwritable_json_path_fails_and_names_it() {
         "stderr does not name {}: {stderr}",
         path.display()
     );
+    // Checked before the run: no banner, no summary, and no usage text.
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.is_empty(), "printed before failing: {stdout}");
+    assert!(
+        !stderr.contains("USAGE"),
+        "usage text after a run error: {stderr}"
+    );
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
     assert!(!dir.join("missing").exists());
     assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
     fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn bad_option_value_prints_usage() {
+    let out = Command::new(env!("CARGO_BIN_EXE_iobts"))
+        .args(["wacomm", "--ranks", "many"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("error: invalid value `many` for --ranks\n"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("USAGE"), "{stderr}");
 }
