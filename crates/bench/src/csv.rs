@@ -44,7 +44,8 @@ pub fn write_rows<R: CsvRow>(name: &str, items: &[R]) -> std::io::Result<PathBuf
 }
 
 /// Where figure CSVs are written (`results/` under the workspace root, or
-/// `$IOBTS_RESULTS_DIR`). Creation is attempted but not required here —
+/// `$IOBTS_RESULTS_DIR`, which the CLI points at `results_full/` for
+/// `--full` sweeps when it is unset). Creation is attempted but not required here —
 /// the writer surfaces the error with the actual path if the directory
 /// cannot exist.
 pub fn results_dir() -> PathBuf {

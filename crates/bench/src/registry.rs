@@ -293,6 +293,8 @@ pub fn print_list(group: &str) {
 /// The shared CLI frontend: parses `--list`, `--full`, `--quick`,
 /// `--jobs N`, `--resume`, `--only <glob>` (repeatable) and positional
 /// patterns, then runs the selection. Returns the process exit code.
+/// Outputs go to `$IOBTS_RESULTS_DIR`, else `results_full/` under
+/// `--full` and `results/` otherwise.
 ///
 /// Supervision: each scenario runs under `catch_unwind`, so one panicking
 /// entry is reported and the rest of the sweep still runs. Completion is
@@ -358,6 +360,11 @@ pub fn cli_main(group: &'static str, bin: &str) -> std::process::ExitCode {
         }
     }
 
+    if ctx.full && std::env::var_os("IOBTS_RESULTS_DIR").is_none() {
+        // Paper-scale CSVs have their own home, so a bare `--full` never
+        // overwrites the quick-scale goldens in `results/`.
+        std::env::set_var("IOBTS_RESULTS_DIR", "results_full");
+    }
     let selection = match select(group, &patterns) {
         Ok(s) => s,
         Err(e) => {
