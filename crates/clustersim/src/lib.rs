@@ -21,17 +21,6 @@ use pfsim::{Channel, FlowId, FlowSpec, MeterId, Pfs, PfsConfig};
 use simcore::{EventQueue, Invariant, SimTime, StepSeries};
 use std::collections::HashMap;
 
-/// Node-allocation policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scheduler {
-    /// Strict first-come-first-served: the queue head blocks everyone.
-    Fcfs,
-    /// EASY backfill: while the head waits for its reservation, later jobs
-    /// may run if they fit now and their walltime ends before the head's
-    /// reserved start.
-    Backfill,
-}
-
 /// Cluster-wide configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ClusterConfig {
@@ -41,8 +30,6 @@ pub struct ClusterConfig {
     pub cores_per_node: usize,
     /// The shared PFS (paper: 120 GB/s).
     pub pfs: PfsConfig,
-    /// Node-allocation policy.
-    pub scheduler: Scheduler,
 }
 
 impl Default for ClusterConfig {
@@ -54,7 +41,6 @@ impl Default for ClusterConfig {
                 write_capacity: 120e9,
                 read_capacity: 120e9,
             },
-            scheduler: Scheduler::Fcfs,
         }
     }
 }
@@ -96,10 +82,6 @@ pub struct JobSpec {
     /// If set, the job's transfers are capped at this rate (bytes/s) *while
     /// other jobs are using the PFS* (limiting during contention only).
     pub contention_cap: Option<f64>,
-    /// Requested walltime, seconds (used by the backfill scheduler; a
-    /// generous default is derived from the profile when built through
-    /// [`JobSpec::hacc_like`]).
-    pub walltime: f64,
 }
 
 impl JobSpec {
@@ -118,22 +100,6 @@ impl JobSpec {
             profile.push(JobPhase::Compute(compute_seconds));
             profile.push(JobPhase::Write(write_bytes));
         }
-        // Requested walltime: compute plus I/O at half the by-node fair
-        // share of a default cluster, padded 30 % — the usual over-request.
-        let io_guess: f64 = profile
-            .iter()
-            .map(|p| match p {
-                JobPhase::Write(b) | JobPhase::Read(b) => b / (120e9 * nodes as f64 / 500.0 / 2.0),
-                JobPhase::Compute(_) => 0.0,
-            })
-            .sum();
-        let compute: f64 = profile
-            .iter()
-            .map(|p| match p {
-                JobPhase::Compute(d) => *d,
-                _ => 0.0,
-            })
-            .sum();
         JobSpec {
             name: name.to_string(),
             nodes,
@@ -141,7 +107,6 @@ impl JobSpec {
             profile,
             style,
             contention_cap: None,
-            walltime: 1.3 * (compute + io_guess),
         }
     }
 
@@ -216,15 +181,14 @@ struct Job {
 
 #[derive(Clone, Copy, Debug)]
 enum Event {
-    /// A job reached its submit time (index kept for debug printing).
-    Arrive(#[allow(dead_code)] usize),
+    /// A job reached its submit time.
+    Arrive,
     ComputeDone(usize),
     PfsWake,
 }
 
 /// The batch simulator.
 pub struct Cluster {
-    cfg: ClusterConfig,
     queue: EventQueue<Event>,
     pfs: Pfs,
     jobs: Vec<Job>,
@@ -260,11 +224,10 @@ impl Cluster {
                 .invariant("NaN-free")
         });
         for i in order {
-            queue.schedule(SimTime::from_secs(jobs[i].spec.submit), Event::Arrive(i));
+            queue.schedule(SimTime::from_secs(jobs[i].spec.submit), Event::Arrive);
         }
         let free_nodes = cfg.nodes;
         Cluster {
-            cfg,
             queue,
             pfs,
             jobs,
@@ -281,7 +244,7 @@ impl Cluster {
                 panic!("cluster deadlock: jobs pending but no events");
             };
             match ev {
-                Event::Arrive(_) => self.try_schedule(),
+                Event::Arrive => self.try_schedule(),
                 Event::ComputeDone(i) => self.advance_job(i),
                 Event::PfsWake => {
                     self.drain_pfs();
@@ -316,9 +279,8 @@ impl Cluster {
         }
     }
 
-    /// Enqueue newly arrived jobs, then start jobs per the configured
-    /// policy: strict FCFS, optionally with EASY backfill behind a blocked
-    /// queue head.
+    /// Enqueue newly arrived jobs, then start jobs in strict FCFS order:
+    /// a blocked queue head blocks everyone behind it.
     fn try_schedule(&mut self) {
         let now = self.queue.now();
         let mut newly: Vec<usize> = (0..self.jobs.len())
@@ -343,9 +305,6 @@ impl Cluster {
             self.wait_queue.remove(0);
             self.start_job(i, now);
         }
-        if self.cfg.scheduler == Scheduler::Backfill && !self.wait_queue.is_empty() {
-            self.backfill(now);
-        }
     }
 
     fn start_job(&mut self, i: usize, now: SimTime) {
@@ -353,45 +312,6 @@ impl Cluster {
         self.jobs[i].state = JobState::Running;
         self.jobs[i].start = now;
         self.advance_job(i);
-    }
-
-    /// EASY backfill: reserve the earliest start for the blocked head from
-    /// the running jobs' walltime horizons, then start any later queued job
-    /// that fits now and is promised to finish before that reservation.
-    fn backfill(&mut self, now: SimTime) {
-        let head = self.wait_queue[0];
-        let head_nodes = self.jobs[head].spec.nodes;
-        // Running jobs' (expected end, nodes), by walltime promise.
-        let mut ends: Vec<(f64, usize)> = self
-            .jobs
-            .iter()
-            .filter(|j| j.state == JobState::Running)
-            .map(|j| (j.start.as_secs() + j.spec.walltime, j.spec.nodes))
-            .collect();
-        ends.sort_by(|a, b| a.0.partial_cmp(&b.0).invariant("NaN-free"));
-        let mut free = self.free_nodes;
-        let mut reservation = now.as_secs();
-        for (end, nodes) in ends {
-            if free >= head_nodes {
-                break;
-            }
-            free += nodes;
-            reservation = end;
-        }
-        // Start any queued non-head job that fits *now* and whose walltime
-        // ends before the head's reserved start.
-        let mut k = 1;
-        while k < self.wait_queue.len() {
-            let j = self.wait_queue[k];
-            let spec_nodes = self.jobs[j].spec.nodes;
-            let promised_end = now.as_secs() + self.jobs[j].spec.walltime;
-            if spec_nodes <= self.free_nodes && promised_end <= reservation + 1e-9 {
-                self.wait_queue.remove(k);
-                self.start_job(j, now);
-            } else {
-                k += 1;
-            }
-        }
     }
 
     /// Moves job `i` through its phase machine until it blocks or finishes.
@@ -536,11 +456,6 @@ impl Cluster {
         let now = self.queue.now();
         let target = self.pfs.next_completion().map(|t| t.max(now));
         self.queue.set_wake(target, Event::PfsWake);
-    }
-
-    /// The configured cluster parameters.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.cfg
     }
 }
 
@@ -712,95 +627,5 @@ mod tests {
             .iter()
             .enumerate()
             .all(|(i, j)| (i == 4) == (j.style == IoStyle::Async)));
-    }
-}
-
-#[cfg(test)]
-mod backfill_tests {
-    use super::*;
-
-    #[test]
-    fn backfill_lets_short_jobs_jump() {
-        let cfg = ClusterConfig {
-            nodes: 10,
-            scheduler: Scheduler::Backfill,
-            ..Default::default()
-        };
-        // a: holds 8 nodes for ~20 s. big: needs 10 (blocked). small: 2
-        // nodes, short — fits beside a and ends before big's reservation.
-        let a = JobSpec::hacc_like("a", 8, 0.0, 1, 20.0, 1e9, IoStyle::Sync);
-        let big = JobSpec::hacc_like("big", 10, 1.0, 1, 5.0, 1e9, IoStyle::Sync);
-        let small = JobSpec::hacc_like("small", 2, 2.0, 1, 2.0, 1e9, IoStyle::Sync);
-        let r = Cluster::new(cfg, vec![a, big, small]).run();
-        assert!(
-            r.jobs[2].start < r.jobs[1].start,
-            "small ({}) should backfill ahead of big ({})",
-            r.jobs[2].start,
-            r.jobs[1].start
-        );
-        // And the head is not delayed: big starts when a ends.
-        assert!((r.jobs[1].start - r.jobs[0].end).abs() < 1e-6);
-    }
-
-    #[test]
-    fn backfill_rejects_jobs_that_would_delay_the_head() {
-        let cfg = ClusterConfig {
-            nodes: 10,
-            scheduler: Scheduler::Backfill,
-            ..Default::default()
-        };
-        let a = JobSpec::hacc_like("a", 8, 0.0, 1, 10.0, 1e9, IoStyle::Sync);
-        let big = JobSpec::hacc_like("big", 10, 1.0, 1, 5.0, 1e9, IoStyle::Sync);
-        // long: fits beside a but its walltime extends past big's
-        // reservation — must NOT backfill.
-        let long = JobSpec::hacc_like("long", 2, 2.0, 1, 60.0, 1e9, IoStyle::Sync);
-        let r = Cluster::new(cfg, vec![a, big, long]).run();
-        assert!(
-            r.jobs[2].start >= r.jobs[1].start,
-            "long ({}) must wait behind big ({})",
-            r.jobs[2].start,
-            r.jobs[1].start
-        );
-    }
-
-    #[test]
-    fn backfill_never_worse_than_fcfs_here() {
-        let jobs = || {
-            vec![
-                JobSpec::hacc_like("a", 8, 0.0, 1, 15.0, 1e9, IoStyle::Sync),
-                JobSpec::hacc_like("big", 10, 1.0, 1, 5.0, 1e9, IoStyle::Sync),
-                JobSpec::hacc_like("s1", 2, 2.0, 1, 2.0, 1e9, IoStyle::Sync),
-                JobSpec::hacc_like("s2", 2, 2.5, 1, 2.0, 1e9, IoStyle::Sync),
-            ]
-        };
-        let fcfs_cfg = ClusterConfig {
-            nodes: 10,
-            ..Default::default()
-        };
-        let bf_cfg = ClusterConfig {
-            scheduler: Scheduler::Backfill,
-            ..fcfs_cfg
-        };
-        let fcfs = Cluster::new(fcfs_cfg, jobs()).run();
-        let bf = Cluster::new(bf_cfg, jobs()).run();
-        assert!(bf.makespan <= fcfs.makespan + 1e-9);
-        assert!(
-            bf.jobs[2].end < fcfs.jobs[2].end - 1.0,
-            "short jobs should finish much earlier with backfill"
-        );
-    }
-
-    #[test]
-    fn walltime_estimate_covers_actual_runtime() {
-        // The derived walltime must be an over-estimate for a solo job.
-        let j = JobSpec::hacc_like("j", 96, 0.0, 6, 10.0, 96.0 * 4e9, IoStyle::Sync);
-        let w = j.walltime;
-        let cfg = ClusterConfig::default();
-        let r = Cluster::new(cfg, vec![j]).run();
-        assert!(
-            r.jobs[0].runtime() <= w,
-            "actual {} exceeds promised {w}",
-            r.jobs[0].runtime()
-        );
     }
 }

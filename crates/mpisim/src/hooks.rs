@@ -42,11 +42,6 @@ impl Limits {
         self.per_rank[rank] = limit;
     }
 
-    /// The stored limit, regardless of whether limiting is enabled.
-    pub fn stored(&self, rank: usize) -> Option<f64> {
-        self.per_rank[rank]
-    }
-
     /// The limit the I/O thread actually applies (None when disabled).
     pub fn effective(&self, rank: usize) -> Option<f64> {
         if self.enabled {
@@ -54,16 +49,6 @@ impl Limits {
         } else {
             None
         }
-    }
-
-    /// Whether the limiter (the modified-MPICH side) is active.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Number of ranks.
-    pub fn n_ranks(&self) -> usize {
-        self.per_rank.len()
     }
 }
 
@@ -191,9 +176,8 @@ mod tests {
     fn limits_disabled_hides_values() {
         let mut l = Limits::new(2, false);
         l.set(0, Some(100.0));
-        assert_eq!(l.stored(0), Some(100.0));
+        assert_eq!(l.per_rank[0], Some(100.0), "the value is stored");
         assert_eq!(l.effective(0), None);
-        assert!(!l.enabled());
     }
 
     #[test]

@@ -17,7 +17,6 @@ pub(crate) struct SeqMap<V> {
     /// Id of `slots[0]`.
     base: u64,
     slots: VecDeque<Option<V>>,
-    len: usize,
 }
 
 impl<V> Default for SeqMap<V> {
@@ -25,7 +24,6 @@ impl<V> Default for SeqMap<V> {
         SeqMap {
             base: 0,
             slots: VecDeque::new(),
-            len: 0,
         }
     }
 }
@@ -35,20 +33,7 @@ impl<V> SeqMap<V> {
         SeqMap {
             base: 0,
             slots: VecDeque::with_capacity(capacity),
-            len: 0,
         }
-    }
-
-    /// Live-entry count; part of the container API, currently exercised by
-    /// the invariants in this module's tests.
-    #[allow(dead_code)]
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    #[allow(dead_code)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     fn index(&self, id: u64) -> Option<usize> {
@@ -70,7 +55,6 @@ impl<V> SeqMap<V> {
         let slot = &mut self.slots[i];
         assert!(slot.is_none(), "SeqMap: duplicate id {id}");
         *slot = Some(val);
-        self.len += 1;
     }
 
     pub(crate) fn get(&self, id: u64) -> Option<&V> {
@@ -90,7 +74,6 @@ impl<V> SeqMap<V> {
     pub(crate) fn remove(&mut self, id: u64) -> Option<V> {
         let i = self.index(id)?;
         let val = self.slots.get_mut(i)?.take()?;
-        self.len -= 1;
         // Advance the window past the retired prefix; the allocation is
         // kept and the next insert re-anchors an emptied window.
         while let Some(None) = self.slots.front() {
@@ -119,7 +102,7 @@ mod tests {
         m.insert(0, "a");
         m.insert(1, "b");
         m.insert(2, "c");
-        assert_eq!(m.len(), 3);
+        assert_eq!(m.iter().count(), 3);
         assert_eq!(m.get(1), Some(&"b"));
         assert_eq!(m.remove(1), Some("b"));
         assert_eq!(m.remove(1), None);
@@ -137,7 +120,7 @@ mod tests {
         for id in 0..99u64 {
             assert_eq!(m.remove(id), Some(id));
         }
-        assert_eq!(m.len(), 1);
+        assert_eq!(m.iter().count(), 1);
         assert!(m.slots.len() <= 1, "window did not advance");
         m.insert(100, 100);
         assert_eq!(m.get(99), Some(&99));
@@ -174,7 +157,6 @@ mod tests {
         m.insert(7, 1u32);
         *m.get_mut(7).unwrap() += 9;
         assert_eq!(m.get(7), Some(&10));
-        assert!(!m.is_empty());
         let _ = SeqMap::<u32>::with_capacity(8);
     }
 }

@@ -605,11 +605,6 @@ impl<H: IoHooks> World<H> {
         self.files[file.0 as usize].1
     }
 
-    /// Access to the observer (e.g. to pull TMIO's report after `run`).
-    pub fn hooks(&self) -> &H {
-        &self.hooks
-    }
-
     /// Mutable access to the observer.
     pub fn hooks_mut(&mut self) -> &mut H {
         &mut self.hooks
@@ -623,16 +618,6 @@ impl<H: IoHooks> World<H> {
     /// The PFS rate series of a channel (for plots).
     pub fn pfs_series(&self, channel: Channel) -> &StepSeries {
         self.pfs.total_series(channel)
-    }
-
-    /// The configured world parameters.
-    pub fn config(&self) -> &WorldConfig {
-        &self.cfg
-    }
-
-    /// Current per-rank limits (stored values, for inspection).
-    pub fn limits(&self) -> &Limits {
-        &self.limits
     }
 
     /// Runs the world to completion, surfacing failures as typed errors.
@@ -935,6 +920,25 @@ impl<H: IoHooks> World<H> {
 
     /// Executes one op. Returns true if the rank is now blocked.
     fn exec_op(&mut self, rank: usize, op: Op) -> bool {
+        if let Op::Write { file, .. }
+        | Op::Read { file, .. }
+        | Op::IWrite { file, .. }
+        | Op::IRead { file, .. }
+        | Op::WriteAll { file, .. }
+        | Op::ReadAll { file, .. } = op
+        {
+            if file.0 as usize >= self.files.len() {
+                self.fail_run(SimError::invalid_program(
+                    rank,
+                    format!(
+                        "I/O on unregistered file {} ({} registered)",
+                        file.0,
+                        self.files.len()
+                    ),
+                ));
+                return true;
+            }
+        }
         match op {
             Op::Compute { seconds } => {
                 let idx = self.ranks[rank].compute_count;

@@ -51,11 +51,6 @@ impl BurstBuffer {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &BurstBufferConfig {
-        &self.cfg
-    }
-
     fn advance(&mut self, t: f64) {
         assert!(t >= self.last_t - 1e-12, "time must not go backwards");
         let dt = (t - self.last_t).max(0.0);

@@ -514,11 +514,6 @@ impl Pfs {
         self.record = on;
     }
 
-    /// Current virtual time of the PFS state.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Allocates a new bandwidth meter.
     pub fn meter(&mut self) -> MeterId {
         let id = MeterId(self.next_meter);

@@ -47,11 +47,6 @@ impl Session {
         }
     }
 
-    /// The experiment configuration this session runs under.
-    pub fn config(&self) -> &ExpConfig {
-        &self.cfg
-    }
-
     /// Runs the workload under the tracer and collects everything. Engine
     /// failures (deadlock, tripped watchdog, invalid program, a program
     /// count that differs from the rank count) come back as typed errors.

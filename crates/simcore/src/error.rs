@@ -111,14 +111,6 @@ impl SimError {
         }
     }
 
-    /// Convenience constructor for I/O failures.
-    pub fn io(path: impl Into<String>, err: &std::io::Error) -> Self {
-        SimError::Io {
-            path: path.into(),
-            reason: err.to_string(),
-        }
-    }
-
     /// The stall snapshot, when the error carries one.
     pub fn snapshot(&self) -> Option<&StallSnapshot> {
         match self {

@@ -6,8 +6,7 @@
 //! error codes, straggler ranks, and injected request cancellations. Every
 //! element is derived from the plan's seed through [`stream_rng`], so a plan
 //! replays bit-identically and a plan with all magnitudes at their neutral
-//! values is indistinguishable from no plan at all (see
-//! [`FaultPlan::is_inert`]).
+//! values is indistinguishable from no plan at all.
 //!
 //! The plan itself is runtime-agnostic: `pfsim` consumes the channel
 //! windows, `mpisim` consumes the error model, stragglers, cancellations and
@@ -215,17 +214,6 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Whether the plan cannot affect a run: no active capacity windows, no
-    /// error probability, no effective stragglers, no cancellations. Inert
-    /// plans must reproduce the fault-free run bit-for-bit, so consumers
-    /// skip scheduling anything for inert components.
-    pub fn is_inert(&self) -> bool {
-        self.active_channel_faults().next().is_none()
-            && !self.io_errors_active()
-            && self.stragglers.iter().all(|s| s.factor == 1.0)
-            && self.cancellations.is_empty()
-    }
-
     /// The capacity windows that can actually change behaviour (non-neutral
     /// factor over a non-empty span).
     pub fn active_channel_faults(&self) -> impl Iterator<Item = &ChannelFaultWindow> {
@@ -370,10 +358,19 @@ impl FaultPlan {
 mod tests {
     use super::*;
 
+    /// Whether `plan` cannot affect a run: no active capacity windows, no
+    /// error probability, no effective stragglers, no cancellations.
+    fn inert(plan: &FaultPlan) -> bool {
+        plan.active_channel_faults().next().is_none()
+            && !plan.io_errors_active()
+            && plan.stragglers.iter().all(|s| s.factor == 1.0)
+            && plan.cancellations.is_empty()
+    }
+
     #[test]
     fn default_plan_is_inert() {
-        assert!(FaultPlan::default().is_inert());
-        assert!(FaultPlan::empty().is_inert());
+        assert!(inert(&FaultPlan::default()));
+        assert!(inert(&FaultPlan::empty()));
     }
 
     #[test]
@@ -392,7 +389,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        assert!(plan.is_inert());
+        assert!(inert(&plan));
         assert_eq!(plan.capacity_factor(0, 1.5), 1.0);
         assert_eq!(plan.straggler_factor(0), 1.0);
     }
@@ -408,7 +405,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        assert!(!plan.is_inert());
+        assert!(!inert(&plan));
         assert_eq!(plan.capacity_factor(0, 0.5), 1.0);
         assert_eq!(plan.capacity_factor(0, 1.0), 0.0);
         assert_eq!(plan.capacity_factor(0, 1.999), 0.0);
@@ -617,6 +614,6 @@ mod tests {
         assert!(plan.cancels(2, 1));
         assert!(!plan.cancels(2, 0));
         assert!(!plan.cancels(1, 1));
-        assert!(!plan.is_inert());
+        assert!(!inert(&plan));
     }
 }

@@ -6,8 +6,6 @@
 //! * [`EventQueue`] — deterministic time-ordered event queue with FIFO
 //!   tie-breaking, one re-armable wake instead of cancellation, and a
 //!   hold-style heap (a pop followed by a schedule costs one sift),
-//! * [`GenSlab`] — a generation-stamped slot arena (hash-free hot-path id
-//!   maps),
 //! * [`stream_rng`] / [`Noise`] — reproducible per-stream randomness from
 //!   one generator ([`SmallRng`], xoshiro256++),
 //! * [`StepSeries`] — step-function time series for bandwidth plots,
@@ -28,7 +26,6 @@ pub mod fault;
 mod queue;
 mod rng;
 mod series;
-mod slab;
 mod tags;
 mod time;
 
@@ -40,6 +37,5 @@ pub use fault::{
 pub use queue::EventQueue;
 pub use rng::{rank_phase_stream, stream_rng, Noise, SmallRng};
 pub use series::StepSeries;
-pub use slab::{GenKey, GenSlab};
 pub use tags::TagMap;
 pub use time::SimTime;

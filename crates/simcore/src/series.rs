@@ -131,25 +131,6 @@ impl StepSeries {
             })
             .collect()
     }
-
-    /// Pointwise sum of several step series (the Eq. 3 "region" summation at
-    /// the series level).
-    pub fn sum(series: &[&StepSeries]) -> StepSeries {
-        // Gather every change point, then evaluate the sum at each.
-        let mut times: Vec<f64> = series
-            .iter()
-            .flat_map(|s| s.points.iter().map(|p| p.0))
-            .collect();
-        times.sort_by(f64::total_cmp);
-        times.dedup();
-        let mut out = StepSeries::new();
-        for t in times {
-            let st = SimTime::from_secs(t);
-            let v: f64 = series.iter().map(|s| s.value_at(st)).sum();
-            out.push(st, v);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -224,21 +205,6 @@ mod tests {
         s.push(t(2.0), 9.0);
         s.push(t(3.0), 1.0);
         assert_eq!(s.max_value(), 9.0);
-    }
-
-    #[test]
-    fn sum_of_series() {
-        let mut a = StepSeries::new();
-        a.push(t(0.0), 1.0);
-        a.push(t(2.0), 0.0);
-        let mut b = StepSeries::new();
-        b.push(t(1.0), 2.0);
-        b.push(t(3.0), 0.0);
-        let s = StepSeries::sum(&[&a, &b]);
-        assert_eq!(s.value_at(t(0.5)), 1.0);
-        assert_eq!(s.value_at(t(1.5)), 3.0);
-        assert_eq!(s.value_at(t(2.5)), 2.0);
-        assert_eq!(s.value_at(t(3.5)), 0.0);
     }
 
     #[test]

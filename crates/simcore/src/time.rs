@@ -49,32 +49,6 @@ impl SimTime {
             SimTime::FAR_FUTURE
         }
     }
-
-    /// Duration in seconds from `earlier` to `self` (may be negative).
-    #[inline]
-    pub fn since(self, earlier: SimTime) -> f64 {
-        self.0 - earlier.0
-    }
-
-    /// The earlier of two times.
-    #[inline]
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self <= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The later of two times.
-    #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
 }
 
 impl Eq for SimTime {}
@@ -115,7 +89,7 @@ impl Sub<SimTime> for SimTime {
     type Output = f64;
     #[inline]
     fn sub(self, rhs: SimTime) -> f64 {
-        self.since(rhs)
+        self.0 - rhs.0
     }
 }
 

@@ -311,18 +311,6 @@ impl Report {
         d
     }
 
-    /// Fig. 5/6 accounting: `(app, peri, post, total)` seconds where
-    /// `total = app + post` and `peri` is already inside `app`.
-    pub fn overhead_split(&self) -> (f64, f64, f64, f64) {
-        let app = self.makespan();
-        (
-            app,
-            self.peri_overhead,
-            self.post_overhead,
-            app + self.post_overhead,
-        )
-    }
-
     /// Serializes to the JSON trace format (the file the real TMIO writes at
     /// `MPI_Finalize` for the plotting scripts). A non-finite number is
     /// written as `null`.
@@ -708,11 +696,9 @@ mod tests {
     }
 
     #[test]
-    fn overhead_split_adds_post() {
+    fn makespan_is_the_latest_rank_end() {
         let r = sample_report();
-        let (app, peri, post, total) = r.overhead_split();
-        assert_eq!(app, 4.0);
-        assert!(peri > 0.0);
-        assert_eq!(total, app + post);
+        assert_eq!(r.makespan(), 4.0);
+        assert!(r.peri_overhead > 0.0);
     }
 }

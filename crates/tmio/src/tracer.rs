@@ -20,9 +20,10 @@
 //! The tracer sits on the simulation's per-event hot path, so its matching
 //! and record storage are allocation-free in steady state:
 //!
-//! * open request spans live in a generation-stamped slot arena
-//!   ([`simcore::GenSlab`]) indexed per rank by [`ReqTag`] — no hashing,
-//!   memory bounded by the peak number of outstanding requests;
+//! * each rank keeps its open request spans in one [`simcore::TagMap`]
+//!   keyed by [`ReqTag`] — no hashing; a rank's span memory is bounded by
+//!   its highest dense tag (below 4096) plus its outstanding sparse tags,
+//!   not by the peak number of outstanding requests;
 //! * closed phase/window/span/sync records are pushed as finished rows into
 //!   `Vec`s pre-sized with `with_capacity`; [`Tracer::into_report`] moves
 //!   them into the report without copying;
@@ -39,7 +40,7 @@ use crate::report::LazySeries;
 use crate::strategy::{Strategy, StrategyState};
 use mpisim::{Channel, IoHooks, Limits, ReqTag};
 use simcore::StepSeries;
-use simcore::{GenKey, GenSlab, Invariant, SimTime, TagMap};
+use simcore::{Invariant, SimTime, TagMap};
 
 /// How per-request bandwidths combine into the rank metric `B_{i,j}`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -243,8 +244,9 @@ struct Pending {
     ts: SimTime,
 }
 
-/// One open async request span, kept in the slot arena until both the
+/// One open async request span, kept in its rank's tag map until both the
 /// completion and the matching wait have been observed.
+#[derive(Clone, Copy)]
 struct OpenSpan {
     submit: SimTime,
     complete: Option<SimTime>,
@@ -257,14 +259,13 @@ struct RankTrace {
     phase: usize,
     queue: Vec<Pending>,
     waited: Vec<ReqTag>,
-    /// Tag -> slot-arena key of the open span of each outstanding request.
-    tags: TagMap<GenKey>,
+    /// Tag -> open span of each outstanding request.
+    spans: TagMap<OpenSpan>,
     tq_outstanding: usize,
     tq_start: SimTime,
     tq_bytes: f64,
     strategy: StrategyState,
     sync_begin: SimTime,
-    end: Option<SimTime>,
     /// The current phase's open `B` and `B_L` intervals and the open
     /// throughput window's `T` interval.
     req_open: Option<Opened>,
@@ -278,13 +279,12 @@ impl RankTrace {
             phase: 0,
             queue: Vec::with_capacity(8),
             waited: Vec::with_capacity(8),
-            tags: TagMap::default(),
+            spans: TagMap::default(),
             tq_outstanding: 0,
             tq_start: SimTime::ZERO,
             tq_bytes: 0.0,
             strategy: StrategyState::default(),
             sync_begin: SimTime::ZERO,
-            end: None,
             req_open: None,
             lim_open: None,
             thr_open: None,
@@ -297,8 +297,6 @@ impl RankTrace {
 pub struct Tracer {
     cfg: TracerConfig,
     ranks: Vec<RankTrace>,
-    /// Open async spans, keyed through each rank's tag map.
-    open_spans: GenSlab<OpenSpan>,
     /// Finished records, in the order they closed: the report's rows.
     phases: Vec<PhaseRecord>,
     windows: Vec<ThroughputWindow>,
@@ -326,7 +324,6 @@ impl Tracer {
         Tracer {
             cfg,
             ranks: (0..n_ranks).map(|_| RankTrace::new()).collect(),
-            open_spans: GenSlab::with_capacity(n_ranks * 2),
             phases: Vec::with_capacity(cap),
             windows: Vec::with_capacity(cap),
             spans: Vec::with_capacity(cap),
@@ -339,11 +336,6 @@ impl Tracer {
             retry_time: 0.0,
             calls: 0,
         }
-    }
-
-    /// The configured strategy.
-    pub fn config(&self) -> &TracerConfig {
-        &self.cfg
     }
 
     /// Live application-level required-bandwidth series `B_r` over the
@@ -478,27 +470,22 @@ impl IoHooks for Tracer {
         }
         rt.tq_outstanding += 1;
         rt.tq_bytes += bytes;
-        let key = self.open_spans.insert(OpenSpan {
-            submit: t,
-            complete: None,
-            wait_enter: None,
-            bytes,
-            channel,
-        });
-        if let Some(stale) = self.ranks[rank].tags.insert(tag.0, key) {
-            // A resubmitted tag displaces its forgotten predecessor, as the
-            // old map-insert semantics did.
-            self.open_spans.remove(stale);
-        }
+        // A resubmitted tag displaces (and drops) its forgotten predecessor.
+        rt.spans.insert(
+            tag.0,
+            OpenSpan {
+                submit: t,
+                complete: None,
+                wait_enter: None,
+                bytes,
+                channel,
+            },
+        );
         self.call_overhead()
     }
 
     fn on_request_complete(&mut self, t: SimTime, rank: usize, tag: ReqTag) {
-        if let Some(span) = self.ranks[rank]
-            .tags
-            .get(tag.0)
-            .and_then(|&k| self.open_spans.get_mut(k))
-        {
+        if let Some(span) = self.ranks[rank].spans.get_mut(tag.0) {
             span.complete = Some(t);
         }
         self.try_close_span(rank, tag);
@@ -532,11 +519,7 @@ impl IoHooks for Tracer {
         _already_done: bool,
         limits: &mut Limits,
     ) -> f64 {
-        if let Some(span) = self.ranks[rank]
-            .tags
-            .get(tag.0)
-            .and_then(|&k| self.open_spans.get_mut(k))
-        {
+        if let Some(span) = self.ranks[rank].spans.get_mut(tag.0) {
             span.wait_enter = Some(t);
         }
         self.try_close_span(rank, tag);
@@ -640,7 +623,6 @@ impl IoHooks for Tracer {
     }
 
     fn on_rank_done(&mut self, t: SimTime, rank: usize) {
-        self.ranks[rank].end = Some(t);
         self.rank_end[rank] = t.as_secs();
     }
 }
@@ -649,29 +631,26 @@ impl Tracer {
     /// Emits the finished [`AsyncSpan`] once both completion and wait-enter
     /// are known.
     fn try_close_span(&mut self, rank: usize, tag: ReqTag) {
-        let Some(&key) = self.ranks[rank].tags.get(tag.0) else {
+        let open = &mut self.ranks[rank].spans;
+        let Some(
+            &s @ OpenSpan {
+                complete: Some(complete),
+                wait_enter: Some(wait_enter),
+                ..
+            },
+        ) = open.get(tag.0)
+        else {
             return;
         };
-        let ready = self
-            .open_spans
-            .get(key)
-            .is_some_and(|s| s.complete.is_some() && s.wait_enter.is_some());
-        if ready {
-            self.ranks[rank].tags.remove(tag.0);
-            if let Some(s) = self.open_spans.remove(key) {
-                let (Some(complete), Some(wait_enter)) = (s.complete, s.wait_enter) else {
-                    return;
-                };
-                self.spans.push(AsyncSpan {
-                    rank,
-                    submit: s.submit.as_secs(),
-                    complete: complete.as_secs(),
-                    wait_enter: wait_enter.as_secs(),
-                    bytes: s.bytes,
-                    channel: s.channel.into(),
-                });
-            }
-        }
+        open.remove(tag.0);
+        self.spans.push(AsyncSpan {
+            rank,
+            submit: s.submit.as_secs(),
+            complete: complete.as_secs(),
+            wait_enter: wait_enter.as_secs(),
+            bytes: s.bytes,
+            channel: s.channel.into(),
+        });
     }
 }
 

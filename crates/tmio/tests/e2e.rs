@@ -406,3 +406,64 @@ fn ftio_detects_hacc_loop_period() {
         est.period
     );
 }
+
+#[test]
+fn spans_match_dense_sparse_and_reused_tags() {
+    // Tags on both sides of the 4096 dense bound and the largest tag, all
+    // outstanding at once and waited out of submit order; then tag 3 again.
+    let tags_bytes = [
+        (3, MB),
+        (4095, 2.0 * MB),
+        (4096, 3.0 * MB),
+        (u32::MAX, 4.0 * MB),
+    ];
+    let mut ops = Vec::new();
+    for (tag, bytes) in tags_bytes {
+        ops.push(Op::IWrite {
+            file: FileId(0),
+            bytes,
+            tag: ReqTag(tag),
+        });
+    }
+    ops.push(Op::Compute { seconds: 0.02 });
+    for tag in [u32::MAX, 4096, 3, 4095] {
+        ops.push(Op::Wait { tag: ReqTag(tag) });
+    }
+    let reused = 5.0 * MB;
+    ops.push(Op::IWrite {
+        file: FileId(0),
+        bytes: reused,
+        tag: ReqTag(3),
+    });
+    ops.push(Op::Compute { seconds: 0.02 });
+    ops.push(Op::Wait { tag: ReqTag(3) });
+
+    let mut wc = WorldConfig::new(1);
+    wc.pfs = PfsConfig {
+        write_capacity: 100.0 * MB,
+        read_capacity: 100.0 * MB,
+    };
+    let tc = TracerConfig::trace_only();
+    let mut w = World::new(wc, vec![Program::from_ops(ops)], Tracer::new(1, tc));
+    w.create_file("out");
+    w.try_run().unwrap();
+    let report = w.into_hooks().into_report();
+
+    assert_eq!(report.spans.len(), 5, "one span per request");
+    let mut bytes: Vec<f64> = report.spans.iter().map(|s| s.bytes).collect();
+    bytes.sort_by(f64::total_cmp);
+    assert_eq!(bytes, [MB, 2.0 * MB, 3.0 * MB, 4.0 * MB, reused]);
+    let submitted: f64 = tags_bytes.iter().map(|&(_, b)| b).sum::<f64>() + reused;
+    assert_eq!(report.spans.iter().map(|s| s.bytes).sum::<f64>(), submitted);
+    for s in &report.spans {
+        assert!(s.submit <= s.complete, "{s:?}");
+        assert!(s.submit <= s.wait_enter, "{s:?}");
+    }
+    // The reused tag's span starts after every first-round wait.
+    let second = report.spans.iter().find(|s| s.bytes == reused).unwrap();
+    assert!(report
+        .spans
+        .iter()
+        .filter(|s| s.bytes != reused)
+        .all(|s| s.wait_enter <= second.submit));
+}

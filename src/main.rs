@@ -216,17 +216,18 @@ fn cmd_hacc(opts: &Opts) -> Result<(), Failure> {
         loops: opts.get("loops", 10usize)?,
         ..Default::default()
     };
-    let cfg = ExpConfig::new(ranks, opts.strategy()?).with_seed(opts.get("seed", 2024u64)?);
-    println!(
-        "HACC-IO: {ranks} ranks × {} particles × {} loops, strategy {}\n",
-        hacc.particles_per_rank,
-        hacc.loops,
-        cfg.strategy.name()
-    );
+    let strategy = opts.strategy()?;
+    let cfg = ExpConfig::new(ranks, strategy).with_seed(opts.get("seed", 2024u64)?);
     let session = Session::builder(cfg)
         .workload(HaccIo::new(hacc))
         .try_build()
         .map_err(run_failed)?;
+    println!(
+        "HACC-IO: {ranks} ranks × {} particles × {} loops, strategy {}\n",
+        hacc.particles_per_rank,
+        hacc.loops,
+        strategy.name()
+    );
     run_and_report(opts, &session)
 }
 
@@ -236,16 +237,17 @@ fn cmd_wacomm(opts: &Opts) -> Result<(), Failure> {
         iterations: opts.get("iterations", 50usize)?,
         ..Default::default()
     };
-    let cfg = ExpConfig::new(ranks, opts.strategy()?).with_seed(opts.get("seed", 2024u64)?);
-    println!(
-        "WaComM: {ranks} ranks, {} iterations, strategy {}\n",
-        wc.iterations,
-        cfg.strategy.name()
-    );
+    let strategy = opts.strategy()?;
+    let cfg = ExpConfig::new(ranks, strategy).with_seed(opts.get("seed", 2024u64)?);
     let session = Session::builder(cfg)
         .workload(Wacomm::new(wc))
         .try_build()
         .map_err(run_failed)?;
+    println!(
+        "WaComM: {ranks} ranks, {} iterations, strategy {}\n",
+        wc.iterations,
+        strategy.name()
+    );
     run_and_report(opts, &session)
 }
 

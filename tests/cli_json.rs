@@ -1,6 +1,7 @@
 //! The CLI's `--json PATH`: the trace file is exactly the session's report,
 //! staged through a temp sibling, and a path that cannot be written is a
-//! one-line error that names it, raised before the run starts. Only
+//! one-line error that names it, raised before the run starts. An invalid
+//! config is likewise one error line with nothing printed before it. Only
 //! command-line mistakes are answered with the usage text.
 
 use iobts::prelude::*;
@@ -89,4 +90,20 @@ fn bad_option_value_prints_usage() {
         "{stderr}"
     );
     assert!(stderr.contains("USAGE"), "{stderr}");
+}
+
+#[test]
+fn invalid_config_is_rejected_before_the_banner() {
+    for cmd in ["wacomm", "hacc"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_iobts"))
+            .args([cmd, "--ranks", "0"])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{cmd}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.is_empty(), "{cmd} printed before failing: {stdout}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{cmd}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{cmd}: {stderr}");
+    }
 }

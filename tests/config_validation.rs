@@ -198,6 +198,40 @@ fn invalid_program_is_a_typed_error_on_the_session_path() {
 }
 
 #[test]
+fn io_on_an_unregistered_file_is_a_typed_error() {
+    use mpisim::{FileId, ReqTag};
+    let file = FileId(3);
+    let (bytes, tag) = (1e6, ReqTag(0));
+    let io_ops = [
+        vec![Op::Write { file, bytes }],
+        vec![Op::Read { file, bytes }],
+        vec![Op::IWrite { file, bytes, tag }, Op::Wait { tag }],
+        vec![Op::IRead { file, bytes, tag }, Op::Wait { tag }],
+        vec![Op::WriteAll { file, bytes }],
+        vec![Op::ReadAll { file, bytes }],
+    ];
+    for ops in io_ops {
+        let what = format!("{:?}", ops[0]);
+        // Rank 1 does the I/O; no file is registered.
+        let programs = vec![
+            Program::from_ops(vec![Op::Compute { seconds: 0.01 }]),
+            Program::from_ops(ops),
+        ];
+        let session = Session::builder(ExpConfig::new(2, Strategy::None))
+            .workload(RawWorkload::new("no-files", programs, Vec::<String>::new()))
+            .try_build()
+            .expect("the config is valid");
+        match session.try_run() {
+            Err(SimError::InvalidProgram { rank, reason }) => {
+                assert_eq!(rank, 1, "{what}");
+                assert!(reason.contains("unregistered file 3"), "{what}: {reason}");
+            }
+            other => panic!("{what}: expected InvalidProgram, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn raw_workload_with_the_wrong_rank_count_is_a_typed_error() {
     let program = Program::from_ops(vec![Op::Compute { seconds: 0.01 }]);
     let session = Session::builder(ExpConfig::new(2, Strategy::None))

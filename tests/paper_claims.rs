@@ -201,7 +201,9 @@ fn overhead_bounds_hold() {
             &ExpConfig::new(n, Strategy::Direct { tol: 1.1 }),
             HaccIo::new(hacc),
         );
-        let (app, peri, post, total) = out.report.overhead_split();
+        let r = &out.report;
+        let (app, peri, post) = (r.makespan(), r.peri_overhead, r.post_overhead);
+        let total = app + post;
         assert!(peri / (app * n as f64) < 0.001, "peri > 0.1 % at {n} ranks");
         assert!(
             post / total < 0.09,
