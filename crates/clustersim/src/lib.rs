@@ -52,8 +52,6 @@ pub enum JobPhase {
     Compute(f64),
     /// Write the given aggregate bytes to the PFS.
     Write(f64),
-    /// Read the given aggregate bytes from the PFS.
-    Read(f64),
 }
 
 /// How a job performs its I/O phases.
@@ -116,7 +114,7 @@ impl JobSpec {
     pub fn required_bandwidth(&self) -> f64 {
         let mut best: f64 = 0.0;
         for (i, ph) in self.profile.iter().enumerate() {
-            if let JobPhase::Write(bytes) | JobPhase::Read(bytes) = ph {
+            if let JobPhase::Write(bytes) = ph {
                 if let Some(JobPhase::Compute(window)) = self.profile.get(i + 1) {
                     best = best.max(bytes / window.max(1e-9));
                 }
@@ -337,7 +335,7 @@ impl Cluster {
                     self.queue.schedule_in(d, Event::ComputeDone(i));
                     return;
                 }
-                JobPhase::Write(bytes) | JobPhase::Read(bytes) => {
+                JobPhase::Write(bytes) => {
                     // Async back-pressure: wait for the previous transfer
                     // before issuing the next one.
                     if let Some(f) = self.jobs[i].inflight {
@@ -345,14 +343,10 @@ impl Cluster {
                         return;
                     }
                     self.jobs[i].phase += 1;
-                    let channel = match ph {
-                        JobPhase::Write(_) => Channel::Write,
-                        _ => Channel::Read,
-                    };
                     self.drain_pfs();
                     let flow = self.pfs.submit(
                         now,
-                        channel,
+                        Channel::Write,
                         FlowSpec {
                             bytes,
                             weight: self.jobs[i].spec.nodes as f64,

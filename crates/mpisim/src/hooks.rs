@@ -119,7 +119,10 @@ pub trait IoHooks {
     }
 
     /// Rank probed a request with `MPI_Test` (`done` = completion status).
-    /// Unsuccessful probes inside an `Op::PollWait` loop also land here.
+    /// The request stays live until its `MPI_Wait`. A probe retires a
+    /// program op, so probing cannot live-lock a run; the watchdog's
+    /// live-lock is capacity-noise ticks firing while an endless outage
+    /// freezes every request.
     fn on_test(
         &mut self,
         t: SimTime,

@@ -27,7 +27,7 @@ pub enum Op {
         seconds: f64,
     },
     /// An in-memory copy of `bytes` (HACC-IO's `memcpy` block); modeled as
-    /// compute at the configured memory-copy bandwidth, never jittered.
+    /// compute at a 10 GB/s memory-copy bandwidth, never jittered.
     Memcpy {
         /// Bytes copied.
         bytes: f64,
@@ -35,7 +35,8 @@ pub enum Op {
     /// Synchronizing barrier across all ranks.
     Barrier,
     /// Broadcast of `bytes` from rank 0; modeled as a synchronizing
-    /// collective costing `latency·⌈log₂ n⌉ + bytes/net_bw`.
+    /// collective costing `latency·⌈log₂ n⌉ + bytes/net_bw`, with a 5 µs
+    /// tree-level latency and a 12.5 GB/s network.
     Bcast {
         /// Payload bytes.
         bytes: f64,
@@ -81,42 +82,12 @@ pub enum Op {
         /// Tag of the request to complete.
         tag: ReqTag,
     },
-    /// Non-blocking completion check (`MPI_Test`): never blocks; frees the
-    /// request when it has completed. In a scripted program an unsuccessful
-    /// test is simply a no-op probe — use [`Op::PollWait`] for the classic
-    /// test-in-a-loop pattern.
+    /// Non-blocking completion check (`MPI_Test`): never blocks and reports
+    /// the request's status to the hooks. The request stays live either
+    /// way, so its [`Op::Wait`] still completes it.
     Test {
         /// Tag of the request to probe.
         tag: ReqTag,
-    },
-    /// Collective write (`MPI_File_write_at_all`): all ranks enter, the
-    /// data is shuffled to ⌈√n⌉ aggregator ranks (two-phase I/O) which
-    /// issue large merged transfers; everyone leaves when the transfer
-    /// completes. `bytes` is the per-rank contribution. The paper's
-    /// evaluation deliberately uses the harder non-collective setting;
-    /// this op provides the baseline it is compared against.
-    WriteAll {
-        /// Target file.
-        file: FileId,
-        /// Bytes contributed by each rank.
-        bytes: f64,
-    },
-    /// Collective read (`MPI_File_read_at_all`); see [`Op::WriteAll`].
-    ReadAll {
-        /// Source file.
-        file: FileId,
-        /// Bytes delivered to each rank.
-        bytes: f64,
-    },
-    /// The busy-poll completion pattern the paper contrasts with true
-    /// background I/O: test, compute `interval` seconds, repeat until done
-    /// ("wasting computational resources on … checking request completion",
-    /// Sec. II). The polling time is accounted as wait (lost) time.
-    PollWait {
-        /// Tag of the request to complete.
-        tag: ReqTag,
-        /// Compute time burned between probes, seconds.
-        interval: f64,
     },
 }
 
@@ -172,13 +143,10 @@ impl Program {
                 {
                     return Err(format!("op {i}: tag {tag:?} reused while outstanding"));
                 }
-                Op::Wait { tag } | Op::PollWait { tag, .. }
-                    if outstanding.remove(tag.0).is_none() =>
-                {
+                Op::Wait { tag } if outstanding.remove(tag.0).is_none() => {
                     return Err(format!("op {i}: wait on tag {tag:?} with no submit"));
                 }
-                // A test may or may not free the request at run time; for
-                // static validation it must at least reference a live one.
+                // A test leaves the request live; it must reference one.
                 Op::Test { tag } if outstanding.get(tag.0).is_none() => {
                     return Err(format!("op {i}: test on tag {tag:?} with no submit"));
                 }

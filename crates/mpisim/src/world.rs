@@ -26,6 +26,13 @@ use simcore::{
 };
 use std::collections::HashMap;
 
+/// Latency of one tree level of a barrier or broadcast, seconds.
+const NET_LATENCY: f64 = 5e-6;
+/// Network bandwidth a broadcast's payload crosses, bytes/s.
+const NET_BANDWIDTH: f64 = 12.5e9;
+/// Memory-copy bandwidth of `Memcpy` ops, bytes/s.
+const MEMCPY_BANDWIDTH: f64 = 10e9;
+
 /// Configuration of a simulated run.
 #[derive(Clone, Debug)]
 pub struct WorldConfig {
@@ -37,12 +44,6 @@ pub struct WorldConfig {
     pub subreq_bytes: f64,
     /// Noise applied to every `Compute` op's nominal duration.
     pub compute_noise: Noise,
-    /// Collective latency term (seconds per tree level).
-    pub net_latency: f64,
-    /// Collective bandwidth term (bytes/s).
-    pub net_bandwidth: f64,
-    /// Memory-copy bandwidth for `Memcpy` ops (bytes/s).
-    pub memcpy_bandwidth: f64,
     /// Whether the modified-MPICH limiter is active (limits take effect).
     pub limiter_enabled: bool,
     /// Master seed for all noise streams.
@@ -83,15 +84,16 @@ pub struct WorldConfig {
 ///
 /// *Progress* is narrowly defined: bytes completing on the PFS, an I/O
 /// request finishing (or failing), a collective releasing, or a rank
-/// retiring a fresh program op. Pure event traffic — poll probes on a
-/// frozen request, capacity ticks during an endless outage — does **not**
-/// count, so a run whose event loop is alive but whose application can
-/// never advance is detected and failed with a diagnostic snapshot.
+/// retiring a program op. Pure event traffic — capacity-noise ticks while
+/// an endless outage freezes every request — does **not** count, so a run
+/// whose event loop is alive but whose application can never advance is
+/// detected and failed with a diagnostic snapshot.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WatchdogCfg {
     /// Maximum events processed without progress before the run is failed.
-    /// Bounds live-lock cycles (e.g. a `PollWait` probing a request whose
-    /// channel is under a never-ending outage).
+    /// Bounds live-lock cycles (e.g. capacity-noise ticks firing forever
+    /// while a `Wait` blocks on a request whose channel is under a
+    /// never-ending outage).
     pub max_futile_events: u64,
     /// Maximum *virtual* seconds without progress before the run is failed.
     /// Infinite by default: long fault windows legitimately freeze I/O for
@@ -130,9 +132,6 @@ impl WorldConfig {
             pfs: PfsConfig::default(),
             subreq_bytes: 1024.0 * 1024.0,
             compute_noise: Noise::None,
-            net_latency: 5e-6,
-            net_bandwidth: 12.5e9,
-            memcpy_bandwidth: 10e9,
             limiter_enabled: false,
             seed: 0xD5EA_5EED,
             capacity_noise: None,
@@ -170,14 +169,6 @@ impl WorldConfig {
         pos("subreq_bytes", self.subreq_bytes)?;
         pos("pfs.write_capacity", self.pfs.write_capacity)?;
         pos("pfs.read_capacity", self.pfs.read_capacity)?;
-        pos("net_bandwidth", self.net_bandwidth)?;
-        pos("memcpy_bandwidth", self.memcpy_bandwidth)?;
-        if !self.net_latency.is_finite() || self.net_latency < 0.0 {
-            return Err(SimError::invalid_config(
-                "net_latency",
-                format!("must be finite and >= 0, got {}", self.net_latency),
-            ));
-        }
         if !self.interference_alpha.is_finite() || self.interference_alpha < 0.0 {
             return Err(SimError::invalid_config(
                 "interference_alpha",
@@ -354,17 +345,10 @@ pub struct RankAccounting {
     pub retry: f64,
 }
 
-/// One outstanding async request of a rank, keyed by its tag.
-#[derive(Clone, Copy, Debug)]
-struct ReqEntry {
-    state: ReqState,
-    channel: Channel,
-}
-
 struct RankState {
     status: Status,
     /// Outstanding async requests by tag: O(1) however many are in flight.
-    requests: TagMap<ReqEntry>,
+    requests: TagMap<ReqState>,
     compute_count: u64,
     collective_seq: u64,
     /// Async submits issued so far (indexes [`simcore::CancelSpec`]).
@@ -373,10 +357,6 @@ struct RankState {
     sync_entered: SimTime,
     sync_bytes: f64,
     pending_toll: f64,
-    /// Tag currently being poll-waited (guards the one-shot wait-enter hook).
-    polling: Option<ReqTag>,
-    /// Op to re-execute on next resume (PollWait retry).
-    pending_repeat: Option<Op>,
     acct: RankAccounting,
     finished_at: Option<SimTime>,
 }
@@ -393,8 +373,6 @@ impl RankState {
             sync_entered: SimTime::ZERO,
             sync_bytes: 0.0,
             pending_toll: 0.0,
-            polling: None,
-            pending_repeat: None,
             acct: RankAccounting::default(),
             finished_at: None,
         }
@@ -405,15 +383,11 @@ impl RankState {
 enum CollKind {
     Barrier,
     Bcast(f64),
-    /// Two-phase collective I/O: per-rank bytes on the given channel.
-    CollIo(Channel, f64),
 }
 
 struct Collective {
     kind: CollKind,
     arrived: usize,
-    /// Outstanding aggregator flows of a [`CollKind::CollIo`] transfer phase.
-    pending: usize,
 }
 
 /// What a live PFS flow belongs to. Stored in a [`SeqMap`] keyed by
@@ -424,8 +398,6 @@ enum FlowOwner {
     Task(TaskId),
     /// A burst-buffer drain; nobody waits on it.
     Background,
-    /// An aggregator transfer of collective I/O `id`.
-    Coll(u64),
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -435,8 +407,6 @@ enum Event {
     IoTaskNext(TaskId),
     /// A burst-buffer absorption finished (write path with BB configured).
     BbDone(TaskId),
-    /// Two-phase collective I/O: the shuffle finished, aggregators start.
-    CollIoStart(u64),
     CollectiveRelease(u64),
     CapacityTick(u64),
     /// A channel-fault window starts or ends: recompute effective capacity.
@@ -780,9 +750,6 @@ impl<H: IoHooks> World<H> {
                     self.finish_task(now, id, task);
                 }
             }
-            Event::CollIoStart(id) => {
-                self.start_coll_io(id);
-            }
             Event::CollectiveRelease(id) => {
                 self.note_progress();
                 let coll = self.collectives.remove(&id).invariant("collective exists");
@@ -790,27 +757,7 @@ impl<H: IoHooks> World<H> {
                 for rank in 0..self.cfg.n_ranks {
                     if self.ranks[rank].status == Status::Blocked(BlockKind::Collective(id)) {
                         let entered = self.ranks[rank].wait_entered;
-                        match coll.kind {
-                            // Collective I/O counts as visible (sync) I/O
-                            // and reports through the sync-end hook.
-                            CollKind::CollIo(channel, bytes) => {
-                                match channel {
-                                    Channel::Write => {
-                                        self.ranks[rank].acct.sync_write += t - entered
-                                    }
-                                    Channel::Read => self.ranks[rank].acct.sync_read += t - entered,
-                                }
-                                let o = self.hooks.on_sync_end(
-                                    t,
-                                    rank,
-                                    bytes,
-                                    channel,
-                                    &mut self.limits,
-                                );
-                                self.ranks[rank].acct.overhead += o;
-                            }
-                            _ => self.ranks[rank].acct.collective += t - entered,
-                        }
+                        self.ranks[rank].acct.collective += t - entered;
                         self.ranks[rank].status = Status::Runnable;
                         self.step_rank(rank);
                     }
@@ -897,9 +844,7 @@ impl<H: IoHooks> World<H> {
             }
             debug_assert_eq!(self.ranks[rank].status, Status::Runnable);
             let now = self.queue.now();
-            let repeat = self.ranks[rank].pending_repeat.take();
-            let fresh = repeat.is_none();
-            let Some(op) = repeat.or_else(|| self.driver.next_op(rank, now)) else {
+            let Some(op) = self.driver.next_op(rank, now) else {
                 self.ranks[rank].status = Status::Done;
                 self.ranks[rank].finished_at = Some(now);
                 self.live_ranks -= 1;
@@ -907,11 +852,9 @@ impl<H: IoHooks> World<H> {
                 self.hooks.on_rank_done(now, rank);
                 return;
             };
-            if fresh {
-                // The driver handed out a new program op: the application is
-                // advancing. A `PollWait` re-probe (pending_repeat) is not.
-                self.note_progress();
-            }
+            // The driver handed out a new program op: the application is
+            // advancing.
+            self.note_progress();
             if self.exec_op(rank, op) {
                 return; // blocked
             }
@@ -923,9 +866,7 @@ impl<H: IoHooks> World<H> {
         if let Op::Write { file, .. }
         | Op::Read { file, .. }
         | Op::IWrite { file, .. }
-        | Op::IRead { file, .. }
-        | Op::WriteAll { file, .. }
-        | Op::ReadAll { file, .. } = op
+        | Op::IRead { file, .. } = op
         {
             if file.0 as usize >= self.files.len() {
                 self.fail_run(SimError::invalid_program(
@@ -956,14 +897,12 @@ impl<H: IoHooks> World<H> {
                 self.block_for(rank, dur, BlockKind::Compute)
             }
             Op::Memcpy { bytes } => {
-                let dur = bytes / self.cfg.memcpy_bandwidth;
+                let dur = bytes / MEMCPY_BANDWIDTH;
                 self.ranks[rank].acct.memcpy += dur;
                 self.block_for(rank, dur, BlockKind::Compute)
             }
             Op::Barrier => self.enter_collective(rank, CollKind::Barrier),
             Op::Bcast { bytes } => self.enter_collective(rank, CollKind::Bcast(bytes)),
-            Op::WriteAll { file, bytes } => self.exec_coll_io(rank, file, bytes, Channel::Write),
-            Op::ReadAll { file, bytes } => self.exec_coll_io(rank, file, bytes, Channel::Read),
             Op::Write { file, bytes } => self.exec_sync_io(rank, file, bytes, Channel::Write),
             Op::Read { file, bytes } => self.exec_sync_io(rank, file, bytes, Channel::Read),
             Op::IWrite { file, bytes, tag } => {
@@ -974,79 +913,25 @@ impl<H: IoHooks> World<H> {
             }
             Op::Wait { tag } => self.exec_wait(rank, tag),
             Op::Test { tag } => self.exec_test(rank, tag),
-            Op::PollWait { tag, interval } => self.exec_poll_wait(rank, tag, interval),
         }
     }
 
     /// `MPI_Test` as a probe: reports status through the hooks but keeps the
-    /// request live (the monitoring use TMIO supports); a later `Wait` or
-    /// `PollWait` still completes it.
+    /// request live (the monitoring use TMIO supports); a later `Wait` still
+    /// completes it.
     fn exec_test(&mut self, rank: usize, tag: ReqTag) -> bool {
         let now = self.queue.now();
-        let Some(entry) = self.ranks[rank].requests.get(tag.0) else {
+        let Some(&state) = self.ranks[rank].requests.get(tag.0) else {
             self.fail_run(SimError::invalid_program(
                 rank,
                 format!("test on unknown request {tag:?}"),
             ));
             return true;
         };
-        let done = matches!(entry.state, ReqState::Completed | ReqState::Failed(_));
+        let done = state != ReqState::InFlight;
         let o = self.hooks.on_test(now, rank, tag, done, &mut self.limits);
         self.ranks[rank].acct.overhead += o;
         self.block_for(rank, o, BlockKind::Overhead)
-    }
-
-    /// The test-in-a-loop completion pattern: burns `interval` seconds of
-    /// compute per unsuccessful probe. The first probe marks the end of the
-    /// available window (the application wanted the data *now*), so the
-    /// wait-enter hook fires there; polling time is accounted as lost time.
-    fn exec_poll_wait(&mut self, rank: usize, tag: ReqTag, interval: f64) -> bool {
-        if !(interval > 0.0 && interval.is_finite()) {
-            self.fail_run(SimError::invalid_program(
-                rank,
-                format!("poll interval must be finite and positive, got {interval}"),
-            ));
-            return true;
-        }
-        let now = self.queue.now();
-        let Some(entry) = self.ranks[rank].requests.get(tag.0) else {
-            self.fail_run(SimError::invalid_program(
-                rank,
-                format!("poll-wait on unknown request {tag:?}"),
-            ));
-            return true;
-        };
-        let done = entry.state != ReqState::InFlight;
-        let first = self.ranks[rank].polling != Some(tag);
-        let mut overhead = 0.0;
-        if first {
-            self.ranks[rank].polling = Some(tag);
-            self.ranks[rank].wait_entered = now;
-            overhead += self
-                .hooks
-                .on_wait_enter(now, rank, tag, done, &mut self.limits);
-        }
-        if done {
-            overhead += self.hooks.on_wait_exit(now, rank, tag, &mut self.limits);
-            let entered = self.ranks[rank].wait_entered;
-            let lost = now - entered;
-            let entry = self.ranks[rank]
-                .requests
-                .remove(tag.0)
-                .invariant("request registered");
-            match entry.channel {
-                Channel::Write => self.ranks[rank].acct.wait_write += lost,
-                Channel::Read => self.ranks[rank].acct.wait_read += lost,
-            }
-            self.ranks[rank].polling = None;
-            self.ranks[rank].acct.overhead += overhead;
-            self.block_for(rank, overhead, BlockKind::Overhead)
-        } else {
-            overhead += self.hooks.on_test(now, rank, tag, false, &mut self.limits);
-            self.ranks[rank].acct.overhead += overhead;
-            self.ranks[rank].pending_repeat = Some(Op::PollWait { tag, interval });
-            self.block_for(rank, interval + overhead, BlockKind::Compute)
-        }
     }
 
     /// Blocks `rank` for `dur` seconds (compute, memcpy, overhead).
@@ -1064,11 +949,10 @@ impl<H: IoHooks> World<H> {
         let id = self.ranks[rank].collective_seq;
         self.ranks[rank].collective_seq += 1;
         let n = self.cfg.n_ranks;
-        let coll = self.collectives.entry(id).or_insert(Collective {
-            kind,
-            arrived: 0,
-            pending: 0,
-        });
+        let coll = self
+            .collectives
+            .entry(id)
+            .or_insert(Collective { kind, arrived: 0 });
         if coll.kind != kind {
             let existing = coll.kind;
             self.fail_run(SimError::invalid_program(
@@ -1087,73 +971,13 @@ impl<H: IoHooks> World<H> {
         self.ranks[rank].status = Status::Blocked(BlockKind::Collective(id));
         if arrived == n {
             let levels = (n as f64).log2().ceil().max(1.0);
-            match kind {
-                CollKind::Barrier => {
-                    let cost = self.cfg.net_latency * levels;
-                    self.queue.schedule_in(cost, Event::CollectiveRelease(id));
-                }
-                CollKind::Bcast(bytes) => {
-                    let cost = self.cfg.net_latency * levels + bytes / self.cfg.net_bandwidth;
-                    self.queue.schedule_in(cost, Event::CollectiveRelease(id));
-                }
-                CollKind::CollIo(_, bytes) => {
-                    // Two-phase I/O: exchange the data with the aggregators
-                    // over the network, then start the merged transfers.
-                    let shuffle =
-                        self.cfg.net_latency * levels + bytes * n as f64 / self.cfg.net_bandwidth;
-                    self.queue.schedule_in(shuffle, Event::CollIoStart(id));
-                }
-            }
+            let cost = match kind {
+                CollKind::Barrier => NET_LATENCY * levels,
+                CollKind::Bcast(bytes) => NET_LATENCY * levels + bytes / NET_BANDWIDTH,
+            };
+            self.queue.schedule_in(cost, Event::CollectiveRelease(id));
         }
         true
-    }
-
-    /// Collective I/O entry: hooks see it as a blocking call on every rank.
-    fn exec_coll_io(&mut self, rank: usize, file: FileId, bytes: f64, channel: Channel) -> bool {
-        let now = self.queue.now();
-        let o = self
-            .hooks
-            .on_sync_begin(now, rank, bytes, channel, &mut self.limits);
-        self.ranks[rank].acct.overhead += o;
-        if channel == Channel::Write {
-            self.files[file.0 as usize].1 += bytes;
-        }
-        self.ranks[rank].sync_bytes = bytes;
-        self.enter_collective(rank, CollKind::CollIo(channel, bytes))
-    }
-
-    /// The shuffle phase of a collective I/O finished: ⌈√n⌉ aggregators
-    /// issue their merged transfers.
-    fn start_coll_io(&mut self, id: u64) {
-        let coll = self.collectives.get(&id).invariant("collective exists");
-        let CollKind::CollIo(channel, bytes) = coll.kind else {
-            panic!("CollIoStart on a non-I/O collective");
-        };
-        let n = self.cfg.n_ranks;
-        let aggregators = (n as f64).sqrt().ceil() as usize;
-        let total = bytes * n as f64;
-        let per_agg = total / aggregators as f64;
-        self.drain_pfs();
-        let now = self.queue.now();
-        let flows = self.pfs.submit_many(
-            now,
-            channel,
-            FlowSpec {
-                bytes: per_agg,
-                weight: 1.0,
-                cap: None,
-                meter: None,
-            },
-            aggregators,
-        );
-        for f in &flows {
-            self.flows.insert(f.0, FlowOwner::Coll(id));
-        }
-        self.collectives
-            .get_mut(&id)
-            .invariant("collective exists")
-            .pending = aggregators;
-        self.resync_pfs();
     }
 
     fn exec_sync_io(&mut self, rank: usize, file: FileId, bytes: f64, channel: Channel) -> bool {
@@ -1233,11 +1057,7 @@ impl<H: IoHooks> World<H> {
         if channel == Channel::Write {
             self.files[file.0 as usize].1 += bytes;
         }
-        let entry = ReqEntry {
-            state: ReqState::InFlight,
-            channel,
-        };
-        self.ranks[rank].requests.insert(tag.0, entry);
+        self.ranks[rank].requests.insert(tag.0, ReqState::InFlight);
         let seq = self.ranks[rank].async_seq;
         self.ranks[rank].async_seq += 1;
         let task = self.new_task(rank, Some(tag), bytes, channel);
@@ -1259,14 +1079,14 @@ impl<H: IoHooks> World<H> {
 
     fn exec_wait(&mut self, rank: usize, tag: ReqTag) -> bool {
         let now = self.queue.now();
-        let Some(entry) = self.ranks[rank].requests.get(tag.0) else {
+        let Some(&state) = self.ranks[rank].requests.get(tag.0) else {
             self.fail_run(SimError::invalid_program(
                 rank,
                 format!("wait on unknown request {tag:?}"),
             ));
             return true;
         };
-        let already_done = entry.state != ReqState::InFlight;
+        let already_done = state != ReqState::InFlight;
         let mut o = self
             .hooks
             .on_wait_enter(now, rank, tag, already_done, &mut self.limits);
@@ -1357,24 +1177,8 @@ impl<H: IoHooks> World<H> {
             .flows
             .remove(flow.0)
             .invariant("flow has a registered owner");
-        let id = match owner {
-            FlowOwner::Background => {
-                return; // a burst-buffer drain finished; nobody waits on it
-            }
-            FlowOwner::Coll(id) => {
-                let left = &mut self
-                    .collectives
-                    .get_mut(&id)
-                    .invariant("collective exists")
-                    .pending;
-                *left -= 1;
-                if *left == 0 {
-                    let at = ct.max(self.queue.now());
-                    self.queue.schedule(at, Event::CollectiveRelease(id));
-                }
-                return;
-            }
-            FlowOwner::Task(id) => id,
+        let FlowOwner::Task(id) = owner else {
+            return; // a burst-buffer drain finished; nobody waits on it
         };
         if self.apply_io_fault(ct, id) {
             return; // the sub-request failed; its bytes are discarded
@@ -1526,11 +1330,10 @@ impl<H: IoHooks> World<H> {
         match task.tag {
             Some(tag) => {
                 // Async request: mark complete (or failed), notify tool.
-                self.ranks[rank]
+                *self.ranks[rank]
                     .requests
                     .get_mut(tag.0)
-                    .invariant("request registered")
-                    .state = match error {
+                    .invariant("request registered") = match error {
                     None => ReqState::Completed,
                     Some(kind) => ReqState::Failed(kind),
                 };

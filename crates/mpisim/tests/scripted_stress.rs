@@ -97,32 +97,6 @@ fn rank_dependent_branches() {
 }
 
 #[test]
-fn collective_io_across_nine_ranks() {
-    let summary = run(9, |_| {
-        Program::from_ops(vec![
-            Op::Compute { seconds: 0.01 },
-            Op::WriteAll {
-                file: F,
-                bytes: 1e6,
-            },
-            Op::ReadAll {
-                file: F,
-                bytes: 1e6,
-            },
-        ])
-    });
-    // 9 MB write + 9 MB read over 1 GB/s plus shuffles.
-    assert!(
-        summary.makespan() > 0.028,
-        "makespan {}",
-        summary.makespan()
-    );
-    for a in &summary.accounting {
-        assert!(a.sync_write > 0.0 && a.sync_read > 0.0);
-    }
-}
-
-#[test]
 fn repeated_runs_are_identical() {
     let finished = || {
         run(16, |rank| {

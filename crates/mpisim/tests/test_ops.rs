@@ -1,4 +1,4 @@
-//! Tests for `MPI_Test` and the poll-wait completion pattern.
+//! Tests for `MPI_Test` probes.
 
 use mpisim::{FileId, IoHooks, Limits, NoHooks, Op, Program, ReqTag, SimError, World, WorldConfig};
 use pfsim::PfsConfig;
@@ -39,55 +39,6 @@ fn test_probe_keeps_request_live() {
         "makespan {}",
         s.makespan()
     );
-}
-
-#[test]
-fn poll_wait_completes_and_accounts_lost_time() {
-    // 200 MB at 100 MB/s = 2 s of I/O; only 0.5 s hidden -> ~1.5 s polled.
-    let ops = vec![
-        Op::IWrite {
-            file: FileId(0),
-            bytes: 200.0 * MB,
-            tag: ReqTag(0),
-        },
-        Op::Compute { seconds: 0.5 },
-        Op::PollWait {
-            tag: ReqTag(0),
-            interval: 0.01,
-        },
-    ];
-    let mut w = World::new(cfg(1, 100.0 * MB), vec![Program::from_ops(ops)], NoHooks);
-    w.create_file("f");
-    let s = w.try_run().unwrap();
-    // Completion lands on a poll boundary: within one interval of 2.0 s.
-    assert!(
-        s.makespan() >= 2.0 && s.makespan() < 2.02,
-        "makespan {}",
-        s.makespan()
-    );
-    let lost = s.accounting[0].wait_write;
-    assert!((lost - 1.5).abs() < 0.03, "lost {lost}");
-}
-
-#[test]
-fn poll_wait_returns_immediately_when_done() {
-    let ops = vec![
-        Op::IWrite {
-            file: FileId(0),
-            bytes: 1.0 * MB,
-            tag: ReqTag(0),
-        },
-        Op::Compute { seconds: 1.0 },
-        Op::PollWait {
-            tag: ReqTag(0),
-            interval: 0.05,
-        },
-    ];
-    let mut w = World::new(cfg(1, 100.0 * MB), vec![Program::from_ops(ops)], NoHooks);
-    w.create_file("f");
-    let s = w.try_run().unwrap();
-    assert!((s.makespan() - 1.0).abs() < 1e-6);
-    assert!(s.accounting[0].wait_write < 1e-9);
 }
 
 #[test]

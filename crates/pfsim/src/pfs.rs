@@ -287,19 +287,9 @@ impl ChannelState {
             }
             return hit.ok_or(at);
         }
-        let mut i = 0;
-        loop {
-            i = first_hit(&self.rem, &self.weight, i, |x, w| {
-                x == spec.bytes && w == spec.weight
-            });
-            if i == self.rem.len() {
-                return Err(0);
-            }
-            if same(i) {
-                return Ok(i);
-            }
-            i += 1;
-        }
+        (0..self.rem.len())
+            .find(|&i| self.rem[i] == spec.bytes && same(i))
+            .ok_or(0)
     }
 
     /// Moves every group forward by `dt` seconds at current rates. Snaps a
@@ -359,13 +349,13 @@ impl ChannelState {
         };
         if !self.uniform {
             let mut finished_any = false;
-            let mut i = first_hit(&self.rem, &self.rate, 0, done);
+            let mut i = 0;
             while i < self.rem.len() {
                 if done(self.rem[i], self.rate[i]) {
                     retire(self, i);
                     finished_any = true;
                 } else {
-                    i = first_hit(&self.rem, &self.rate, i + 1, done);
+                    i += 1;
                 }
             }
             return finished_any;
@@ -443,25 +433,6 @@ impl ChannelState {
             }
         }
     }
-}
-
-/// The first index `i >= from` with `hit(xs[i], ys[i])`, or `xs.len()`.
-/// Tests eight pairs per step without an early exit, so the test
-/// vectorizes; the result is the same as a plain forward scan.
-fn first_hit(xs: &[f64], ys: &[f64], from: usize, hit: impl Fn(f64, f64) -> bool) -> usize {
-    let n = xs.len();
-    let ys = &ys[..n];
-    let mut i = from;
-    while i + 8 <= n {
-        if (i..i + 8).fold(false, |any, k| any | hit(xs[k], ys[k])) {
-            break;
-        }
-        i += 8;
-    }
-    while i < n && !hit(xs[i], ys[i]) {
-        i += 1;
-    }
-    i
 }
 
 /// The fluid PFS engine. See module docs.

@@ -77,18 +77,12 @@ pub enum SimError {
         reason: String,
     },
     /// The progress watchdog tripped: events kept firing but nothing
-    /// advanced (e.g. a poll loop on a request frozen by an outage).
+    /// advanced (e.g. capacity-noise ticks while an endless outage freezes
+    /// the request a rank waits on).
     Stalled(Box<StallSnapshot>),
     /// The event queue drained while ranks were still blocked (e.g. a
     /// `Wait` whose request can never complete under an endless outage).
     Deadlock(Box<StallSnapshot>),
-    /// A run artifact could not be written or read.
-    Io {
-        /// The path involved.
-        path: String,
-        /// The underlying error, stringified (keeps `SimError: Clone`).
-        reason: String,
-    },
     /// An internal invariant was violated — a bug in the engine, reported
     /// instead of panicking when a supervised path can carry it.
     Internal(String),
@@ -135,7 +129,6 @@ impl fmt::Display for SimError {
             SimError::Deadlock(s) => {
                 write!(f, "deadlock: no events pending but ranks are blocked ({s})")
             }
-            SimError::Io { path, reason } => write!(f, "io error at {path}: {reason}"),
             SimError::Internal(what) => write!(f, "internal invariant violated: {what}"),
         }
     }

@@ -139,10 +139,6 @@ pub enum Noise {
     None,
     /// Uniform relative jitter: value × U(1−a, 1+a).
     UniformRel(f64),
-    /// Log-normal-ish multiplicative jitter with the given sigma; the factor
-    /// is exp(N(0, sigma²)) approximated from 12 uniforms (Irwin–Hall), which
-    /// avoids needing a distributions crate and is plenty for jitter.
-    LogNormal(f64),
     /// Occasional deep dips: with probability `prob` the factor is `factor`
     /// (≪ 1), otherwise 1. Models production-cluster I/O interference —
     /// another job's burst stealing most of the PFS (the paper's Fig. 14
@@ -179,12 +175,6 @@ impl Noise {
             Noise::UniformRel(a) => {
                 debug_assert!((0.0..1.0).contains(&a));
                 1.0 + rng.gen_range(-a..=a)
-            }
-            Noise::LogNormal(sigma) => {
-                // Irwin–Hall approximation of a standard normal.
-                let sum: f64 = (0..12).map(|_| rng.gen::<f64>()).sum();
-                let z = sum - 6.0;
-                (sigma * z).exp()
             }
             Noise::Spike { prob, factor } => {
                 debug_assert!((0.0..=1.0).contains(&prob));
@@ -295,17 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn lognormal_positive_and_centered() {
-        let mut rng = stream_rng(0, 2);
-        let n = 20_000;
-        let mean: f64 = (0..n)
-            .map(|_| Noise::LogNormal(0.05).factor(&mut rng))
-            .sum::<f64>()
-            / n as f64;
-        assert!(mean > 0.98 && mean < 1.02, "mean factor {mean}");
-    }
-
-    #[test]
     fn quantized_levels_are_discrete() {
         use std::collections::BTreeSet;
         let mut rng = stream_rng(0, 3);
@@ -369,7 +348,7 @@ mod tests {
         fn noise(n: Noise, r: &mut SmallRng) -> u64 {
             n.factor(r).to_bits()
         }
-        let calls: [(&str, Draw); 12] = [
+        let calls: [(&str, Draw); 11] = [
             ("next_u64", |r| r.next_u64()),
             ("gen_f64", |r| r.gen::<f64>().to_bits()),
             ("range_f64", |r| r.gen_range(-0.1..=0.1).to_bits()),
@@ -377,7 +356,6 @@ mod tests {
             ("range_usize", |r| r.gen_range(0..5usize) as u64),
             ("none", |r| noise(Noise::None, r)),
             ("uniform", |r| noise(Noise::UniformRel(0.1), r)),
-            ("lognormal", |r| noise(Noise::LogNormal(0.05), r)),
             ("spike", |r| {
                 let n = Noise::Spike {
                     prob: 0.25,
@@ -431,7 +409,6 @@ mod tests {
             "noise.range_usize 5b78eb37b6195962",
             "noise.none 13d3bafd83932325",
             "noise.uniform 3847920e6e34b235",
-            "noise.lognormal 8930679bc180f1ce",
             "noise.spike 83c5b649aab70d31",
             "noise.quantized 0f130ac55c0af4d6",
             "noise.quantized1 13d3bafd83932325",
@@ -443,7 +420,6 @@ mod tests {
             "fault.range_usize 55bbbb4a02a3ec05",
             "fault.none 13d3bafd83932325",
             "fault.uniform e2bd8c1633a89429",
-            "fault.lognormal e942118bd4c8b4f4",
             "fault.spike 6a874e47563d68e5",
             "fault.quantized 87f14f2365b9aa1c",
             "fault.quantized1 13d3bafd83932325",

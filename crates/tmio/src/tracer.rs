@@ -63,34 +63,18 @@ pub enum TeMode {
     LastWait,
 }
 
-/// Model of TMIO's post-runtime overhead (the `MPI_Finalize` gather that
-/// collects per-rank records; grows with rank count — Fig. 6).
-#[derive(Clone, Copy, Debug)]
-pub struct PostOverheadModel {
+/// TMIO's post-runtime overhead for a run with `n` ranks, seconds: the
+/// `MPI_Finalize` gather that collects per-rank records, which grows with
+/// the rank count (Fig. 6).
+fn post_overhead(n: usize) -> f64 {
     /// Fixed cost (file creation, serialization), seconds.
-    pub base: f64,
+    const BASE: f64 = 0.02;
     /// Per-tree-level latency of the gather, seconds.
-    pub latency: f64,
+    const LATENCY: f64 = 1e-4;
     /// Per-rank cost of collecting one rank's records, seconds.
-    pub per_rank: f64,
-}
-
-impl Default for PostOverheadModel {
-    fn default() -> Self {
-        PostOverheadModel {
-            base: 0.02,
-            latency: 1e-4,
-            per_rank: 250e-6,
-        }
-    }
-}
-
-impl PostOverheadModel {
-    /// Post-runtime overhead for a run with `n` ranks, seconds.
-    pub fn overhead(&self, n: usize) -> f64 {
-        let levels = (n as f64).log2().ceil().max(1.0);
-        self.base + self.latency * levels + self.per_rank * n as f64
-    }
+    const PER_RANK: f64 = 250e-6;
+    let levels = (n as f64).log2().ceil().max(1.0);
+    BASE + LATENCY * levels + PER_RANK * n as f64
 }
 
 /// Tracer configuration.
@@ -104,8 +88,6 @@ pub struct TracerConfig {
     pub aggregation: Aggregation,
     /// Window-end semantics.
     pub te_mode: TeMode,
-    /// Post-runtime overhead model.
-    pub post_model: PostOverheadModel,
 }
 
 impl TracerConfig {
@@ -116,7 +98,6 @@ impl TracerConfig {
             peri_call_overhead: 2e-6,
             aggregation: Aggregation::Sum,
             te_mode: TeMode::FirstWait,
-            post_model: PostOverheadModel::default(),
         }
     }
 
@@ -433,7 +414,7 @@ impl Tracer {
             rank_end: self.rank_end,
             calls: self.calls,
             peri_overhead: self.calls as f64 * self.cfg.peri_call_overhead,
-            post_overhead: self.cfg.post_model.overhead(n_ranks),
+            post_overhead: post_overhead(n_ranks),
             faults: self.faults,
             retry_time: self.retry_time,
             required: LazySeries::new(self.req_sweep),

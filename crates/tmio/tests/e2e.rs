@@ -343,42 +343,6 @@ fn sync_app_has_no_async_records() {
     assert!(d.sync_write > 0.3);
 }
 
-#[test]
-fn poll_wait_closes_tracer_phase_at_first_probe() {
-    use mpisim::{FileId, Op, Program, ReqTag, World};
-    const MB: f64 = 1e6;
-
-    let ops = vec![
-        Op::IWrite {
-            file: FileId(0),
-            bytes: 100.0 * MB,
-            tag: ReqTag(0),
-        },
-        Op::Compute { seconds: 0.5 },
-        Op::PollWait {
-            tag: ReqTag(0),
-            interval: 0.01,
-        },
-    ];
-    let mut tc = TracerConfig::trace_only();
-    tc.peri_call_overhead = 0.0;
-    let mut wc = WorldConfig::new(1);
-    wc.pfs = PfsConfig {
-        write_capacity: 100.0 * MB,
-        read_capacity: 100.0 * MB,
-    };
-    let mut w = World::new(wc, vec![Program::from_ops(ops)], Tracer::new(1, tc));
-    w.create_file("f");
-    w.try_run().unwrap();
-    let report = std::mem::replace(w.hooks_mut(), Tracer::new(0, tc)).into_report();
-    assert_eq!(report.phases.len(), 1);
-    // te = first probe (end of the 0.5 s compute), not the completion at 1 s:
-    // B = 100 MB / 0.5 s = 200 MB/s.
-    let p = &report.phases[0];
-    assert!((p.te - p.ts - 0.5).abs() < 1e-6, "window {}", p.te - p.ts);
-    assert!((p.b_required - 200.0 * MB).abs() < 0.1 * MB);
-}
-
 /// FTIO-style period detection recovers the loop period of a periodic
 /// async-checkpoint application from its physical PFS signal.
 #[test]

@@ -14,6 +14,7 @@
 
 use iobts::prelude::*;
 use std::collections::HashMap;
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -23,22 +24,22 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    let out = &mut io::stdout().lock();
     let result = parse_opts(args).and_then(|opts| {
         check_json_dir(&opts)?;
         match cmd.as_str() {
-            "hacc" => cmd_hacc(&opts),
-            "wacomm" => cmd_wacomm(&opts),
-            "cluster" => cmd_cluster(&opts),
-            "period" => cmd_period(&opts),
-            "help" | "--help" | "-h" => {
-                println!("{USAGE}");
-                Ok(())
-            }
+            "hacc" => cmd_hacc(out, &opts),
+            "wacomm" => cmd_wacomm(out, &opts),
+            "cluster" => cmd_cluster(out, &opts),
+            "period" => cmd_period(out, &opts),
+            "help" | "--help" | "-h" => Ok(writeln!(out, "{USAGE}")?),
             other => Err(Failure::Usage(format!("unknown command `{other}`"))),
-        }
+        }?;
+        Ok(out.flush()?)
     });
     match result {
-        Ok(()) => ExitCode::SUCCESS,
+        // A reader that stops early (`iobts hacc | head -1`) is not an error.
+        Ok(()) | Err(Failure::Closed) => ExitCode::SUCCESS,
         Err(Failure::Usage(e)) => {
             eprintln!("error: {e}\n{USAGE}");
             ExitCode::FAILURE
@@ -51,10 +52,21 @@ fn main() -> ExitCode {
 }
 
 /// Why a command failed: a bad command line (answered with the usage
-/// text) or a run that could not complete (one line).
+/// text), a run that could not complete (one line), or a closed stdout.
 enum Failure {
     Usage(String),
     Run(String),
+    Closed,
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            Failure::Closed
+        } else {
+            Failure::Run(format!("writing stdout: {e}"))
+        }
+    }
 }
 
 /// A failure of the run itself.
@@ -155,29 +167,32 @@ fn parse_opts(args: impl Iterator<Item = String>) -> Result<Opts, Failure> {
     Ok(Opts(map))
 }
 
-fn print_summary(out: &RunOutput) {
-    let report = &out.report;
+fn print_summary(out: &mut impl Write, run: &RunOutput) -> io::Result<()> {
+    let report = &run.report;
     let d = report.decomposition();
     let pct = d.percentages();
-    println!(
+    writeln!(
+        out,
         "runtime            : {:>10.3} s (app) + {:.3} s post overhead",
-        out.app_time(),
+        run.app_time(),
         report.post_overhead
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "required bandwidth : {:>10.1} MB/s (app level, max over regions)",
         report.required_bandwidth() / 1e6
-    );
+    )?;
     if let Some(t) = report.limit_start_time() {
-        println!("limiter engaged at : {t:>10.3} s");
+        writeln!(out, "limiter engaged at : {t:>10.3} s")?;
     }
-    println!("phases traced      : {:>10}", report.phases.len());
-    println!(
+    writeln!(out, "phases traced      : {:>10}", report.phases.len())?;
+    writeln!(
+        out,
         "intercepted calls  : {:>10}  (peri overhead {:.3} ms)",
         report.calls,
         report.peri_overhead * 1e3
-    );
-    println!("\ntime split (% of total rank-time):");
+    )?;
+    writeln!(out, "\ntime split (% of total rank-time):")?;
     let labels = [
         "sync write",
         "sync read",
@@ -189,27 +204,28 @@ fn print_summary(out: &RunOutput) {
     ];
     for (l, p) in labels.iter().zip(pct) {
         if p > 0.005 {
-            println!("  {l:<20} {p:>6.1} %");
+            writeln!(out, "  {l:<20} {p:>6.1} %")?;
         }
-    }
-}
-
-/// Runs a fully built session, writes the TMIO trace to `--json PATH`
-/// when requested, and prints the summary.
-fn run_and_report(opts: &Opts, session: &Session) -> Result<(), Failure> {
-    let out = session.try_run().map_err(run_failed)?;
-    if let Some(path) = opts.0.get("json") {
-        iobts::session::write_atomic(Path::new(path), out.report.to_json().as_bytes())
-            .map_err(|e| Failure::Run(format!("writing {path}: {e}")))?;
-    }
-    print_summary(&out);
-    if let Some(path) = opts.0.get("json") {
-        println!("\ntrace written to {path}");
     }
     Ok(())
 }
 
-fn cmd_hacc(opts: &Opts) -> Result<(), Failure> {
+/// Runs a fully built session, writes the TMIO trace to `--json PATH`
+/// when requested, and prints the summary.
+fn run_and_report(out: &mut impl Write, opts: &Opts, session: &Session) -> Result<(), Failure> {
+    let run = session.try_run().map_err(run_failed)?;
+    if let Some(path) = opts.0.get("json") {
+        iobts::session::write_atomic(Path::new(path), run.report.to_json().as_bytes())
+            .map_err(|e| Failure::Run(format!("writing {path}: {e}")))?;
+    }
+    print_summary(out, &run)?;
+    if let Some(path) = opts.0.get("json") {
+        writeln!(out, "\ntrace written to {path}")?;
+    }
+    Ok(())
+}
+
+fn cmd_hacc(out: &mut impl Write, opts: &Opts) -> Result<(), Failure> {
     let ranks = opts.get("ranks", 64usize)?;
     let hacc = HaccConfig {
         particles_per_rank: opts.get("particles", 100_000u64)?,
@@ -222,16 +238,17 @@ fn cmd_hacc(opts: &Opts) -> Result<(), Failure> {
         .workload(HaccIo::new(hacc))
         .try_build()
         .map_err(run_failed)?;
-    println!(
+    writeln!(
+        out,
         "HACC-IO: {ranks} ranks × {} particles × {} loops, strategy {}\n",
         hacc.particles_per_rank,
         hacc.loops,
         strategy.name()
-    );
-    run_and_report(opts, &session)
+    )?;
+    run_and_report(out, opts, &session)
 }
 
-fn cmd_wacomm(opts: &Opts) -> Result<(), Failure> {
+fn cmd_wacomm(out: &mut impl Write, opts: &Opts) -> Result<(), Failure> {
     let ranks = opts.get("ranks", 96usize)?;
     let wc = WacommConfig {
         iterations: opts.get("iterations", 50usize)?,
@@ -243,19 +260,21 @@ fn cmd_wacomm(opts: &Opts) -> Result<(), Failure> {
         .workload(Wacomm::new(wc))
         .try_build()
         .map_err(run_failed)?;
-    println!(
+    writeln!(
+        out,
         "WaComM: {ranks} ranks, {} iterations, strategy {}\n",
         wc.iterations,
         strategy.name()
-    );
-    run_and_report(opts, &session)
+    )?;
+    run_and_report(out, opts, &session)
 }
 
-fn cmd_cluster(opts: &Opts) -> Result<(), Failure> {
+fn cmd_cluster(out: &mut impl Write, opts: &Opts) -> Result<(), Failure> {
     use clustersim::{motivation_scenario, Cluster};
     let limit = opts.flag("limit");
     let (cfg, jobs) = motivation_scenario(limit, 1.0);
-    println!(
+    writeln!(
+        out,
         "cluster: {} nodes, PFS {:.0} GB/s, 8 jobs, job 4 async, limit {}\n",
         cfg.nodes,
         cfg.pfs.write_capacity / 1e9,
@@ -264,27 +283,29 @@ fn cmd_cluster(opts: &Opts) -> Result<(), Failure> {
         } else {
             "off"
         }
-    );
+    )?;
     let r = Cluster::new(cfg, jobs).run();
-    println!(
+    writeln!(
+        out,
         "{:<6} {:>6} {:>10} {:>10} {:>10}",
         "job", "nodes", "start", "end", "runtime"
-    );
+    )?;
     for j in &r.jobs {
-        println!(
+        writeln!(
+            out,
             "{:<6} {:>6} {:>10.1} {:>10.1} {:>10.1}",
             j.name,
             j.nodes,
             j.start,
             j.end,
             j.runtime()
-        );
+        )?;
     }
-    println!("\nmakespan {:.1} s", r.makespan);
+    writeln!(out, "\nmakespan {:.1} s", r.makespan)?;
     Ok(())
 }
 
-fn cmd_period(opts: &Opts) -> Result<(), Failure> {
+fn cmd_period(out: &mut impl Write, opts: &Opts) -> Result<(), Failure> {
     let ranks = opts.get("ranks", 16usize)?;
     let hacc = HaccConfig {
         particles_per_rank: opts.get("particles", 500_000u64)?,
@@ -292,22 +313,27 @@ fn cmd_period(opts: &Opts) -> Result<(), Failure> {
         ..Default::default()
     };
     let cfg = ExpConfig::new(ranks, Strategy::None);
-    let out = Session::builder(cfg)
+    let run = Session::builder(cfg)
         .workload(HaccIo::new(hacc))
         .try_build()
         .and_then(|s| s.try_run())
         .map_err(run_failed)?;
-    println!("HACC-IO {ranks} ranks: runtime {:.2} s", out.app_time());
-    match iobts::tmio::ftio::detect_period(&out.pfs_write, 0.0, out.app_time(), 2048) {
+    writeln!(
+        out,
+        "HACC-IO {ranks} ranks: runtime {:.2} s",
+        run.app_time()
+    )?;
+    match iobts::tmio::ftio::detect_period(&run.pfs_write, 0.0, run.app_time(), 2048) {
         Some(est) => {
-            println!(
+            writeln!(
+                out,
                 "dominant I/O period {:.2} s ({:.3} Hz), confidence {:.2}",
                 est.period, est.frequency, est.confidence
-            );
+            )?;
             let nominal = hacc.compute_seconds() + hacc.verify_seconds() + hacc.data_bytes() / 10e9;
-            println!("nominal loop period ≈ {nominal:.2} s");
+            writeln!(out, "nominal loop period ≈ {nominal:.2} s")?;
         }
-        None => println!("no periodic I/O detected"),
+        None => writeln!(out, "no periodic I/O detected")?,
     }
     Ok(())
 }

@@ -2,7 +2,8 @@
 //! staged through a temp sibling, and a path that cannot be written is a
 //! one-line error that names it, raised before the run starts. An invalid
 //! config is likewise one error line with nothing printed before it. Only
-//! command-line mistakes are answered with the usage text.
+//! command-line mistakes are answered with the usage text. A reader that
+//! closes stdout early ends the run quietly.
 
 use iobts::prelude::*;
 use std::fs;
@@ -105,5 +106,27 @@ fn invalid_config_is_rejected_before_the_banner() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(stderr.lines().count(), 1, "{cmd}: {stderr}");
         assert!(stderr.starts_with("error: "), "{cmd}: {stderr}");
+    }
+}
+
+#[test]
+fn closed_stdout_ends_quietly_with_success() {
+    // As in `iobts wacomm ... | true`: the reader is gone before the
+    // banner or the summary is written.
+    let runs: [&[&str]; 2] = [
+        &["wacomm", "--ranks", "4", "--iterations", "2"],
+        &["hacc", "--ranks", "4", "--loops", "2"],
+    ];
+    for args in runs {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_iobts"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }

@@ -207,8 +207,6 @@ fn io_on_an_unregistered_file_is_a_typed_error() {
         vec![Op::Read { file, bytes }],
         vec![Op::IWrite { file, bytes, tag }, Op::Wait { tag }],
         vec![Op::IRead { file, bytes, tag }, Op::Wait { tag }],
-        vec![Op::WriteAll { file, bytes }],
-        vec![Op::ReadAll { file, bytes }],
     ];
     for ops in io_ops {
         let what = format!("{:?}", ops[0]);
