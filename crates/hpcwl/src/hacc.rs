@@ -28,9 +28,13 @@
 //! ```
 
 use mpisim::{FileId, Op, Program, ReqTag};
+
 /// Bytes per HACC particle record: xx,yy,zz,vx,vy,vz,phi (7×f32) +
 /// pid (i64) + mask (u16) = 38 B, matching the original benchmark.
 pub const BYTES_PER_PARTICLE: f64 = 38.0;
+
+/// Ops per loop of the asynchronous program (the sequence above).
+const OPS_PER_LOOP: usize = 10;
 
 /// HACC-IO workload parameters.
 #[derive(Clone, Copy, Debug)]
@@ -78,49 +82,53 @@ impl HaccConfig {
         self.particles_per_rank as f64 * self.verify_ns_per_particle * 1e-9
     }
 
-    /// Builds the per-rank program. Every rank writes to its own file
-    /// (individual file pointers to distinct files, the harder non-collective
-    /// setting the paper uses); `file` is that rank's file.
+    /// Builds the per-rank program, [`Self::op`] collected. Every rank
+    /// writes to its own file (individual file pointers to distinct files,
+    /// the harder non-collective setting the paper uses); `file` is that
+    /// rank's file.
     pub fn program(&self, file: FileId) -> Program {
-        let mut ops = Vec::with_capacity(self.loops * 9);
+        Program::from_ops((0..).map_while(|pc| self.op(file, pc)).collect())
+    }
+
+    /// Op `pc` of the per-rank program in closed form (one loop is the
+    /// ten-op sequence in the module docs), or `None` past its end: a
+    /// driver streams the program without building it.
+    pub fn op(&self, file: FileId, pc: usize) -> Option<Op> {
+        let (k, step) = (pc / OPS_PER_LOOP, pc % OPS_PER_LOOP);
+        if k >= self.loops {
+            return None;
+        }
         let data = self.data_bytes();
-        for k in 0..self.loops as u32 {
-            let wtag = ReqTag(2 * k);
-            let rtag = ReqTag(2 * k + 1);
-            // Header stays synchronous.
-            ops.push(Op::Write {
+        let wtag = ReqTag(2 * k as u32);
+        let rtag = ReqTag(2 * k as u32 + 1);
+        Some(match step {
+            0 => Op::Write {
                 file,
                 bytes: self.header_bytes,
-            });
-            // Write block overlaps the compute block.
-            ops.push(Op::IWrite {
+            },
+            1 => Op::IWrite {
                 file,
                 bytes: data,
                 tag: wtag,
-            });
-            ops.push(Op::Bcast {
+            },
+            2 | 6 => Op::Bcast {
                 bytes: self.bcast_bytes,
-            });
-            ops.push(Op::Compute {
+            },
+            3 => Op::Compute {
                 seconds: self.compute_seconds(),
-            });
-            ops.push(Op::Wait { tag: wtag });
-            // Read block overlaps the verify block.
-            ops.push(Op::IRead {
+            },
+            4 => Op::Wait { tag: wtag },
+            5 => Op::IRead {
                 file,
                 bytes: data,
                 tag: rtag,
-            });
-            ops.push(Op::Bcast {
-                bytes: self.bcast_bytes,
-            });
-            ops.push(Op::Compute {
+            },
+            7 => Op::Compute {
                 seconds: self.verify_seconds(),
-            });
-            ops.push(Op::Memcpy { bytes: data });
-            ops.push(Op::Wait { tag: rtag });
-        }
-        Program::from_ops(ops)
+            },
+            8 => Op::Memcpy { bytes: data },
+            _ => Op::Wait { tag: rtag },
+        })
     }
 
     /// The vanilla (unmodified) HACC-IO with blocking I/O, as a baseline:

@@ -15,12 +15,12 @@
 //! rank 0: Read(input, sync);  all: Bcast(distribution)
 //! for k in 0..iterations:
 //!     Compute(advection of local particles)
-//!     Wait(write_{k−1})           # returns immediately when hidden
-//!     IWrite(local particles)
-//! Wait(write_last); Write(final results, sync)
+//!     Wait(write_{k−1})           # k > 0; returns immediately when hidden
+//!     IWrite(local particles)     # k < iterations − 1, tag k
+//!     Write(final results, sync)  # k = iterations − 1: nothing to overlap
 //! ```
 
-use mpisim::{FileId, Op, Program, ReqTag};
+use mpisim::{FileId, Op, Program, ReqTag, SimError, SimResult};
 
 /// Bytes per serialized WaComM particle (3×f64 position + 1×f64 health +
 /// u64 id = 40 B).
@@ -82,45 +82,76 @@ impl WacommConfig {
             + self.particles_of(rank, n_ranks) as f64 * self.compute_ns_per_particle * 1e-9
     }
 
-    /// Builds the program of `rank`; `out` is the rank's result file and
-    /// `input` the shared input file.
+    /// Builds the program of `rank`, [`Self::op`] collected; `out` is the
+    /// rank's result file and `input` the shared input file.
     pub fn program(&self, rank: usize, n_ranks: usize, input: FileId, out: FileId) -> Program {
-        assert!(self.iterations >= 2, "need at least two iterations");
-        let mut ops = Vec::with_capacity(self.iterations * 3 + 5);
-        if rank == 0 {
-            ops.push(Op::Read {
-                file: input,
-                bytes: self.input_bytes,
+        let op = |pc| self.op(rank, n_ranks, input, out, pc);
+        Program::from_ops((0..).map_while(op).collect())
+    }
+
+    /// Op `pc` of `rank`'s program in closed form (the sequence in the
+    /// module docs), or `None` past its end: a driver streams the program
+    /// without building it. A config that [`Self::validate`] rejects
+    /// yields a short stream, never a panic.
+    pub fn op(
+        &self,
+        rank: usize,
+        n_ranks: usize,
+        input: FileId,
+        out: FileId,
+        pc: usize,
+    ) -> Option<Op> {
+        let header = 1 + usize::from(rank == 0);
+        if pc < header {
+            return Some(if pc + 1 < header {
+                Op::Read {
+                    file: input,
+                    bytes: self.input_bytes,
+                }
+            } else {
+                Op::Bcast {
+                    bytes: self.bcast_bytes,
+                }
             });
         }
-        // Particle distribution from rank 0.
-        ops.push(Op::Bcast {
-            bytes: self.bcast_bytes,
-        });
-        let bytes = self.write_bytes(rank, n_ranks);
-        let compute = self.compute_seconds(rank, n_ranks);
-        let last = self.iterations as u32 - 1;
-        for k in 0..self.iterations as u32 {
-            ops.push(Op::Compute { seconds: compute });
-            if k > 0 {
-                ops.push(Op::Wait { tag: ReqTag(k - 1) });
-            }
-            if k < last {
-                ops.push(Op::IWrite {
-                    file: out,
-                    bytes,
-                    tag: ReqTag(k),
-                });
-            } else {
-                // The paper keeps the last write synchronous: there is no
-                // compute phase left to overlap it with.
-                ops.push(Op::Write {
-                    file: out,
-                    bytes: bytes + self.final_bytes_per_rank,
-                });
-            }
+        // Iteration 0 has no wait: skip its slot so that iteration k spans
+        // slots 3k (compute), 3k + 1 (wait) and 3k + 2 (write).
+        let i = pc - header;
+        let slot = if i == 0 { 0 } else { i + 1 };
+        let k = slot / 3;
+        if k >= self.iterations {
+            return None;
         }
-        Program::from_ops(ops)
+        let bytes = || self.write_bytes(rank, n_ranks);
+        Some(match slot % 3 {
+            0 => Op::Compute {
+                seconds: self.compute_seconds(rank, n_ranks),
+            },
+            1 => Op::Wait {
+                tag: ReqTag(k as u32 - 1),
+            },
+            _ if k + 1 < self.iterations => Op::IWrite {
+                file: out,
+                bytes: bytes(),
+                tag: ReqTag(k as u32),
+            },
+            _ => Op::Write {
+                file: out,
+                bytes: bytes() + self.final_bytes_per_rank,
+            },
+        })
+    }
+
+    /// Rejects a config the asynchronous schedule cannot run: it needs a
+    /// compute phase after the first write, so at least two iterations.
+    pub fn validate(&self) -> SimResult<()> {
+        if self.iterations < 2 {
+            return Err(SimError::invalid_config(
+                "iterations",
+                format!("need at least two iterations, got {}", self.iterations),
+            ));
+        }
+        Ok(())
     }
 
     /// The original (unmodified) WaComM++: rank 0 writes everything

@@ -134,8 +134,7 @@ impl Program {
     /// `Wait` has a preceding unmatched submit. Returns a description of the
     /// first violation.
     pub fn validate(&self) -> Result<(), String> {
-        // Tags below the op count are the common case: one allocation.
-        let mut outstanding = TagMap::with_dense_len(self.ops.len());
+        let mut outstanding = TagMap::default();
         for (i, op) in self.ops.iter().enumerate() {
             match *op {
                 Op::IWrite { tag, .. } | Op::IRead { tag, .. }

@@ -487,7 +487,8 @@ pub struct World<H: IoHooks> {
     /// [`FlowId`] counter.
     flows: SeqMap<FlowOwner>,
     collectives: HashMap<u64, Collective>,
-    files: Vec<(String, f64)>,
+    /// Bytes written to each registered file, by [`FileId`].
+    files: Vec<f64>,
     /// Per-rank burst buffers when configured.
     bbs: Vec<BurstBuffer>,
     live_ranks: usize,
@@ -563,16 +564,17 @@ impl<H: IoHooks> World<H> {
         }
     }
 
-    /// Registers a simulated file.
-    pub fn create_file(&mut self, name: &str) -> FileId {
+    /// Registers a simulated file. The engine tracks only the bytes
+    /// written to it, so the name is not kept.
+    pub fn create_file(&mut self, _name: &str) -> FileId {
         let id = FileId(self.files.len() as u32);
-        self.files.push((name.to_string(), 0.0));
+        self.files.push(0.0);
         id
     }
 
     /// Total bytes ever written to `file`.
     pub fn file_bytes(&self, file: FileId) -> f64 {
-        self.files[file.0 as usize].1
+        self.files[file.0 as usize]
     }
 
     /// Mutable access to the observer.
@@ -588,6 +590,13 @@ impl<H: IoHooks> World<H> {
     /// The PFS rate series of a channel (for plots).
     pub fn pfs_series(&self, channel: Channel) -> &StepSeries {
         self.pfs.total_series(channel)
+    }
+
+    /// Consumes the world, returning the observer and the PFS write and
+    /// read rate series, moved rather than copied.
+    pub fn into_parts(self) -> (H, StepSeries, StepSeries) {
+        let [write, read] = self.pfs.into_total_series();
+        (self.hooks, write, read)
     }
 
     /// Runs the world to completion, surfacing failures as typed errors.
@@ -987,7 +996,7 @@ impl<H: IoHooks> World<H> {
             .on_sync_begin(now, rank, bytes, channel, &mut self.limits);
         self.ranks[rank].acct.overhead += o;
         if channel == Channel::Write {
-            self.files[file.0 as usize].1 += bytes;
+            self.files[file.0 as usize] += bytes;
         }
         self.ranks[rank].sync_entered = now;
         self.ranks[rank].sync_bytes = bytes;
@@ -1055,7 +1064,7 @@ impl<H: IoHooks> World<H> {
             .on_async_submit(now, rank, tag, bytes, channel, &mut self.limits);
         self.ranks[rank].acct.overhead += o;
         if channel == Channel::Write {
-            self.files[file.0 as usize].1 += bytes;
+            self.files[file.0 as usize] += bytes;
         }
         self.ranks[rank].requests.insert(tag.0, ReqState::InFlight);
         let seq = self.ranks[rank].async_seq;

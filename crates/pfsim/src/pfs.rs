@@ -503,6 +503,12 @@ impl Pfs {
         &self.channels[channel.index()].total_series
     }
 
+    /// Consumes the PFS, returning the write and read channels' aggregate
+    /// rate series.
+    pub fn into_total_series(self) -> [StepSeries; 2] {
+        self.channels.map(|c| c.total_series)
+    }
+
     /// Allocation solves so far, both channels: one per submission, cap,
     /// capacity or fault change and per harvest that retired a group.
     pub fn solves(&self) -> u64 {

@@ -6,9 +6,11 @@
 //! [`mpisim::World`] → [`tmio::Tracer`] → [`tmio::Report`] glue:
 //!
 //! 1. [`Workload`] — what runs: anything that can emit per-rank programs
-//!    and the files they touch. The paper's two applications are provided
-//!    ([`HaccIo`], [`Wacomm`]); new workloads plug in without touching the
-//!    runners, and [`RawWorkload`] lifts ad-hoc op lists into the pipeline.
+//!    and the files they touch, fed to the ranks through its
+//!    [`Workload::driver`]. The paper's two applications are provided
+//!    ([`HaccIo`], [`Wacomm`]) and stream their ops in closed form; new
+//!    workloads plug in without touching the runners, and [`RawWorkload`]
+//!    lifts ad-hoc op lists into the pipeline.
 //! 2. [`ExpConfig`] — how it runs: the knobs the paper varies, with a full
 //!    builder surface (`with_seed`, `with_noise`, `with_pfs`, …) and the
 //!    seeded [`simcore::FaultPlan`] for chaos runs.

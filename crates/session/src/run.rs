@@ -2,9 +2,9 @@
 //! a [`Workload`], the TMIO tracer and the fault plan.
 
 use crate::{ExpConfig, Workload};
-use mpisim::{RunSummary, ScriptedDriver, World};
+use mpisim::{RunSummary, World};
 use simcore::{SimError, SimResult, StepSeries};
-use tmio::{Report, Tracer, TracerConfig};
+use tmio::{Report, Tracer};
 
 /// Everything one run produces.
 #[derive(Clone, Debug)]
@@ -52,30 +52,20 @@ impl Session {
     /// count that differs from the rank count) come back as typed errors.
     pub fn try_run(&self) -> SimResult<RunOutput> {
         let cfg = &self.cfg;
-        let programs = self.workload.programs(cfg.n_ranks);
-        if programs.len() != cfg.n_ranks {
-            return Err(SimError::invalid_config(
-                "n_ranks",
-                format!("{} ranks but {} programs", cfg.n_ranks, programs.len()),
-            ));
-        }
-        let driver = ScriptedDriver::try_new(programs)?;
-        let tracer = Tracer::new(cfg.n_ranks, cfg.tracer_config());
-        let mut world = World::with_driver(cfg.world_config(), Box::new(driver), tracer);
+        let driver = self.workload.driver(cfg.n_ranks)?;
+        let tracer = match self.workload.record_counts(cfg.n_ranks) {
+            Some(counts) => Tracer::with_counts(cfg.n_ranks, cfg.tracer_config(), counts),
+            None => Tracer::new(cfg.n_ranks, cfg.tracer_config()),
+        };
+        let mut world = World::with_driver(cfg.world_config(), driver, tracer);
         for f in self.workload.files(cfg.n_ranks) {
             world.create_file(&f);
         }
         let summary = world.try_run()?;
-        let pfs_write = world.pfs_series(mpisim::Channel::Write).clone();
-        let pfs_read = world.pfs_series(mpisim::Channel::Read).clone();
-        let report = std::mem::replace(
-            world.hooks_mut(),
-            Tracer::new(0, TracerConfig::trace_only()),
-        )
-        .into_report();
+        let (tracer, pfs_write, pfs_read) = world.into_parts();
         Ok(RunOutput {
             summary,
-            report,
+            report: tracer.into_report(),
             pfs_write,
             pfs_read,
         })
@@ -101,10 +91,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Finalizes the session, surfacing a missing workload or an invalid
+    /// Finalizes the session, surfacing a missing workload, an invalid
     /// configuration (NaN/zero/negative capacities, tolerances or
-    /// sub-request sizes, overlapping fault windows, …) as a typed
-    /// [`SimError`] instead of panicking.
+    /// sub-request sizes, overlapping fault windows, …) or a workload
+    /// that [`Workload::validate`] rejects (WaComM with fewer than two
+    /// iterations) as a typed [`SimError`] instead of panicking.
     pub fn try_build(self) -> SimResult<Session> {
         self.cfg.validate()?;
         let Some(workload) = self.workload else {
@@ -113,6 +104,7 @@ impl SessionBuilder {
                 "SessionBuilder: no workload attached",
             ));
         };
+        workload.validate()?;
         Ok(Session {
             cfg: self.cfg,
             workload,

@@ -2,14 +2,19 @@
 //! [`Session`](crate::Session).
 //!
 //! A workload knows how to emit one [`Program`] per rank and the names of
-//! the files those programs touch. The paper's two applications implement
-//! it ([`HaccIo`], [`Wacomm`]); anything else plugs in the same way —
-//! including raw op lists via [`RawWorkload`] — without touching the
-//! runners.
+//! the files those programs touch. A session runs it through
+//! [`Workload::driver`], which by default replays those programs; the
+//! paper's two applications ([`HaccIo`], [`Wacomm`]) instead stream their
+//! ops in closed form, so a run's driver state is one counter per rank,
+//! and state their [`RecordCounts`] so the tracer sizes its tables once.
+//! Anything else plugs in the same way — including raw op lists via
+//! [`RawWorkload`] — without touching the runners.
 
 use hpcwl::hacc::HaccConfig;
 use hpcwl::wacomm::WacommConfig;
-use mpisim::{FileId, Program};
+use mpisim::{FileId, Op, Program, RankDriver, ScriptedDriver};
+use simcore::{SimError, SimResult, SimTime};
+use tmio::RecordCounts;
 
 /// A workload that a [`Session`](crate::Session) can execute: per-rank programs plus the
 /// file names they reference.
@@ -23,6 +28,66 @@ pub trait Workload {
     /// File names to register with the world before the run, in
     /// [`FileId`] order.
     fn files(&self, n_ranks: usize) -> Vec<String>;
+
+    /// Rejects a workload that cannot run, before the session is built
+    /// ([`SessionBuilder::try_build`](crate::SessionBuilder::try_build)).
+    fn validate(&self) -> SimResult<()> {
+        Ok(())
+    }
+
+    /// The driver that feeds each rank its ops, equal op for op to
+    /// [`Workload::programs`]. By default it replays those programs
+    /// through [`ScriptedDriver::try_new`], so a program count that differs
+    /// from `n_ranks` or a program failing [`Program::validate`] comes
+    /// back as a typed error.
+    fn driver(&self, n_ranks: usize) -> SimResult<Box<dyn RankDriver>> {
+        scripted(self.programs(n_ranks), n_ranks)
+    }
+
+    /// The records a run leaves in the tracer, when known up front; `None`
+    /// (the default) keeps [`tmio::Tracer::new`]'s typical sizing.
+    fn record_counts(&self, _n_ranks: usize) -> Option<RecordCounts> {
+        None
+    }
+}
+
+/// Replays one program per rank through [`ScriptedDriver::try_new`].
+fn scripted(programs: Vec<Program>, n_ranks: usize) -> SimResult<Box<dyn RankDriver>> {
+    if programs.len() != n_ranks {
+        return Err(SimError::invalid_config(
+            "n_ranks",
+            format!("{n_ranks} ranks but {} programs", programs.len()),
+        ));
+    }
+    Ok(Box::new(ScriptedDriver::try_new(programs)?))
+}
+
+/// A driver over a closed-form op stream: `op(rank, pc)` is op `pc` of
+/// `rank`'s program, so the driver keeps only each rank's `pc`.
+struct ClosedForm<F> {
+    op: F,
+    pcs: Vec<usize>,
+}
+
+impl<F> ClosedForm<F>
+where
+    F: Fn(usize, usize) -> Option<Op> + Send + 'static,
+{
+    fn boxed(n_ranks: usize, op: F) -> Box<dyn RankDriver> {
+        Box::new(ClosedForm {
+            op,
+            pcs: vec![0; n_ranks],
+        })
+    }
+}
+
+impl<F: Fn(usize, usize) -> Option<Op> + Send> RankDriver for ClosedForm<F> {
+    fn next_op(&mut self, rank: usize, _now: SimTime) -> Option<Op> {
+        let pc = &mut self.pcs[rank];
+        let op = (self.op)(rank, *pc);
+        *pc += usize::from(op.is_some());
+        op
+    }
 }
 
 /// The modified HACC-IO benchmark (Fig. 12 structure). Each rank writes to
@@ -71,6 +136,27 @@ impl Workload for HaccIo {
 
     fn files(&self, n_ranks: usize) -> Vec<String> {
         (0..n_ranks).map(|r| format!("hacc.{r}.dat")).collect()
+    }
+
+    /// The asynchronous benchmark streams [`HaccConfig::op`]; the sync
+    /// baseline replays its programs.
+    fn driver(&self, n_ranks: usize) -> SimResult<Box<dyn RankDriver>> {
+        if self.sync {
+            return scripted(self.programs(n_ranks), n_ranks);
+        }
+        let cfg = self.cfg;
+        Ok(ClosedForm::boxed(n_ranks, move |rank, pc| {
+            cfg.op(FileId(rank as u32), pc)
+        }))
+    }
+
+    /// Per rank and loop: an async write, an async read and a blocking
+    /// header write.
+    fn record_counts(&self, n_ranks: usize) -> Option<RecordCounts> {
+        (!self.sync).then_some(RecordCounts {
+            async_requests: n_ranks * 2 * self.cfg.loops,
+            sync_ops: n_ranks * self.cfg.loops,
+        })
     }
 }
 
@@ -121,6 +207,35 @@ impl Workload for Wacomm {
         let mut names = vec!["wacomm.in".to_string()];
         names.extend((0..n_ranks).map(|r| format!("wacomm.{r}.out")));
         names
+    }
+
+    /// The asynchronous schedule needs at least two iterations.
+    fn validate(&self) -> SimResult<()> {
+        if self.sync {
+            return Ok(());
+        }
+        self.cfg.validate()
+    }
+
+    /// The asynchronous schedule streams [`WacommConfig::op`]; the sync
+    /// baseline replays its programs.
+    fn driver(&self, n_ranks: usize) -> SimResult<Box<dyn RankDriver>> {
+        if self.sync {
+            return scripted(self.programs(n_ranks), n_ranks);
+        }
+        let cfg = self.cfg;
+        Ok(ClosedForm::boxed(n_ranks, move |rank, pc| {
+            cfg.op(rank, n_ranks, FileId(0), FileId(1 + rank as u32), pc)
+        }))
+    }
+
+    /// Per rank: an async write in every iteration but the last, whose
+    /// write is blocking; rank 0 also reads the input.
+    fn record_counts(&self, n_ranks: usize) -> Option<RecordCounts> {
+        (!self.sync).then_some(RecordCounts {
+            async_requests: n_ranks * self.cfg.iterations.saturating_sub(1),
+            sync_ops: n_ranks + 1,
+        })
     }
 }
 

@@ -21,12 +21,14 @@
 //! and record storage are allocation-free in steady state:
 //!
 //! * each rank keeps its open request spans in one [`simcore::TagMap`]
-//!   keyed by [`ReqTag`] — no hashing; a rank's span memory is bounded by
-//!   its highest dense tag (below 4096) plus its outstanding sparse tags,
-//!   not by the peak number of outstanding requests;
+//!   keyed by [`ReqTag`] — no hashing; a rank's span memory follows its
+//!   live tags (a table sized by the peak number of open spans), not the
+//!   highest tag it issued;
 //! * closed phase/window/span/sync records are pushed as finished rows into
-//!   `Vec`s pre-sized with `with_capacity`; [`Tracer::into_report`] moves
-//!   them into the report without copying;
+//!   `Vec`s pre-sized with `with_capacity` — exactly, when the workload
+//!   states its [`RecordCounts`] ([`Tracer::with_counts`]), so no table
+//!   reallocates mid-run; [`Tracer::into_report`] moves them into the
+//!   report without copying;
 //! * the application-level Eq. 3 aggregates (`B_r`, `B_L`, `T`) are
 //!   maintained *online* by [`IncrementalSweep`]s: a phase or throughput
 //!   window opens its interval at its first submit and closes it at its
@@ -295,22 +297,44 @@ pub struct Tracer {
     calls: u64,
 }
 
+/// How many requests a run issues, summed over its ranks: enough to size
+/// every record table of the [`Tracer`] once.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RecordCounts {
+    /// Asynchronous requests. Each is one span and at most one phase, one
+    /// throughput window and one interval of each Eq. 3 sweep.
+    pub async_requests: usize,
+    /// Blocking reads and writes: one sync interval each.
+    pub sync_ops: usize,
+}
+
 impl Tracer {
-    /// Creates a tracer for `n_ranks` ranks.
+    /// Creates a tracer for `n_ranks` ranks, its record tables pre-sized
+    /// for a typical multi-phase run (16 async requests and 4 blocking
+    /// calls per rank); they grow geometrically past this without churn.
     pub fn new(n_ranks: usize, cfg: TracerConfig) -> Self {
-        // Pre-size the record tables for a typical multi-phase run; the
-        // columns grow geometrically past this without churn.
-        let per_rank = 16;
-        let cap = n_ranks * per_rank;
+        let counts = RecordCounts {
+            async_requests: n_ranks * 16,
+            sync_ops: n_ranks * 4,
+        };
+        Self::with_counts(n_ranks, cfg, counts)
+    }
+
+    /// Creates a tracer whose record tables hold `counts` records without
+    /// reallocating. The `B_L` edge log is sized only when the strategy
+    /// limits, the only case that fills it.
+    pub fn with_counts(n_ranks: usize, cfg: TracerConfig, counts: RecordCounts) -> Self {
+        let cap = counts.async_requests;
+        let lim_cap = if cfg.strategy.limits() { cap } else { 0 };
         Tracer {
             cfg,
             ranks: (0..n_ranks).map(|_| RankTrace::new()).collect(),
             phases: Vec::with_capacity(cap),
             windows: Vec::with_capacity(cap),
             spans: Vec::with_capacity(cap),
-            syncs: Vec::with_capacity(n_ranks * 4),
+            syncs: Vec::with_capacity(counts.sync_ops),
             req_sweep: IncrementalSweep::with_capacity(cap),
-            lim_sweep: IncrementalSweep::new(),
+            lim_sweep: IncrementalSweep::with_capacity(lim_cap),
             thr_sweep: IncrementalSweep::with_capacity(cap),
             rank_end: vec![0.0; n_ranks],
             faults: Vec::new(),

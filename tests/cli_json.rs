@@ -110,6 +110,26 @@ fn invalid_config_is_rejected_before_the_banner() {
 }
 
 #[test]
+fn too_few_wacomm_iterations_are_a_config_error_not_a_panic() {
+    for iterations in ["0", "1"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_iobts"))
+            .args(["wacomm", "--ranks", "4", "--iterations", iterations])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "--iterations {iterations}");
+        assert!(out.stdout.is_empty(), "--iterations {iterations}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            stderr,
+            format!(
+                "error: invalid config: iterations: need at least two iterations, \
+                 got {iterations}\n"
+            )
+        );
+    }
+}
+
+#[test]
 fn closed_stdout_ends_quietly_with_success() {
     // As in `iobts wacomm ... | true`: the reader is gone before the
     // banner or the summary is written.
