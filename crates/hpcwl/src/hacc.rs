@@ -27,7 +27,7 @@
 //!                         ┘            Memcpy(data); Wait(read)
 //! ```
 
-use mpisim::{FileId, Op, Program, ReqTag};
+use mpisim::{FileId, Op, Program, ReqTag, SimError, SimResult};
 
 /// Bytes per HACC particle record: xx,yy,zz,vx,vy,vz,phi (7×f32) +
 /// pid (i64) + mask (u16) = 38 B, matching the original benchmark.
@@ -80,6 +80,18 @@ impl HaccConfig {
     /// Nominal verify-block duration, seconds.
     pub fn verify_seconds(&self) -> f64 {
         self.particles_per_rank as f64 * self.verify_ns_per_particle * 1e-9
+    }
+
+    /// Rejects a config with nothing to run: the benchmark needs at least
+    /// one loop.
+    pub fn validate(&self) -> SimResult<()> {
+        if self.loops == 0 {
+            return Err(SimError::invalid_config(
+                "loops",
+                "need at least one loop, got 0",
+            ));
+        }
+        Ok(())
     }
 
     /// Builds the per-rank program, [`Self::op`] collected. Every rank

@@ -577,19 +577,9 @@ impl<H: IoHooks> World<H> {
         self.files[file.0 as usize]
     }
 
-    /// Mutable access to the observer.
-    pub fn hooks_mut(&mut self) -> &mut H {
-        &mut self.hooks
-    }
-
     /// Consumes the world, returning the observer and its recordings.
     pub fn into_hooks(self) -> H {
         self.hooks
-    }
-
-    /// The PFS rate series of a channel (for plots).
-    pub fn pfs_series(&self, channel: Channel) -> &StepSeries {
-        self.pfs.total_series(channel)
     }
 
     /// Consumes the world, returning the observer and the PFS write and

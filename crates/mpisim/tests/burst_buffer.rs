@@ -65,7 +65,7 @@ fn drain_reaches_the_pfs_in_background() {
     );
     w.create_file("f");
     w.try_run().unwrap();
-    let s = w.pfs_series(mpisim::Channel::Write);
+    let (_, s, _) = w.into_parts();
     // The drain is smeared at 10 MB/s for 10 s — never a burst.
     assert!(s.max_value() <= 10.0 * MB + 1.0, "peak {}", s.max_value());
     let moved = s.integral(SimTime::ZERO, SimTime::from_secs(30.0));
@@ -230,6 +230,7 @@ fn limiter_paces_the_drain() {
     w.create_file("f");
     w.try_run().unwrap();
     // The drain flow is capped at min(drain_rate, limit) = 5 MB/s.
-    let peak = w.pfs_series(mpisim::Channel::Write).max_value();
+    let (_, write, _) = w.into_parts();
+    let peak = write.max_value();
     assert!(peak <= 5.0 * MB + 1.0, "drain peak {peak}");
 }

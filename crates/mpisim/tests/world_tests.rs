@@ -320,7 +320,7 @@ fn pfs_series_recorded() {
     );
     w.create_file("f");
     w.try_run().unwrap();
-    let s = w.pfs_series(mpisim::Channel::Write);
+    let (_, s, _) = w.into_parts();
     let moved = s.integral(simcore::SimTime::ZERO, simcore::SimTime::from_secs(10.0));
     assert!((moved - 100.0 * MB).abs() < 1.0, "bytes moved {moved}");
 }
@@ -370,9 +370,8 @@ fn limited_async_write_stretches_to_limit() {
     // The peak PFS rate is bounded by ~capacity only during bursts, but the
     // average over the paced interval is ~10 MB/s: check the burst flattening
     // by integrating over the first 2 s.
-    let moved = w
-        .pfs_series(mpisim::Channel::Write)
-        .integral(simcore::SimTime::ZERO, simcore::SimTime::from_secs(2.0));
+    let (_, write, _) = w.into_parts();
+    let moved = write.integral(simcore::SimTime::ZERO, simcore::SimTime::from_secs(2.0));
     assert!(
         (moved - 20.0 * MB).abs() / MB < 1.2,
         "paced transfer should take ~2 s, moved {moved}"

@@ -138,6 +138,11 @@ impl Workload for HaccIo {
         (0..n_ranks).map(|r| format!("hacc.{r}.dat")).collect()
     }
 
+    /// Both the asynchronous benchmark and the sync baseline need a loop.
+    fn validate(&self) -> SimResult<()> {
+        self.cfg.validate()
+    }
+
     /// The asynchronous benchmark streams [`HaccConfig::op`]; the sync
     /// baseline replays its programs.
     fn driver(&self, n_ranks: usize) -> SimResult<Box<dyn RankDriver>> {

@@ -12,8 +12,9 @@
 //!   (Sec. IV-B) plus the future-work MFU table ([`Strategy`]),
 //! * aggregates rank metrics to application level with the region sweep of
 //!   Eq. 3, maintained live during the run ([`IncrementalSweep`]),
-//! * reports the run: time decomposition, overheads, JSON traces
-//!   ([`Report`]),
+//! * reports the run: time decomposition, overheads, and the JSON trace
+//!   written at finalize ([`Report::to_json`]; the crate writes traces and
+//!   never reads them back),
 //! * detects periodic I/O behaviour with FTIO-style frequency analysis
 //!   ([`ftio`], the companion-tool capability mentioned in Sec. VII).
 //!
@@ -50,7 +51,6 @@ mod report;
 mod strategy;
 mod tracer;
 
-pub use json::JsonError;
 pub use regions::{IncrementalSweep, Interval, Opened};
 pub use report::{Decomposition, FaultEventRecord, Report};
 pub use strategy::{Strategy, StrategyState, LIMIT_FLOOR};

@@ -34,12 +34,11 @@ pub struct Interval {
 /// * A caller whose hooks fire in nondecreasing time — the tracer — keeps
 ///   both logs sorted for free, so a query is one streaming merge of the two
 ///   logs: O(n), no sort.
-/// * [`IncrementalSweep::push`] is `open` followed by `close`. An append
-///   that goes back in time ends its log's sorted prefix (one compare with
-///   the last edge); the next query sorts the tail and merges it into the
-///   prefix before the same streaming pass — O(n) for a short tail. While no
-///   interval is open this folds both logs into one in place; otherwise it
-///   works on a copy of the start log, whose open handles must not move.
+/// * [`IncrementalSweep::push`] is `open` followed by `close`, for callers
+///   that hold closed intervals in any order. An append that goes back in
+///   time (one compare with the last edge) marks the sweep unordered; a
+///   query then sorts copies of both logs into the oracle's edge order
+///   before the same streaming pass, O(n log n).
 ///
 /// The merge sums each region's edges in a fixed order — by time in IEEE
 /// total order, then by delta — and snaps cancellation residue below a
@@ -47,27 +46,18 @@ pub struct Interval {
 /// bit-identical to a from-scratch sort-and-sweep over the closed
 /// intervals (the oracle in `tests/oracle`, property-tested in
 /// `tests/sweep_prop.rs`).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct IncrementalSweep {
     /// Start edges `(ts, value)` in `open` order; `value` is [`HOLE`] until
-    /// the interval closes with positive length. After an out-of-order fold
-    /// it also holds every end edge closed before the fold.
+    /// the interval closes with positive length.
     starts: Vec<(f64, f64)>,
     /// End edges `(te, −value)` in `close` order.
     ends: Vec<(f64, f64)>,
-    /// Lengths of the time-ordered prefixes of `starts` and `ends`; they
-    /// stop growing at the first append that goes back in time, and the next
-    /// rebuild sorts the tails in.
-    starts_sorted: usize,
-    ends_sorted: usize,
-    /// Handles handed out by `open` and not yet closed (dropped ones
-    /// included: they keep `starts` from being permuted under them).
-    open: usize,
+    /// Whether every append so far kept its log in time order.
+    ordered: bool,
     /// Largest `|value|` ever closed, including zero-length intervals (the
     /// oracle computes its residue scale over *all* intervals).
     max_abs: f64,
-    /// Intervals closed so far (zero-length ones included).
-    n_intervals: usize,
     /// Cached aggregation; `None` after a close.
     cache: Option<StepSeries>,
 }
@@ -86,7 +76,7 @@ pub struct Opened(usize);
 impl IncrementalSweep {
     /// An empty sweep.
     pub fn new() -> Self {
-        Self::default()
+        Self::with_capacity(0)
     }
 
     /// An empty sweep pre-sized for `intervals` intervals.
@@ -94,29 +84,17 @@ impl IncrementalSweep {
         IncrementalSweep {
             starts: Vec::with_capacity(intervals),
             ends: Vec::with_capacity(intervals),
-            ..Self::default()
+            ordered: true,
+            max_abs: 0.0,
+            cache: None,
         }
-    }
-
-    /// Number of intervals closed so far.
-    pub fn len(&self) -> usize {
-        self.n_intervals
-    }
-
-    /// True when no interval has been closed.
-    pub fn is_empty(&self) -> bool {
-        self.n_intervals == 0
     }
 
     /// Opens an interval at `ts`, appending its start edge. The cached
     /// series stays valid: the edge is a hole until [`Self::close`].
     pub fn open(&mut self, ts: f64) -> Opened {
         assert!(!ts.is_nan(), "interval must be NaN-free");
-        if in_order(&self.starts, self.starts_sorted, ts) {
-            self.starts_sorted += 1;
-        }
-        self.starts.push((ts, HOLE));
-        self.open += 1;
+        append(&mut self.starts, &mut self.ordered, (ts, HOLE));
         Opened(self.starts.len() - 1)
     }
 
@@ -128,15 +106,10 @@ impl IncrementalSweep {
         let start = &mut self.starts[opened.0];
         debug_assert!(start.1.is_nan(), "interval closed twice");
         debug_assert!(te >= start.0, "interval must not be reversed");
-        self.open -= 1;
-        self.n_intervals += 1;
         self.max_abs = self.max_abs.max(value.abs());
         if te > start.0 {
             start.1 = value;
-            if in_order(&self.ends, self.ends_sorted, te) {
-                self.ends_sorted += 1;
-            }
-            self.ends.push((te, -value));
+            append(&mut self.ends, &mut self.ordered, (te, -value));
         }
         self.cache = None;
     }
@@ -156,12 +129,6 @@ impl IncrementalSweep {
         self.cache.as_ref().invariant("cache just rebuilt")
     }
 
-    /// `max_r B_r` of the aggregated series: the application-level required
-    /// bandwidth of Sec. IV-C.
-    pub fn max_value(&mut self) -> f64 {
-        self.series().max_value()
-    }
-
     /// Finalizes into the aggregated series.
     pub fn into_series(mut self) -> StepSeries {
         match self.cache.take() {
@@ -171,38 +138,37 @@ impl IncrementalSweep {
     }
 
     /// Whether every append so far arrived in time order, so a query has
-    /// no tail to sort.
+    /// nothing to sort.
+    #[cfg(test)]
     pub(crate) fn is_time_ordered(&self) -> bool {
-        self.starts_sorted == self.starts.len() && self.ends_sorted == self.ends.len()
+        self.ordered
     }
 
-    fn rebuild(&mut self) -> StepSeries {
-        if self.is_time_ordered() {
+    fn rebuild(&self) -> StepSeries {
+        if self.ordered {
             return accumulate(&self.starts, &self.ends, self.max_abs);
         }
-        if self.open == 0 {
-            // No handle indexes `starts`, so fold the end log into it:
-            // later queries then merge only the edges appended since into
-            // one sorted log.
-            self.starts.append(&mut self.ends);
-            merge_tail(&mut self.starts, self.starts_sorted);
-            self.starts_sorted = self.starts.len();
-            self.ends_sorted = 0;
-            accumulate(&self.starts, &self.ends, self.max_abs)
-        } else {
-            merge_tail(&mut self.ends, self.ends_sorted);
-            self.ends_sorted = self.ends.len();
-            let mut starts = self.starts.clone();
-            merge_tail(&mut starts, self.starts_sorted);
-            accumulate(&starts, &self.ends, self.max_abs)
-        }
+        let sorted = |log: &[(f64, f64)]| {
+            let mut log = log.to_vec();
+            log.sort_unstable_by(by_edge);
+            log
+        };
+        accumulate(&sorted(&self.starts), &sorted(&self.ends), self.max_abs)
     }
 }
 
-/// Whether appending an edge at `t` keeps `log`'s time-ordered prefix of
-/// length `sorted` the whole log.
-fn in_order(log: &[(f64, f64)], sorted: usize, t: f64) -> bool {
-    sorted == log.len() && log.last().is_none_or(|e| e.0.total_cmp(&t).is_le())
+impl Default for IncrementalSweep {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Appends `edge` to `log`, clearing `ordered` if it goes back in time.
+fn append(log: &mut Vec<(f64, f64)>, ordered: &mut bool, edge: (f64, f64)) {
+    if log.last().is_some_and(|e| e.0.total_cmp(&edge.0).is_gt()) {
+        *ordered = false;
+    }
+    log.push(edge);
 }
 
 /// The Eq. 3 accumulation loop over time-sorted start and end edge logs
@@ -256,8 +222,8 @@ fn accumulate(starts: &[(f64, f64)], ends: &[(f64, f64)], max_abs: f64) -> StepS
 
 /// Adds the deltas of one instant's start and end edges to `sum` in
 /// ascending IEEE total order, skipping holes. A lone edge (the common
-/// case) needs no ordering, and two runs already in delta order (as
-/// [`merge_tail`] leaves them) merge directly; any other instant's deltas
+/// case) needs no ordering, and two runs already in delta order (as a
+/// sorted copy leaves them) merge directly; any other instant's deltas
 /// are ordered by binary insertion into `buf` (an instant holds at most a
 /// few edges per rank).
 fn add_ascending(
@@ -305,34 +271,6 @@ fn add_ascending(
 /// Edge order of the oracle: time, then delta, in IEEE total order.
 fn by_edge(a: &(f64, f64), b: &(f64, f64)) -> std::cmp::Ordering {
     a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1))
-}
-
-/// Restores the time order of `log`, whose first `sorted` edges are already
-/// in order: sorts the tail, then merges it in from the back, moving each
-/// block of the prefix that a tail edge jumps with one `copy_within`. The
-/// scans add up to one pass over the prefix, so a short tail costs O(n).
-/// Same-instant edges land in delta order where the prefix already has it,
-/// so [`add_ascending`] seldom has to reorder them.
-fn merge_tail(log: &mut Vec<(f64, f64)>, sorted: usize) {
-    let mut tail = log.split_off(sorted);
-    tail.sort_unstable_by(by_edge);
-    let mut hi = log.len();
-    log.extend_from_slice(&tail);
-    let mut end = log.len();
-    for &e in tail.iter().rev() {
-        let mut pos = hi;
-        while pos > 0 && log[pos - 1].0 > e.0 {
-            pos -= 1;
-        }
-        while pos > 0 && by_edge(&log[pos - 1], &e).is_gt() {
-            pos -= 1;
-        }
-        end -= hi - pos;
-        log.copy_within(pos..hi, end);
-        hi = pos;
-        end -= 1;
-        log[end] = e;
-    }
 }
 
 #[cfg(test)]

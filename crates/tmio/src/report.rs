@@ -2,10 +2,10 @@
 //! aggregates (Eq. 3), the time decomposition behind Figs. 6/7/11, and JSON
 //! serialization (the real tool's trace-file role).
 
-use crate::json::{self, Fields, Json, JsonError};
-use crate::regions::{IncrementalSweep, Interval};
+use crate::json::Json;
+use crate::regions::IncrementalSweep;
 use crate::tracer::{AsyncSpan, ChannelKind, PhaseRecord, SyncInterval, ThroughputWindow};
-use simcore::StepSeries;
+use simcore::{Invariant, StepSeries};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Everything TMIO recorded about one run, plus modeled overheads.
@@ -49,12 +49,12 @@ pub struct Report {
     pub(crate) decomposition_cache: OnceLock<Decomposition>,
 }
 
-/// One Eq. 3 series of a [`Report`], built on its first query.
-#[derive(Debug, Default)]
+/// One Eq. 3 series of a [`Report`], built on its first query from the
+/// edge log the tracer handed over.
+#[derive(Debug)]
 pub(crate) struct LazySeries {
-    /// The tracer's edge log, taken by the first query. `None` once the
-    /// series is built, and for a report no tracer built (parsed from JSON):
-    /// the series is then swept from the report's own rows.
+    /// The tracer's edge log, taken by the first query; `None` once the
+    /// series is built.
     sweep: Mutex<Option<IncrementalSweep>>,
     series: OnceLock<StepSeries>,
 }
@@ -69,20 +69,13 @@ impl LazySeries {
     }
 
     /// The series; the first call builds it from the tracer's sweep (its
-    /// cached series, if a live query left one, is reused as is) or, with
-    /// no sweep, from the intervals `rows` yields.
-    fn get(&self, rows: impl FnOnce() -> Vec<Interval>) -> &StepSeries {
+    /// cached series, if a live query left one, is reused as is).
+    fn get(&self) -> &StepSeries {
         self.series.get_or_init(|| {
-            let taken = self.lock().take();
-            let sweep = taken.unwrap_or_else(|| {
-                let rows = rows();
-                let mut sweep = IncrementalSweep::with_capacity(rows.len());
-                for iv in rows {
-                    sweep.push(iv);
-                }
-                sweep
-            });
-            sweep.into_series()
+            let sweep = self.lock().take();
+            sweep
+                .invariant("only the query building the series takes the sweep")
+                .into_series()
         })
     }
 
@@ -95,11 +88,17 @@ impl LazySeries {
 
 impl Clone for LazySeries {
     /// A clone taken before the first query gets its own copy of the sweep,
-    /// so the two build the same bits.
+    /// so the two build the same bits. Once the first query has taken the
+    /// sweep, the clone shares its series (waiting for a build in progress).
     fn clone(&self) -> Self {
+        let sweep = self.lock().clone();
+        let series = match sweep {
+            Some(_) => OnceLock::new(),
+            None => OnceLock::from(self.get().clone()),
+        };
         LazySeries {
-            sweep: Mutex::new(self.lock().clone()),
-            series: self.series.clone(),
+            sweep: Mutex::new(sweep),
+            series,
         }
     }
 }
@@ -202,49 +201,20 @@ impl Report {
     /// the sweep over every rank-phase `[ts, te)` carrying `B_{i,j}`.
     /// Built on first query and cached.
     pub fn required_series(&self) -> &StepSeries {
-        self.required.get(|| {
-            self.phases
-                .iter()
-                .map(|p| Interval {
-                    ts: p.ts,
-                    te: p.te,
-                    value: p.b_required,
-                })
-                .collect()
-        })
+        self.required.get()
     }
 
     /// Application-level limit series `B_L`: the sweep carrying each phase's
     /// in-effect limit (phases without a limit contribute nothing). Built on
     /// first query and cached.
     pub fn limit_series(&self) -> &StepSeries {
-        self.limit.get(|| {
-            self.phases
-                .iter()
-                .filter_map(|p| {
-                    p.limit_during.map(|l| Interval {
-                        ts: p.ts,
-                        te: p.te,
-                        value: l,
-                    })
-                })
-                .collect()
-        })
+        self.limit.get()
     }
 
     /// Application-level throughput series `T`: the sweep over throughput
     /// windows carrying `T_{i,j}`. Built on first query and cached.
     pub fn throughput_series(&self) -> &StepSeries {
-        self.throughput.get(|| {
-            self.windows
-                .iter()
-                .map(|w| Interval {
-                    ts: w.start,
-                    te: w.end,
-                    value: w.throughput(),
-                })
-                .collect()
-        })
+        self.throughput.get()
     }
 
     /// `max_r B_r` — the minimal application-level bandwidth such that no
@@ -383,90 +353,6 @@ impl Report {
         ])
         .to_pretty()
     }
-
-    /// Parses a JSON trace produced by [`Report::to_json`]. Unknown keys are
-    /// ignored; a missing key, a value of the wrong kind or an integer that
-    /// does not fit its field is an error naming the field. A `null` read
-    /// into a number field gives NaN.
-    pub fn from_json(s: &str) -> Result<Self, JsonError> {
-        let root = json::parse(s)?;
-        let r = Fields::of(&root)?;
-        let phases = r.arr("phases", |v| {
-            let f = Fields::of(v)?;
-            Ok(PhaseRecord {
-                rank: f.int("rank")?,
-                phase: f.int("phase")?,
-                ts: f.num("ts")?,
-                te: f.num("te")?,
-                bytes: f.num("bytes")?,
-                b_required: f.num("b_required")?,
-                limit_during: f.opt_num("limit_during")?,
-                limit_next: f.opt_num("limit_next")?,
-                n_requests: f.int("n_requests")?,
-            })
-        })?;
-        let windows = r.arr("windows", |v| {
-            let f = Fields::of(v)?;
-            Ok(ThroughputWindow {
-                rank: f.int("rank")?,
-                start: f.num("start")?,
-                end: f.num("end")?,
-                bytes: f.num("bytes")?,
-            })
-        })?;
-        let spans = r.arr("spans", |v| {
-            let f = Fields::of(v)?;
-            Ok(AsyncSpan {
-                rank: f.int("rank")?,
-                submit: f.num("submit")?,
-                complete: f.num("complete")?,
-                wait_enter: f.num("wait_enter")?,
-                bytes: f.num("bytes")?,
-                channel: f.read("channel", channel_kind)?,
-            })
-        })?;
-        let syncs = r.arr("syncs", |v| {
-            let f = Fields::of(v)?;
-            Ok(SyncInterval {
-                rank: f.int("rank")?,
-                begin: f.num("begin")?,
-                end: f.num("end")?,
-                bytes: f.num("bytes")?,
-                channel: f.read("channel", channel_kind)?,
-            })
-        })?;
-        let faults = r.arr("faults", |v| {
-            let f = Fields::of(v)?;
-            Ok(FaultEventRecord {
-                t: f.num("t")?,
-                rank: f.int("rank")?,
-                tag: f.opt_int("tag")?,
-                kind: f.str("kind")?.to_owned(),
-                code: f.int("code")?,
-                retry: f.int("retry")?,
-                backoff: f.num("backoff")?,
-                terminal: f.bool("terminal")?,
-            })
-        })?;
-        Ok(Report {
-            n_ranks: r.int("n_ranks")?,
-            strategy_name: r.str("strategy_name")?.to_owned(),
-            phases,
-            windows,
-            spans,
-            syncs,
-            rank_end: r.arr("rank_end", json::num)?,
-            calls: r.int("calls")?,
-            peri_overhead: r.num("peri_overhead")?,
-            post_overhead: r.num("post_overhead")?,
-            faults,
-            retry_time: r.num("retry_time")?,
-            required: LazySeries::default(),
-            limit: LazySeries::default(),
-            throughput: LazySeries::default(),
-            decomposition_cache: OnceLock::new(),
-        })
-    }
 }
 
 /// The trace's name of a channel.
@@ -477,53 +363,66 @@ fn channel_name(c: ChannelKind) -> &'static str {
     }
 }
 
-fn channel_kind(v: &Json) -> Result<ChannelKind, JsonError> {
-    match v {
-        Json::Str(s) if s == "Write" => Ok(ChannelKind::Write),
-        Json::Str(s) if s == "Read" => Ok(ChannelKind::Read),
-        other => Err(JsonError::expected("\"Write\" or \"Read\"", other)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::regions::Interval;
     use crate::tracer::{AsyncSpan, ChannelKind, PhaseRecord, SyncInterval, ThroughputWindow};
 
+    /// A series over `rows`, pushed in the order given.
+    fn series_of(rows: impl IntoIterator<Item = Interval>) -> LazySeries {
+        let mut sweep = IncrementalSweep::new();
+        for iv in rows {
+            sweep.push(iv);
+        }
+        LazySeries::new(sweep)
+    }
+
+    /// A hand-built report whose three series are swept from its own rows.
     fn sample_report() -> Report {
+        let phases = vec![
+            PhaseRecord {
+                rank: 0,
+                phase: 0,
+                ts: 0.0,
+                te: 2.0,
+                bytes: 200.0,
+                b_required: 100.0,
+                limit_during: None,
+                limit_next: Some(110.0),
+                n_requests: 1,
+            },
+            PhaseRecord {
+                rank: 1,
+                phase: 0,
+                ts: 1.0,
+                te: 3.0,
+                bytes: 100.0,
+                b_required: 50.0,
+                limit_during: Some(60.0),
+                limit_next: Some(55.0),
+                n_requests: 1,
+            },
+        ];
+        let windows = vec![ThroughputWindow {
+            rank: 0,
+            start: 0.0,
+            end: 1.0,
+            bytes: 200.0,
+        }];
+        let iv = |ts, te, value| Interval { ts, te, value };
         Report {
             n_ranks: 2,
             strategy_name: "direct".into(),
-            phases: vec![
-                PhaseRecord {
-                    rank: 0,
-                    phase: 0,
-                    ts: 0.0,
-                    te: 2.0,
-                    bytes: 200.0,
-                    b_required: 100.0,
-                    limit_during: None,
-                    limit_next: Some(110.0),
-                    n_requests: 1,
-                },
-                PhaseRecord {
-                    rank: 1,
-                    phase: 0,
-                    ts: 1.0,
-                    te: 3.0,
-                    bytes: 100.0,
-                    b_required: 50.0,
-                    limit_during: Some(60.0),
-                    limit_next: Some(55.0),
-                    n_requests: 1,
-                },
-            ],
-            windows: vec![ThroughputWindow {
-                rank: 0,
-                start: 0.0,
-                end: 1.0,
-                bytes: 200.0,
-            }],
+            required: series_of(phases.iter().map(|p| iv(p.ts, p.te, p.b_required))),
+            limit: series_of(
+                phases
+                    .iter()
+                    .filter_map(|p| p.limit_during.map(|l| iv(p.ts, p.te, l))),
+            ),
+            throughput: series_of(windows.iter().map(|w| iv(w.start, w.end, w.throughput()))),
+            phases,
+            windows,
             spans: vec![AsyncSpan {
                 rank: 0,
                 submit: 0.0,
@@ -545,9 +444,6 @@ mod tests {
             post_overhead: 0.05,
             faults: Vec::new(),
             retry_time: 0.0,
-            required: LazySeries::default(),
-            limit: LazySeries::default(),
-            throughput: LazySeries::default(),
             decomposition_cache: OnceLock::new(),
         }
     }
@@ -606,8 +502,10 @@ mod tests {
         assert!((p8.iter().sum::<f64>() - 100.0).abs() < 1e-9);
     }
 
+    /// The trace writes each fault record's fields in order, an absent tag
+    /// as `null`, escaped strings and a non-finite number as `null`.
     #[test]
-    fn fault_records_roundtrip_json() {
+    fn to_json_writes_faults_strings_and_non_finite_numbers() {
         let mut r = sample_report();
         r.faults.push(FaultEventRecord {
             t: 1.25,
@@ -619,50 +517,47 @@ mod tests {
             backoff: 2e-3,
             terminal: false,
         });
-        r.retry_time = 2e-3;
-        let back = Report::from_json(&r.to_json()).unwrap();
-        assert_eq!(back.faults, r.faults);
-        assert_eq!(back.retry_time, r.retry_time);
-    }
-
-    /// Integers are range-checked, not cast: a negative count, an
-    /// oversized rank and a tag above `u32::MAX` are errors naming the field.
-    /// Escaped strings and non-finite numbers survive a round trip.
-    #[test]
-    fn from_json_checks_integers_and_round_trips_strings() {
-        let mut r = sample_report();
         r.faults.push(FaultEventRecord {
-            t: 1.0,
-            rank: 1,
-            tag: Some(3),
-            kind: "EIO".into(),
-            code: 5,
-            retry: 1,
-            backoff: 1e-3,
-            terminal: false,
+            t: 2.0,
+            rank: 0,
+            tag: None,
+            kind: "ENOSPC".into(),
+            code: 28,
+            retry: 3,
+            backoff: 0.0,
+            terminal: true,
         });
-        let json = r.to_json();
-        for (from, to, field) in [
-            ("\"n_ranks\": 2", "\"n_ranks\": -1", "`n_ranks`"),
-            ("\"n_ranks\": 2", "\"n_ranks\": 2.5", "`n_ranks`"),
-            ("\"rank\": 1,", "\"rank\": 1e300,", "`phases[1].rank`"),
-            ("\"tag\": 3", "\"tag\": 5e9", "`faults[0].tag`"),
-        ] {
-            assert!(json.contains(from), "{from}");
-            let bad = json.replacen(from, to, 1);
-            let err = Report::from_json(&bad).expect_err(to).to_string();
-            assert!(err.contains(field), "{to}: {err}");
-        }
-
         r.strategy_name = "a\"b\\c\nd\u{1}é".into();
         r.retry_time = f64::INFINITY;
         let json = r.to_json();
-        assert!(json.contains(r#""a\"b\\c\nd\u0001é""#), "{json}");
-        assert!(json.contains("\"retry_time\": null"), "{json}");
-        let back = Report::from_json(&json).unwrap();
-        assert_eq!(back.strategy_name, r.strategy_name);
-        assert!(back.retry_time.is_nan());
-        assert_eq!(back.to_json(), json);
+        let faults = r#""faults": [
+    {
+      "t": 1.25,
+      "rank": 1,
+      "tag": 3,
+      "kind": "EIO",
+      "code": 5,
+      "retry": 2,
+      "backoff": 0.002,
+      "terminal": false
+    },
+    {
+      "t": 2,
+      "rank": 0,
+      "tag": null,
+      "kind": "ENOSPC",
+      "code": 28,
+      "retry": 3,
+      "backoff": 0,
+      "terminal": true
+    }
+  ],"#;
+        assert!(json.contains(faults), "{json}");
+        assert!(
+            json.contains(r#""strategy_name": "a\"b\\c\nd\u0001é","#),
+            "{json}"
+        );
+        assert!(json.ends_with("\"retry_time\": null\n}"), "{json}");
     }
 
     #[test]
@@ -677,16 +572,6 @@ mod tests {
         };
         assert_eq!(sp.exploit(), 1.0);
         assert_eq!(sp.lost(), 2.0);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let r = sample_report();
-        let json = r.to_json();
-        let back = Report::from_json(&json).unwrap();
-        assert_eq!(back.n_ranks, 2);
-        assert_eq!(back.phases.len(), 2);
-        assert_eq!(back.required_bandwidth(), r.required_bandwidth());
     }
 
     #[test]

@@ -663,12 +663,23 @@ impl Tracer {
 mod tests {
     use super::*;
     use hpcwl::{hacc::HaccConfig, wacomm::WacommConfig};
-    use mpisim::{FileId, Program, World, WorldConfig};
-    use simcore::Noise;
+    use mpisim::{FileId, Op, Program, World, WorldConfig};
+    use simcore::{CancelSpec, FaultPlan, IoErrorKind, IoErrorModel, Noise};
 
     /// Runs `programs` on a world configured as a session configures it by
     /// default, and returns the tracer.
     fn run(programs: Vec<Program>, files: usize, strategy: Strategy, seed: u64) -> Tracer {
+        run_faulted(programs, files, strategy, seed, FaultPlan::empty())
+    }
+
+    /// [`run`] under the fault plan `faults`.
+    fn run_faulted(
+        programs: Vec<Program>,
+        files: usize,
+        strategy: Strategy,
+        seed: u64,
+        faults: FaultPlan,
+    ) -> Tracer {
         let n = programs.len();
         let wc = WorldConfig::new(n)
             .with_limiter(strategy.limits())
@@ -676,7 +687,8 @@ mod tests {
                 amplitude: 0.03,
                 levels: 8,
             })
-            .with_seed(seed);
+            .with_seed(seed)
+            .with_faults(faults);
         let tracer = Tracer::new(n, TracerConfig::with_strategy(strategy));
         let mut world = World::new(wc, programs, tracer);
         for f in 0..files {
@@ -736,6 +748,77 @@ mod tests {
                 let t = run(programs, ranks, strategy, 11 + run_ix as u64);
                 assert_time_ordered(&t, &format!("hacc {ranks} ranks, {strategy:?}"));
             }
+        }
+    }
+
+    /// The benchmark's `burst` shape: 8 ranks, each with 64 async writes
+    /// of 16–256 KiB outstanding per phase, then a compute block and 64
+    /// waits.
+    #[test]
+    fn burst_runs_append_sweep_edges_in_time_order() {
+        const PHASES: usize = 16;
+        const REQS: usize = 64;
+        let ranks = 8;
+        let program = |r: usize| {
+            let mut ops = Vec::with_capacity(PHASES * (2 * REQS + 1));
+            for p in 0..PHASES {
+                let tag = |k: usize| ReqTag((p * REQS + k) as u32);
+                for k in 0..REQS {
+                    let kib = 16 + (r * 131 + p * 17 + k * 29) % 241;
+                    ops.push(Op::IWrite {
+                        file: FileId(r as u32),
+                        bytes: kib as f64 * 1024.0,
+                        tag: tag(k),
+                    });
+                }
+                ops.push(Op::Compute {
+                    seconds: 0.02 + 0.01 * ((r + p) % 5) as f64,
+                });
+                ops.extend((0..REQS).map(|k| Op::Wait { tag: tag(k) }));
+            }
+            Program::from_ops(ops)
+        };
+        let strategies = [
+            Strategy::Direct { tol: 1.1 },
+            Strategy::UpOnly { tol: 1.1 },
+            Strategy::None,
+        ];
+        for (run_ix, &strategy) in strategies.iter().enumerate() {
+            let programs = (0..ranks).map(program).collect();
+            let t = run(programs, ranks, strategy, 3 + run_ix as u64);
+            assert_time_ordered(&t, &format!("burst, {strategy:?}"));
+        }
+    }
+
+    /// WaComM under I/O errors (EIO and ENOSPC, retried with backoff) and
+    /// a cancelled request.
+    #[test]
+    fn faulted_wacomm_runs_append_sweep_edges_in_time_order() {
+        let wacomm = WacommConfig {
+            iterations: 10,
+            ..Default::default()
+        };
+        let faults = FaultPlan {
+            seed: 7,
+            io_errors: Some(IoErrorModel {
+                prob: 0.4,
+                kinds: vec![IoErrorKind::Io, IoErrorKind::NoSpace],
+            }),
+            cancellations: vec![CancelSpec {
+                rank: 1,
+                op_index: 0,
+            }],
+            ..FaultPlan::empty()
+        };
+        for ranks in [4, 24] {
+            let programs = (0..ranks)
+                .map(|r| wacomm.program(r, ranks, FileId(0), FileId(1 + r as u32)))
+                .collect();
+            let strategy = Strategy::Direct { tol: 2.0 };
+            let t = run_faulted(programs, ranks + 1, strategy, 17, faults.clone());
+            assert!(t.faults.iter().any(|f| f.terminal), "a terminal fault");
+            assert!(t.faults.iter().any(|f| !f.terminal), "a retry");
+            assert_time_ordered(&t, &format!("faulted wacomm {ranks} ranks"));
         }
     }
 }

@@ -91,8 +91,7 @@ fn alloc_calls_for_run(phases: usize) -> u64 {
     assert!(summary.makespan() > 0.0);
 
     // Sanity: the run actually did the work we think it did.
-    let report =
-        std::mem::replace(w.hooks_mut(), Tracer::new(0, TracerConfig::trace_only())).into_report();
+    let report = w.into_hooks().into_report();
     assert_eq!(report.phases.len(), phases * n);
 
     after - before

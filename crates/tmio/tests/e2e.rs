@@ -45,7 +45,7 @@ fn run_app(
     let mut w = World::new(wc, vec![periodic_app(loops, bytes, compute); n], tracer);
     w.create_file("out");
     let s = w.try_run().unwrap();
-    let report = std::mem::replace(w.hooks_mut(), Tracer::new(0, tcfg)).into_report();
+    let report = w.into_hooks().into_report();
     (s, report)
 }
 
@@ -225,7 +225,7 @@ fn aggregation_mean_vs_sum() {
         let mut w = World::new(wc, vec![Program::from_ops(ops)], Tracer::new(1, tc));
         w.create_file("out");
         w.try_run().unwrap();
-        std::mem::replace(w.hooks_mut(), Tracer::new(0, tc)).into_report()
+        w.into_hooks().into_report()
     };
     let sum = mk(Aggregation::Sum);
     let mean = mk(Aggregation::Mean);
@@ -269,7 +269,7 @@ fn te_mode_last_wait_gives_lower_b() {
         let mut w = World::new(wc, vec![Program::from_ops(ops.clone())], Tracer::new(1, tc));
         w.create_file("out");
         w.try_run().unwrap();
-        std::mem::replace(w.hooks_mut(), Tracer::new(0, tc)).into_report()
+        w.into_hooks().into_report()
     };
     let first = run(TeMode::FirstWait);
     let last = run(TeMode::LastWait);
@@ -296,7 +296,7 @@ fn peri_overhead_counts_calls() {
     let mut w = World::new(wc, vec![periodic_app(10, MB, 0.01)], tracer);
     w.create_file("out");
     let s = w.try_run().unwrap();
-    let report = std::mem::replace(w.hooks_mut(), Tracer::new(0, tc)).into_report();
+    let report = w.into_hooks().into_report();
     // 10 loops × (submit + wait_enter + wait_exit) = 30 calls.
     assert_eq!(report.calls, 30);
     assert!((report.peri_overhead - 30.0 * 2e-6).abs() < 1e-12);
@@ -335,7 +335,7 @@ fn sync_app_has_no_async_records() {
     let mut w = World::new(wc, vec![Program::from_ops(ops); 2], Tracer::new(2, tc));
     w.create_file("out");
     w.try_run().unwrap();
-    let report = std::mem::replace(w.hooks_mut(), Tracer::new(0, tc)).into_report();
+    let report = w.into_hooks().into_report();
     assert!(report.phases.is_empty());
     assert!(report.spans.is_empty());
     assert_eq!(report.syncs.len(), 2);
@@ -361,7 +361,7 @@ fn ftio_detects_hacc_loop_period() {
     );
     w.create_file("out");
     let s = w.try_run().unwrap();
-    let series = w.pfs_series(mpisim::Channel::Write).clone();
+    let (_, series, _) = w.into_parts();
     let est = tmio::ftio::detect_period(&series, 0.0, s.makespan(), 2048)
         .expect("periodic signal detected");
     assert!(

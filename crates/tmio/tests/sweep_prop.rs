@@ -67,8 +67,7 @@ proptest! {
             inc.push(*iv);
         }
         prop_assert_eq!(bits(inc.series()), bits(&oracle));
-        prop_assert_eq!(inc.max_value().to_bits(), oracle.max_value().to_bits());
-        prop_assert_eq!(inc.len(), ivs.len());
+        prop_assert_eq!(inc.series().max_value().to_bits(), oracle.max_value().to_bits());
         prop_assert_eq!(bits(&inc.into_series()), bits(&oracle));
     }
 
@@ -191,7 +190,6 @@ fn replay(ivs: &[Replayed], events: &[Event], queries: &[bool]) -> IncrementalSw
             prop_assert_eq!(bits(inc.series()), bits(&sweep(&closed)));
         }
     }
-    prop_assert_eq!(inc.len(), closed.len());
     prop_assert_eq!(bits(inc.series()), bits(&sweep(&closed)));
     inc
 }
@@ -216,7 +214,7 @@ proptest! {
     }
 
     /// Opens and closes in arbitrary time order while other intervals are
-    /// still open: the out-of-order path sorts a copy of the start log and
+    /// still open: the out-of-order path sorts copies of both edge logs and
     /// must still match the oracle.
     #[test]
     fn out_of_order_replay_with_open_handles(
@@ -241,8 +239,7 @@ proptest! {
 }
 
 /// Zero-length and zero-value phases contribute nothing to the series but
-/// still count toward the residue scale and the accepted-interval count,
-/// exactly as the oracle computes them.
+/// still count toward the residue scale, exactly as the oracle computes it.
 #[test]
 fn degenerate_phases_match_oracle() {
     let ivs = [
@@ -268,6 +265,4 @@ fn degenerate_phases_match_oracle() {
         inc.push(*iv);
     }
     assert_eq!(bits(inc.series()), bits(&oracle));
-    assert_eq!(inc.len(), 3);
-    assert!(!inc.is_empty());
 }

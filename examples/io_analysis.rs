@@ -1,6 +1,6 @@
 //! I/O analysis extensions beyond the paper's headline: FTIO-style period
 //! detection over the recorded bandwidth signal, the burst-buffer tier for
-//! synchronous I/O (the paper's future work), and the JSON trace workflow.
+//! synchronous I/O (the paper's future work), and the JSON trace TMIO writes.
 //!
 //! Run with: `cargo run --release --example io_analysis`
 
@@ -81,11 +81,10 @@ fn main() -> Result<(), SimError> {
     println!("\n=== JSON trace (first 400 chars) ===");
     let json = out.report.to_json();
     println!("{} …", &json[..json.len().min(400)]);
-    let back = tmio::Report::from_json(&json).expect("roundtrip");
     println!(
-        "roundtrip: {} phases, B = {:.1} MB/s",
-        back.phases.len(),
-        back.required_bandwidth() / 1e6
+        "trace: {} phases, B = {:.1} MB/s",
+        out.report.phases.len(),
+        out.report.required_bandwidth() / 1e6
     );
     Ok(())
 }

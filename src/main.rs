@@ -25,7 +25,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let out = &mut io::stdout().lock();
-    let result = parse_opts(args).and_then(|opts| {
+    let result = read_opts(args).and_then(|opts| {
         check_json_dir(&opts)?;
         match cmd.as_str() {
             "hacc" => cmd_hacc(out, &opts),
@@ -147,7 +147,7 @@ impl Opts {
     }
 }
 
-fn parse_opts(args: impl Iterator<Item = String>) -> Result<Opts, Failure> {
+fn read_opts(args: impl Iterator<Item = String>) -> Result<Opts, Failure> {
     let mut map = HashMap::new();
     let mut args = args.peekable();
     while let Some(a) = args.next() {

@@ -130,6 +130,20 @@ fn too_few_wacomm_iterations_are_a_config_error_not_a_panic() {
 }
 
 #[test]
+fn hacc_without_a_loop_is_a_config_error_not_an_empty_run() {
+    let out = Command::new(env!("CARGO_BIN_EXE_iobts"))
+        .args(["hacc", "--ranks", "2", "--loops", "0"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "no banner");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "error: invalid config: loops: need at least one loop, got 0\n"
+    );
+}
+
+#[test]
 fn closed_stdout_ends_quietly_with_success() {
     // As in `iobts wacomm ... | true`: the reader is gone before the
     // banner or the summary is written.

@@ -3,7 +3,6 @@
 mod common;
 
 use iobts::prelude::*;
-use tmio::Report;
 
 /// Claim (Sec. II): limiting an async app to its required bandwidth flattens
 /// its I/O bursts without significantly prolonging the runtime.
@@ -212,10 +211,11 @@ fn overhead_bounds_hold() {
     }
 }
 
-/// The JSON trace round-trips through the public API with all aggregates
-/// intact (the artifact workflow of the real TMIO).
+/// The JSON trace lists every record of the report, its numbers in
+/// shortest round-trip form, so the aggregates can be recomputed from the
+/// file alone (the artifact workflow of the real TMIO).
 #[test]
-fn report_json_roundtrip() {
+fn report_json_lists_every_record() {
     let hacc = HaccConfig {
         particles_per_rank: 20_000,
         loops: 4,
@@ -225,20 +225,22 @@ fn report_json_roundtrip() {
         &ExpConfig::new(4, Strategy::Direct { tol: 1.1 }),
         HaccIo::new(hacc),
     );
-    let json = out.report.to_json();
-    let back = Report::from_json(&json).expect("parse");
-    assert_eq!(back.phases.len(), out.report.phases.len());
-    let rel = (back.required_bandwidth() - out.report.required_bandwidth()).abs()
-        / out.report.required_bandwidth();
-    assert!(rel < 1e-12);
-    for (a, b) in back
-        .decomposition()
-        .percentages()
-        .iter()
-        .zip(out.report.decomposition().percentages())
-    {
-        // JSON decimal round-trip leaves ~1 ulp of noise.
-        assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+    let r = &out.report;
+    let json = r.to_json();
+    assert!(
+        json.starts_with("{\n  \"n_ranks\": 4,\n  \"strategy_name\": \"direct\",\n"),
+        "{json}"
+    );
+    let count = |key: &str| json.matches(&format!("\"{key}\": ")).count();
+    assert!(!r.phases.is_empty());
+    assert_eq!(count("b_required"), r.phases.len());
+    assert_eq!(count("start"), r.windows.len());
+    assert_eq!(count("submit"), r.spans.len());
+    assert_eq!(count("begin"), r.syncs.len());
+    for p in &r.phases {
+        let row = format!("\"ts\": {},\n      \"te\": {},", p.ts, p.te);
+        assert!(json.contains(&row), "{row}");
+        assert!(json.contains(&format!("\"b_required\": {},", p.b_required)));
     }
 }
 

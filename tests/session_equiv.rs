@@ -61,12 +61,8 @@ fn legacy_run(cfg: &ExpConfig, programs: Vec<mpisim::Program>, files: &[String])
         world.create_file(f);
     }
     let summary = world.try_run().unwrap();
-    let pfs_write = world.pfs_series(mpisim::Channel::Write).clone();
-    let report = std::mem::replace(
-        world.hooks_mut(),
-        Tracer::new(0, TracerConfig::trace_only()),
-    )
-    .into_report();
+    let (tracer, pfs_write, _) = world.into_parts();
+    let report = tracer.into_report();
     fingerprint(&summary, &report, &pfs_write)
 }
 
