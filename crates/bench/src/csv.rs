@@ -73,15 +73,6 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) -> std::io::Result<P
     Ok(path)
 }
 
-/// Resamples a step series into `(t, value)` CSV rows.
-pub fn series_rows(series: &StepSeries, from: f64, to: f64, n: usize) -> Vec<String> {
-    series
-        .resample(SimTime::from_secs(from), SimTime::from_secs(to), n)
-        .into_iter()
-        .map(|(t, v)| format!("{t:.4},{v:.1}"))
-        .collect()
-}
-
 /// Merges several same-horizon series into multi-column CSV rows.
 pub fn multi_series_rows(series: &[&StepSeries], from: f64, to: f64, n: usize) -> Vec<String> {
     assert!(n >= 2);

@@ -153,9 +153,11 @@ pub fn fig04(_ctx: &ScenarioCtx) -> Result<(), String> {
             value: 4.0,
         },
     ];
+    // In event order: the three windows open, then close.
     let mut sweep = IncrementalSweep::with_capacity(intervals.len());
-    for iv in intervals {
-        sweep.push(iv);
+    let opened = intervals.map(|iv| sweep.open(iv.ts));
+    for (o, iv) in opened.into_iter().zip(intervals) {
+        sweep.close(o, iv.te, iv.value);
     }
     let s = sweep.into_series();
     header("fig04", "region sweep worked example (Eq. 3)");

@@ -21,7 +21,7 @@ pub mod par;
 pub mod registry;
 pub mod scenarios;
 
-pub use csv::{multi_series_rows, results_dir, series_rows, write_csv};
+pub use csv::{multi_series_rows, results_dir, write_csv};
 
 /// Renders a step series as a unicode sparkline over `[from, to]` — the
 /// harness's terminal stand-in for the paper's plots. Values are binned by

@@ -10,8 +10,8 @@
 //! current [`fingerprint`] — the same code, the same entry and the same run
 //! shape (`--full`/`--quick` flags) — and whose recorded outputs are still
 //! on disk as written: each CSV the entry finished is listed with its
-//! length and FNV-1a digest (the hash `build.rs` uses), so a deleted or
-//! corrupted output makes the entry run again. An interrupted sweep thus
+//! length and FNV-1a digest (the hash of the build identity), so a deleted
+//! or corrupted output makes the entry run again. An interrupted sweep thus
 //! picks up where it stopped and regenerates byte-identical outputs: the
 //! scenarios themselves are deterministic, and the skipped entries' files
 //! are verified final. An entry completed by other code (an edited scenario
@@ -22,6 +22,7 @@ use crate::registry::ScenarioCtx;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// Where per-entry manifests live (inside the results dir, so
 /// `$IOBTS_RESULTS_DIR` isolates concurrent test sweeps too).
@@ -29,18 +30,27 @@ pub fn manifest_dir() -> PathBuf {
     crate::results_dir().join(".manifest")
 }
 
-/// Identity of the code that computes every entry: a digest of the
-/// workspace sources, set by `build.rs`. A scenario's configs are code, so
-/// editing one — or the engine beneath it — changes this.
-const BUILD_ID: &str = env!("IOBTS_SOURCE_HASH");
+/// Identity of the code that computes every entry: the digest of the
+/// running binary, read once per process. A scenario's configs are code, so
+/// editing one — or the engine beneath it — changes this. A binary that
+/// cannot be read gets a per-process identity, so `--resume` recomputes.
+fn build_id() -> &'static str {
+    static ID: OnceLock<String> = OnceLock::new();
+    ID.get_or_init(|| match std::env::current_exe().and_then(fs::read) {
+        Ok(binary) => format!("{:016x}", fnv1a(&binary)),
+        Err(_) => format!("unreadable-{}", std::process::id()),
+    })
+}
 
 /// The fingerprint stored in an entry's manifest: the build identity plus
 /// the entry's resolved configuration — which entry, at which run shape
 /// (completing a `--quick` sweep must not mark the full-scale variant done).
 pub fn fingerprint(group: &str, name: &str, ctx: &ScenarioCtx) -> String {
     format!(
-        "v3 build={BUILD_ID} entry={group}.{name} full={} quick={}",
-        ctx.full, ctx.quick
+        "v3 build={} entry={group}.{name} full={} quick={}",
+        build_id(),
+        ctx.full,
+        ctx.quick
     )
 }
 
@@ -48,7 +58,7 @@ fn entry_path(group: &str, name: &str) -> PathBuf {
     manifest_dir().join(format!("{group}.{name}.done"))
 }
 
-/// 64-bit FNV-1a of `bytes`, the digest `build.rs` uses for sources.
+/// 64-bit FNV-1a of `bytes`.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
@@ -140,7 +150,7 @@ mod tests {
         assert!(!is_done("g", "s2", &ctx(false)));
         // A manifest left by other code (another build identity, or the
         // shape-only format that predates it) is not a completion.
-        let other = fingerprint("g", "s1", &ctx(false)).replace(BUILD_ID, "0123456789abcdef");
+        let other = fingerprint("g", "s1", &ctx(false)).replace(build_id(), "0123456789abcdef");
         std::fs::write(entry_path("g", "s1"), other).unwrap();
         assert!(!is_done("g", "s1", &ctx(false)));
         std::fs::write(entry_path("g", "s1"), "v1 full=false quick=false").unwrap();

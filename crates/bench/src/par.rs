@@ -15,7 +15,7 @@
 
 use simcore::Invariant;
 use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Process-wide job count; 0 means "not set".
@@ -67,87 +67,65 @@ pub fn jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Renders a caught panic payload as the error string `par_try_map`
-/// reports for that item.
-fn payload_msg(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
-}
-
 /// Applies `f` to every item on a bounded scoped-thread pool, returning the
 /// results **in input order**. Worker threads claim items through a shared
 /// atomic cursor, so an expensive head item does not serialise the tail.
 ///
-/// A panicking item is caught in its worker and reported as `Err` with the
-/// panic message; the other items still complete and return — one poisoned
-/// sweep point no longer sinks the whole sweep.
-pub fn par_try_map<T, R, F>(items: &[T], f: F) -> Vec<Result<R, String>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let run_one = |item: &T| -> Result<R, String> {
-        catch_unwind(AssertUnwindSafe(|| f(item))).map_err(payload_msg)
-    };
-    let workers = jobs().min(items.len());
-    if workers <= 1 {
-        return items.iter().map(run_one).collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let mut results: Vec<Option<Result<R, String>>> = Vec::with_capacity(items.len());
-    results.resize_with(items.len(), || None);
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done: Vec<(usize, Result<R, String>)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        done.push((i, run_one(&items[i])));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for h in handles {
-            // Workers catch item panics, so a join failure is a bug.
-            for (i, r) in h.join().ok().invariant("par worker joins") {
-                results[i] = Some(r);
-            }
-        }
-    });
-
-    results
-        .into_iter()
-        .map(|r| r.invariant("par slot filled"))
-        .collect()
-}
-
-/// Infallible [`par_try_map`]: re-raises the first item panic (after every
-/// item has finished) to preserve the original fail-fast contract.
+/// A panicking item ends its worker; the other workers still drain the
+/// remaining items. Once every worker has been joined, the first panicking
+/// worker's own payload is re-raised.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_try_map(items, f)
+    let workers = jobs().min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+
+    let cursor = AtomicUsize::new(0);
+    let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
+    results.resize_with(items.len(), || None);
+    let mut panicked = None;
+
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done: Vec<(usize, R)> = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= items.len() {
+                            break;
+                        }
+                        done.push((i, f(&items[i])));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for h in handles {
+            match h.join() {
+                Ok(done) => {
+                    for (i, r) in done {
+                        results[i] = Some(r);
+                    }
+                }
+                Err(payload) => {
+                    panicked.get_or_insert(payload);
+                }
+            }
+        }
+    });
+    if let Some(payload) = panicked {
+        resume_unwind(payload);
+    }
+
+    results
         .into_iter()
-        .map(|r| match r {
-            Ok(v) => v,
-            Err(e) => panic!("par_map worker panicked: {e}"),
-        })
+        .map(|r| r.invariant("par slot filled"))
         .collect()
 }
 
@@ -193,18 +171,26 @@ mod tests {
     }
 
     #[test]
-    fn try_map_isolates_panics() {
+    fn a_panicking_item_reraises_its_own_message_after_the_others_finish() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
         let items: Vec<u32> = (0..8).collect();
-        let out = with_jobs(4, || {
-            par_try_map(&items, |&i| {
-                if i == 3 {
-                    panic!("bad item {i}");
-                }
-                i * 10
+        let finished = AtomicUsize::new(0);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            with_jobs(4, || {
+                par_map(&items, |&i| {
+                    if i == 3 {
+                        panic!("bad item {i}");
+                    }
+                    finished.fetch_add(1, Ordering::Relaxed);
+                    i * 10
+                })
             })
-        });
-        assert_eq!(out[2], Ok(20));
-        assert!(out[3].as_ref().unwrap_err().contains("bad item 3"));
-        assert_eq!(out.iter().filter(|r| r.is_ok()).count(), 7);
+        }));
+        let payload = caught.expect_err("the item panic is re-raised");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("bad item 3")
+        );
+        assert_eq!(finished.load(Ordering::Relaxed), 7, "every other item ran");
     }
 }

@@ -83,12 +83,18 @@ impl HaccConfig {
     }
 
     /// Rejects a config with nothing to run: the benchmark needs at least
-    /// one loop.
+    /// one loop and at least one particle per rank to write.
     pub fn validate(&self) -> SimResult<()> {
         if self.loops == 0 {
             return Err(SimError::invalid_config(
                 "loops",
                 "need at least one loop, got 0",
+            ));
+        }
+        if self.particles_per_rank == 0 {
+            return Err(SimError::invalid_config(
+                "particles_per_rank",
+                "need at least one particle, got 0",
             ));
         }
         Ok(())

@@ -400,7 +400,7 @@ enum FlowOwner {
     Background,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy)]
 enum Event {
     Resume(usize),
     PfsWake,
@@ -408,7 +408,7 @@ enum Event {
     /// A burst-buffer absorption finished (write path with BB configured).
     BbDone(TaskId),
     CollectiveRelease(u64),
-    CapacityTick(u64),
+    CapacityTick,
     /// A channel-fault window starts or ends: recompute effective capacity.
     FaultEdge,
 }
@@ -492,7 +492,6 @@ pub struct World<H: IoHooks> {
     /// Per-rank burst buffers when configured.
     bbs: Vec<BurstBuffer>,
     live_ranks: usize,
-    cap_tick: u64,
     cap_rng: SmallRng,
     op_errors: Vec<OpErrorRecord>,
     /// Virtual time of the last observed progress (watchdog).
@@ -501,9 +500,6 @@ pub struct World<H: IoHooks> {
     futile_events: u64,
     /// First fatal error raised mid-event; [`World::try_run`] surfaces it.
     fatal: Option<SimError>,
-    /// Whether `MPISIM_TRACE` was set at construction (read once, not per
-    /// event).
-    trace: bool,
 }
 
 impl<H: IoHooks> World<H> {
@@ -540,13 +536,11 @@ impl<H: IoHooks> World<H> {
             files: Vec::new(),
             bbs,
             live_ranks,
-            cap_tick: 0,
             cap_rng,
             op_errors: Vec::new(),
             last_advance: SimTime::ZERO,
             futile_events: 0,
             fatal: None,
-            trace: std::env::var_os("MPISIM_TRACE").is_some(),
         }
     }
 
@@ -601,7 +595,7 @@ impl<H: IoHooks> World<H> {
     /// [`SimError::InvalidProgram`].
     pub fn try_run(&mut self) -> SimResult<RunSummary> {
         if let Some(cn) = self.cfg.capacity_noise {
-            self.queue.schedule_in(cn.period, Event::CapacityTick(0));
+            self.queue.schedule_in(cn.period, Event::CapacityTick);
         }
         // Channel-fault windows: recompute the effective capacity factor at
         // every window edge. An inert plan schedules nothing, keeping the
@@ -723,9 +717,6 @@ impl<H: IoHooks> World<H> {
     // Event handling
 
     fn handle(&mut self, t: SimTime, ev: Event) {
-        if self.trace {
-            eprintln!("[{t:?}] {ev:?} queue={}", self.queue.len());
-        }
         match ev {
             Event::Resume(rank) => {
                 debug_assert!(matches!(self.ranks[rank].status, Status::Blocked(_)));
@@ -762,7 +753,7 @@ impl<H: IoHooks> World<H> {
                     }
                 }
             }
-            Event::CapacityTick(i) => {
+            Event::CapacityTick => {
                 let cn = self.cfg.capacity_noise.invariant("configured");
                 // One factor for both channels: congestion from a competing
                 // job hits the whole file system, not one direction.
@@ -773,9 +764,7 @@ impl<H: IoHooks> World<H> {
                     .set_capacity(now, Channel::Write, self.cfg.pfs.write_capacity * f);
                 self.pfs
                     .set_capacity(now, Channel::Read, self.cfg.pfs.read_capacity * f);
-                self.cap_tick = i + 1;
-                self.queue
-                    .schedule_in(cn.period, Event::CapacityTick(i + 1));
+                self.queue.schedule_in(cn.period, Event::CapacityTick);
                 self.resync_pfs();
             }
             Event::FaultEdge => {

@@ -7,7 +7,7 @@ use simcore::{SimError, SimResult, StepSeries};
 use tmio::{Report, Tracer};
 
 /// Everything one run produces.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct RunOutput {
     /// Runtime summary (makespan, per-rank accounting).
     pub summary: RunSummary,

@@ -119,18 +119,6 @@ impl StepSeries {
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
-
-    /// Samples the series at `n` evenly spaced instants across `[from, to]`.
-    pub fn resample(&self, from: SimTime, to: SimTime, n: usize) -> Vec<(f64, f64)> {
-        assert!(n >= 2, "need at least two sample points");
-        let (a, b) = (from.as_secs(), to.as_secs());
-        (0..n)
-            .map(|k| {
-                let t = a + (b - a) * k as f64 / (n - 1) as f64;
-                (t, self.value_at(SimTime::from_secs(t)))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -205,18 +193,6 @@ mod tests {
         s.push(t(2.0), 9.0);
         s.push(t(3.0), 1.0);
         assert_eq!(s.max_value(), 9.0);
-    }
-
-    #[test]
-    fn resample_endpoints() {
-        let mut s = StepSeries::new();
-        s.push(t(0.0), 2.0);
-        s.push(t(10.0), 0.0);
-        let samples = s.resample(t(0.0), t(10.0), 11);
-        assert_eq!(samples.len(), 11);
-        assert_eq!(samples[0], (0.0, 2.0));
-        assert_eq!(samples[5].1, 2.0);
-        assert_eq!(samples[10].1, 0.0);
     }
 
     #[test]

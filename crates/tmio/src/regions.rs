@@ -31,14 +31,10 @@ pub struct Interval {
 ///   [`IncrementalSweep::close`] fills it in and appends the end edge
 ///   `(te, −value)`. A start edge that is never closed (a dropped
 ///   [`Opened`], a zero-length interval) stays a hole and is skipped.
-/// * A caller whose hooks fire in nondecreasing time — the tracer — keeps
-///   both logs sorted for free, so a query is one streaming merge of the two
-///   logs: O(n), no sort.
-/// * [`IncrementalSweep::push`] is `open` followed by `close`, for callers
-///   that hold closed intervals in any order. An append that goes back in
-///   time (one compare with the last edge) marks the sweep unordered; a
-///   query then sorts copies of both logs into the oracle's edge order
-///   before the same streaming pass, O(n log n).
+/// * Appends must arrive in nondecreasing time (IEEE total order) per log,
+///   as the tracer's hooks do, so both logs are sorted for free and a query
+///   is one streaming merge of the two: O(n), no sort. An append that goes
+///   back in time panics, naming both times.
 ///
 /// The merge sums each region's edges in a fixed order — by time in IEEE
 /// total order, then by delta — and snaps cancellation residue below a
@@ -46,15 +42,13 @@ pub struct Interval {
 /// bit-identical to a from-scratch sort-and-sweep over the closed
 /// intervals (the oracle in `tests/oracle`, property-tested in
 /// `tests/sweep_prop.rs`).
-#[derive(Clone, Debug)]
+#[derive(Debug, Default)]
 pub struct IncrementalSweep {
     /// Start edges `(ts, value)` in `open` order; `value` is [`HOLE`] until
     /// the interval closes with positive length.
     starts: Vec<(f64, f64)>,
     /// End edges `(te, −value)` in `close` order.
     ends: Vec<(f64, f64)>,
-    /// Whether every append so far kept its log in time order.
-    ordered: bool,
     /// Largest `|value|` ever closed, including zero-length intervals (the
     /// oracle computes its residue scale over *all* intervals).
     max_abs: f64,
@@ -74,17 +68,11 @@ const HOLE: f64 = f64::NAN;
 pub struct Opened(usize);
 
 impl IncrementalSweep {
-    /// An empty sweep.
-    pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
     /// An empty sweep pre-sized for `intervals` intervals.
     pub fn with_capacity(intervals: usize) -> Self {
         IncrementalSweep {
             starts: Vec::with_capacity(intervals),
             ends: Vec::with_capacity(intervals),
-            ordered: true,
             max_abs: 0.0,
             cache: None,
         }
@@ -94,7 +82,7 @@ impl IncrementalSweep {
     /// series stays valid: the edge is a hole until [`Self::close`].
     pub fn open(&mut self, ts: f64) -> Opened {
         assert!(!ts.is_nan(), "interval must be NaN-free");
-        append(&mut self.starts, &mut self.ordered, (ts, HOLE));
+        append(&mut self.starts, (ts, HOLE));
         Opened(self.starts.len() - 1)
     }
 
@@ -109,15 +97,9 @@ impl IncrementalSweep {
         self.max_abs = self.max_abs.max(value.abs());
         if te > start.0 {
             start.1 = value;
-            append(&mut self.ends, &mut self.ordered, (te, -value));
+            append(&mut self.ends, (te, -value));
         }
         self.cache = None;
-    }
-
-    /// Accepts one closed interval: [`Self::open`] then [`Self::close`].
-    pub fn push(&mut self, iv: Interval) {
-        let opened = self.open(iv.ts);
-        self.close(opened, iv.te, iv.value);
     }
 
     /// The aggregated step series over every interval closed so far,
@@ -137,36 +119,20 @@ impl IncrementalSweep {
         }
     }
 
-    /// Whether every append so far arrived in time order, so a query has
-    /// nothing to sort.
-    #[cfg(test)]
-    pub(crate) fn is_time_ordered(&self) -> bool {
-        self.ordered
-    }
-
     fn rebuild(&self) -> StepSeries {
-        if self.ordered {
-            return accumulate(&self.starts, &self.ends, self.max_abs);
-        }
-        let sorted = |log: &[(f64, f64)]| {
-            let mut log = log.to_vec();
-            log.sort_unstable_by(by_edge);
-            log
-        };
-        accumulate(&sorted(&self.starts), &sorted(&self.ends), self.max_abs)
+        accumulate(&self.starts, &self.ends, self.max_abs)
     }
 }
 
-impl Default for IncrementalSweep {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Appends `edge` to `log`, clearing `ordered` if it goes back in time.
-fn append(log: &mut Vec<(f64, f64)>, ordered: &mut bool, edge: (f64, f64)) {
-    if log.last().is_some_and(|e| e.0.total_cmp(&edge.0).is_gt()) {
-        *ordered = false;
+/// Appends `edge` to `log`, which must stay in time order.
+fn append(log: &mut Vec<(f64, f64)>, edge: (f64, f64)) {
+    if let Some(last) = log.last() {
+        assert!(
+            last.0.total_cmp(&edge.0).is_le(),
+            "sweep edge at t={} goes back in time before the edge at t={}",
+            edge.0,
+            last.0
+        );
     }
     log.push(edge);
 }
@@ -222,10 +188,9 @@ fn accumulate(starts: &[(f64, f64)], ends: &[(f64, f64)], max_abs: f64) -> StepS
 
 /// Adds the deltas of one instant's start and end edges to `sum` in
 /// ascending IEEE total order, skipping holes. A lone edge (the common
-/// case) needs no ordering, and two runs already in delta order (as a
-/// sorted copy leaves them) merge directly; any other instant's deltas
-/// are ordered by binary insertion into `buf` (an instant holds at most a
-/// few edges per rank).
+/// case) needs no ordering, and two runs already in delta order merge
+/// directly; any other instant's deltas are ordered by binary insertion
+/// into `buf` (an instant holds at most a few edges per rank).
 fn add_ascending(
     mut sum: f64,
     starts: &[(f64, f64)],
@@ -268,11 +233,6 @@ fn add_ascending(
     }
 }
 
-/// Edge order of the oracle: time, then delta, in IEEE total order.
-fn by_edge(a: &(f64, f64), b: &(f64, f64)) -> std::cmp::Ordering {
-    a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,13 +241,40 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    /// The series of `intervals` pushed in order.
+    /// The series of `intervals`, all opened in start order, then closed
+    /// in end order (each log stays in time order).
     fn sweep(intervals: &[Interval]) -> StepSeries {
         let mut inc = IncrementalSweep::with_capacity(intervals.len());
-        for &iv in intervals {
-            inc.push(iv);
+        let mut order: Vec<usize> = (0..intervals.len()).collect();
+        order.sort_by(|&a, &b| intervals[a].ts.total_cmp(&intervals[b].ts));
+        let mut opened: Vec<Option<Opened>> = (0..intervals.len()).map(|_| None).collect();
+        for &k in &order {
+            opened[k] = Some(inc.open(intervals[k].ts));
+        }
+        order.sort_by(|&a, &b| intervals[a].te.total_cmp(&intervals[b].te));
+        for &k in &order {
+            let iv = intervals[k];
+            inc.close(opened[k].take().unwrap(), iv.te, iv.value);
         }
         inc.into_series()
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep edge at t=1.5 goes back in time before the edge at t=2.5")]
+    fn start_going_back_in_time_panics() {
+        let mut inc = IncrementalSweep::default();
+        let _late = inc.open(2.5);
+        let _early = inc.open(1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep edge at t=3.5 goes back in time before the edge at t=4.5")]
+    fn end_going_back_in_time_panics() {
+        let mut inc = IncrementalSweep::default();
+        let a = inc.open(1.0);
+        let b = inc.open(2.0);
+        inc.close(b, 4.5, 1.0);
+        inc.close(a, 3.5, 1.0);
     }
 
     /// The Fig. 4 worked example: three ranks, five regions.

@@ -12,7 +12,7 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 ///
 /// [`Report::to_json`] writes the first twelve fields, in order; the cache
 /// fields stay out of the JSON trace format.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Report {
     /// Number of ranks traced.
     pub n_ranks: usize,
@@ -72,34 +72,17 @@ impl LazySeries {
     /// cached series, if a live query left one, is reused as is).
     fn get(&self) -> &StepSeries {
         self.series.get_or_init(|| {
-            let sweep = self.lock().take();
+            // The lock only guards a `take`, which leaves the option whole
+            // even when it panics, so a poisoned guard is still valid.
+            let sweep = self
+                .sweep
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
             sweep
                 .invariant("only the query building the series takes the sweep")
                 .into_series()
         })
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Option<IncrementalSweep>> {
-        // The lock only guards a `take` or a `clone`, which leave the option
-        // whole even when they panic, so a poisoned guard is still valid.
-        self.sweep.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl Clone for LazySeries {
-    /// A clone taken before the first query gets its own copy of the sweep,
-    /// so the two build the same bits. Once the first query has taken the
-    /// sweep, the clone shares its series (waiting for a build in progress).
-    fn clone(&self) -> Self {
-        let sweep = self.lock().clone();
-        let series = match sweep {
-            Some(_) => OnceLock::new(),
-            None => OnceLock::from(self.get().clone()),
-        };
-        LazySeries {
-            sweep: Mutex::new(sweep),
-            series,
-        }
     }
 }
 
@@ -369,11 +352,14 @@ mod tests {
     use crate::regions::Interval;
     use crate::tracer::{AsyncSpan, ChannelKind, PhaseRecord, SyncInterval, ThroughputWindow};
 
-    /// A series over `rows`, pushed in the order given.
+    /// A series over `rows`, whose starts and ends both come in time
+    /// order: every row opens, then every row closes.
     fn series_of(rows: impl IntoIterator<Item = Interval>) -> LazySeries {
-        let mut sweep = IncrementalSweep::new();
-        for iv in rows {
-            sweep.push(iv);
+        let rows: Vec<Interval> = rows.into_iter().collect();
+        let mut sweep = IncrementalSweep::default();
+        let opened: Vec<_> = rows.iter().map(|iv| sweep.open(iv.ts)).collect();
+        for (o, iv) in opened.into_iter().zip(&rows) {
+            sweep.close(o, iv.te, iv.value);
         }
         LazySeries::new(sweep)
     }

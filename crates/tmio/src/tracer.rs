@@ -698,12 +698,11 @@ mod tests {
         world.into_hooks()
     }
 
-    /// Every sweep append arrived in time order, so no query will sort.
+    /// The run traced phases, and every sweep append on the way passed
+    /// the sweep's time-order assert (a run that appended out of order
+    /// would have panicked before reaching here).
     fn assert_time_ordered(t: &Tracer, what: &str) {
         assert!(!t.phases.is_empty(), "{what}: no phases traced");
-        assert!(t.req_sweep.is_time_ordered(), "{what}: B sweep");
-        assert!(t.lim_sweep.is_time_ordered(), "{what}: B_L sweep");
-        assert!(t.thr_sweep.is_time_ordered(), "{what}: T sweep");
     }
 
     /// Fig. 7 class: WaComM under the figure's three strategies.

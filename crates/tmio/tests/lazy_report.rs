@@ -1,8 +1,8 @@
 //! The report builds its Eq. 3 series on first query, from the edge logs the
-//! tracer hands over. These tests pin that every way of reaching a series —
-//! a clone taken before the first query, a tracer whose live series were
-//! queried mid-way — gives the same `f64` bits, and that the JSON trace
-//! format is unchanged.
+//! tracer hands over. These tests pin that both ways of reaching a series —
+//! a first query on the report, or a tracer whose live series were queried
+//! mid-way — give the same `f64` bits, and that the JSON trace format is
+//! unchanged.
 
 use hpcwl::{hacc::HaccConfig, wacomm::WacommConfig};
 use mpisim::{FileId, Program, World, WorldConfig};
@@ -104,14 +104,11 @@ fn series_bits(r: &Report) -> [Vec<(u64, u64)>; 3] {
 /// Runs every check on the report of one workload.
 fn check(what: &str, run: impl Fn(bool) -> Tracer) {
     let report = run(false).into_report();
-    // The clone is queried first, so neither copy has a series built yet.
-    let from_clone = series_bits(&report.clone());
     let want = series_bits(&report);
     assert!(
         want.iter().all(|s| !s.is_empty()),
         "{what}: every series has points"
     );
-    assert_eq!(from_clone, want, "{what}: clone before query");
     let live = run(true).into_report();
     assert_eq!(series_bits(&live), want, "{what}: live series queried");
     assert_eq!(
@@ -134,17 +131,9 @@ fn hacc_series_agree_on_every_path() {
 /// Parallel sweeps (`bench::par`) move run outputs, reports included,
 /// across threads.
 #[test]
-fn report_is_clone_debug_send_sync() {
-    fn check<T: Clone + std::fmt::Debug + Send + Sync>() {}
+fn report_is_debug_send_sync() {
+    fn check<T: std::fmt::Debug + Send + Sync>() {}
     check::<Report>();
-}
-
-/// A clone taken after the first query shares the built series.
-#[test]
-fn clone_after_query_keeps_the_series() {
-    let report = wacomm(8, 4, false).into_report();
-    let want = series_bits(&report);
-    assert_eq!(series_bits(&report.clone()), want);
 }
 
 /// The JSON trace of one fixed run matches the checked-in copy byte for

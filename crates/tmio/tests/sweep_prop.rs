@@ -11,10 +11,12 @@
 //! tiny normalized magnitudes, heavy same-timestamp stacking, and ±0.0
 //! times.
 //!
-//! Two feeding patterns are covered: the tracer's — `open` at the first
-//! submit, `close` at the end, every call in nondecreasing time, some
-//! intervals never closed — and arbitrary-order `push`es, which take the
-//! sort-before-merge path.
+//! Every case feeds the sweep as the tracer does — `open` at the first
+//! submit, `close` at the end, every call in nondecreasing time — since an
+//! append that goes back in time panics. Interval sets that arrive in
+//! arbitrary order are replayed as time-ordered open/close events
+//! ([`replay_in_time_order`]); the tracer-shaped cases add never-closed
+//! holes, ties broken in every order and live queries.
 
 mod oracle;
 
@@ -57,58 +59,46 @@ fn arb_interval() -> impl Strategy<Value = Interval> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Pushing intervals in arrival order yields the oracle's series,
-    /// bit for bit.
+    /// Replaying intervals in time order yields the oracle's series, bit
+    /// for bit.
     #[test]
     fn incremental_matches_scratch(ivs in prop::collection::vec(arb_interval(), 0..60)) {
         let oracle = sweep(&ivs);
-        let mut inc = IncrementalSweep::new();
-        for iv in &ivs {
-            inc.push(*iv);
-        }
+        let mut inc = replay_in_time_order(&ivs, &[false]);
         prop_assert_eq!(bits(inc.series()), bits(&oracle));
         prop_assert_eq!(inc.series().max_value().to_bits(), oracle.max_value().to_bits());
         prop_assert_eq!(bits(&inc.into_series()), bits(&oracle));
     }
 
-    /// Arrival order is irrelevant: reversed feeding still matches the
-    /// oracle over the original set.
+    /// Arrival order is irrelevant: the reversed set, whose same-instant
+    /// events then replay in the opposite order, still matches the oracle
+    /// over the original set.
     #[test]
     fn arrival_order_is_irrelevant(ivs in prop::collection::vec(arb_interval(), 0..60)) {
         let oracle = sweep(&ivs);
-        let mut inc = IncrementalSweep::with_capacity(ivs.len());
-        for iv in ivs.iter().rev() {
-            inc.push(*iv);
-        }
+        let reversed: Vec<Interval> = ivs.iter().rev().copied().collect();
+        let mut inc = replay_in_time_order(&reversed, &[false]);
         prop_assert_eq!(bits(inc.series()), bits(&oracle));
     }
 
-    /// Querying between pushes (forcing rebuilds of the invalidated cache)
-    /// never perturbs later results, and every mid-run answer equals the
-    /// oracle over the prefix pushed so far.
+    /// Querying after every event (forcing rebuilds of the invalidated
+    /// cache) never perturbs later results, and every mid-run answer
+    /// equals the oracle over the intervals closed so far.
     #[test]
     fn interleaved_queries_match_prefix_oracles(
         ivs in prop::collection::vec(arb_interval(), 1..30),
     ) {
-        let mut inc = IncrementalSweep::new();
-        for (i, iv) in ivs.iter().enumerate() {
-            inc.push(*iv);
-            let prefix_oracle = sweep(&ivs[..=i]);
-            prop_assert_eq!(bits(inc.series()), bits(&prefix_oracle));
-        }
+        replay_in_time_order(&ivs, &[true]);
     }
 
     /// Same-timestamp stacking (many identical phases, the collective-I/O
-    /// shape) collapses to one change point per boundary in both paths.
+    /// shape) collapses to one change point per boundary, as in the oracle.
     #[test]
     fn identical_stacked_intervals(n in 1usize..40, value in 0.5f64..1e6) {
         let iv = Interval { ts: 1.0, te: 2.0, value };
         let ivs = vec![iv; n];
         let oracle = sweep(&ivs);
-        let mut inc = IncrementalSweep::new();
-        for iv in &ivs {
-            inc.push(*iv);
-        }
+        let mut inc = replay_in_time_order(&ivs, &[false]);
         prop_assert_eq!(bits(inc.series()), bits(&oracle));
     }
 }
@@ -174,7 +164,7 @@ fn time_ordered(ivs: &[Replayed], ties: &[u32]) -> Vec<Event> {
 /// Replays `events`, querying after the event indices in `queries`; each
 /// answer must equal the oracle over the intervals closed so far.
 fn replay(ivs: &[Replayed], events: &[Event], queries: &[bool]) -> IncrementalSweep {
-    let mut inc = IncrementalSweep::new();
+    let mut inc = IncrementalSweep::default();
     let mut handles: Vec<Option<Opened>> = (0..ivs.len()).map(|_| None).collect();
     let mut closed: Vec<Interval> = Vec::new();
     for (n, ev) in events.iter().enumerate() {
@@ -192,6 +182,17 @@ fn replay(ivs: &[Replayed], events: &[Event], queries: &[bool]) -> IncrementalSw
     }
     prop_assert_eq!(bits(inc.series()), bits(&sweep(&closed)));
     inc
+}
+
+/// Replays the closed intervals `ivs`, in whatever order they arrive, as
+/// time-ordered open/close events (same-instant events in arrival order),
+/// querying as [`replay`] does.
+fn replay_in_time_order(ivs: &[Interval], queries: &[bool]) -> IncrementalSweep {
+    let ivs: Vec<Replayed> = ivs
+        .iter()
+        .map(|&iv| Replayed { iv, closed: true })
+        .collect();
+    replay(&ivs, &time_ordered(&ivs, &[0]), queries)
 }
 
 proptest! {
@@ -213,28 +214,23 @@ proptest! {
         prop_assert_eq!(bits(&inc.into_series()), bits(&sweep(&closed)));
     }
 
-    /// Opens and closes in arbitrary time order while other intervals are
-    /// still open: the out-of-order path sorts copies of both edge logs and
-    /// must still match the oracle.
+    /// Intervals arriving in a shuffled order, replayed in time order
+    /// with same-instant events in arbitrary order while other intervals
+    /// are still open, match the oracle.
     #[test]
-    fn out_of_order_replay_with_open_handles(
+    fn shuffled_replay_with_open_handles(
         ivs in prop::collection::vec(arb_replayed(), 1..40),
         order in prop::collection::vec(any::<u32>(), 1..40),
         queries in prop::collection::vec((0u32..3).prop_map(|k| k == 0), 1..16),
     ) {
-        // Shuffle opens; each close lands at a later random position.
-        let mut keyed: Vec<(u64, Event)> = Vec::new();
-        for (k, r) in ivs.iter().enumerate() {
-            let a = order[k % order.len()] as u64;
-            let b = order[(k * 7 + 3) % order.len()] as u64;
-            keyed.push((2 * a, Event::Open(k)));
-            if r.closed {
-                keyed.push((2 * a + 1 + 2 * b, Event::Close(k)));
-            }
-        }
+        let mut keyed: Vec<(u32, Replayed)> = ivs
+            .iter()
+            .enumerate()
+            .map(|(k, &r)| (order[k % order.len()], r))
+            .collect();
         keyed.sort_by_key(|e| e.0);
-        let events: Vec<Event> = keyed.into_iter().map(|e| e.1).collect();
-        replay(&ivs, &events, &queries);
+        let shuffled: Vec<Replayed> = keyed.into_iter().map(|e| e.1).collect();
+        replay(&shuffled, &time_ordered(&shuffled, &order), &queries);
     }
 }
 
@@ -260,9 +256,6 @@ fn degenerate_phases_match_oracle() {
         },
     ];
     let oracle = sweep(&ivs);
-    let mut inc = IncrementalSweep::new();
-    for iv in &ivs {
-        inc.push(*iv);
-    }
+    let mut inc = replay_in_time_order(&ivs, &[false]);
     assert_eq!(bits(inc.series()), bits(&oracle));
 }

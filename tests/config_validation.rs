@@ -200,6 +200,28 @@ fn hacc_without_a_loop_is_a_config_error() {
 }
 
 #[test]
+fn hacc_without_a_particle_is_a_config_error() {
+    let hacc = HaccConfig {
+        particles_per_rank: 0,
+        loops: 1,
+        ..Default::default()
+    };
+    for (name, workload) in [("async", HaccIo::new(hacc)), ("sync", HaccIo::sync(hacc))] {
+        let built = Session::builder(ExpConfig::new(2, Strategy::None))
+            .workload(workload)
+            .try_build();
+        match built {
+            Err(SimError::InvalidConfig { field, reason }) => {
+                assert_eq!(field, "particles_per_rank", "{name}");
+                assert_eq!(reason, "need at least one particle, got 0", "{name}");
+            }
+            Err(e) => panic!("{name}: expected InvalidConfig, got {e}"),
+            Ok(_) => panic!("{name}: a run that writes no particle must be rejected"),
+        }
+    }
+}
+
+#[test]
 fn invalid_program_is_a_typed_error_on_the_session_path() {
     // Waits on a tag it never submitted.
     let program = Program::from_ops(vec![Op::Wait {
