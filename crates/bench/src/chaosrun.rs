@@ -254,7 +254,9 @@ fn check_plan(
     base: &RunOutput,
     pf: &PlannedFault,
 ) -> ChaosRow {
-    let cfg = ExpConfig::new(case.ranks(), strategy).with_faults(pf.plan.clone());
+    let cfg = ExpConfig::new(case.ranks(), strategy)
+        .with_faults(pf.plan.clone())
+        .with_record_pfs(false);
     let out = case.run(cfg.clone());
     let mut violations = Vec::new();
 

@@ -19,7 +19,6 @@
 
 use pfsim::{Channel, FlowId, FlowSpec, MeterId, Pfs, PfsConfig};
 use simcore::{EventQueue, Invariant, SimTime, StepSeries};
-use std::collections::HashMap;
 
 /// Cluster-wide configuration.
 #[derive(Clone, Copy, Debug)]
@@ -171,10 +170,12 @@ struct Job {
     start: SimTime,
     end: SimTime,
     meter: MeterId,
-    /// In-flight async transfer, if any.
-    inflight: Option<FlowId>,
-    /// Blocked waiting for this flow (sync I/O, or async back-pressure).
-    blocked_on: Option<FlowId>,
+    /// Whether the job's one transfer is on the PFS. A job has at most one
+    /// live flow, named by the job's index.
+    io_live: bool,
+    /// Blocked until that transfer completes (sync I/O, async
+    /// back-pressure, or an async job's last transfer).
+    blocked: bool,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -190,7 +191,6 @@ pub struct Cluster {
     queue: EventQueue<Event>,
     pfs: Pfs,
     jobs: Vec<Job>,
-    flow_job: HashMap<FlowId, usize>,
     free_nodes: usize,
     wait_queue: Vec<usize>,
 }
@@ -209,8 +209,8 @@ impl Cluster {
                 start: SimTime::ZERO,
                 end: SimTime::ZERO,
                 meter: pfs.meter(),
-                inflight: None,
-                blocked_on: None,
+                io_live: false,
+                blocked: false,
             })
             .collect();
         let mut order: Vec<usize> = (0..jobs.len()).collect();
@@ -229,7 +229,6 @@ impl Cluster {
             queue,
             pfs,
             jobs,
-            flow_job: HashMap::new(),
             free_nodes,
             wait_queue: Vec::new(),
         }
@@ -316,14 +315,14 @@ impl Cluster {
     fn advance_job(&mut self, i: usize) {
         loop {
             let now = self.queue.now();
-            if self.jobs[i].blocked_on.is_some() {
+            if self.jobs[i].blocked {
                 return;
             }
             let phase = self.jobs[i].phase;
             let Some(&ph) = self.jobs[i].spec.profile.get(phase) else {
                 // Profile exhausted; async jobs must drain their last flow.
-                if let Some(f) = self.jobs[i].inflight {
-                    self.jobs[i].blocked_on = Some(f);
+                if self.jobs[i].io_live {
+                    self.jobs[i].blocked = true;
                     return;
                 }
                 self.finish_job(i);
@@ -338,37 +337,28 @@ impl Cluster {
                 JobPhase::Write(bytes) => {
                     // Async back-pressure: wait for the previous transfer
                     // before issuing the next one.
-                    if let Some(f) = self.jobs[i].inflight {
-                        self.jobs[i].blocked_on = Some(f);
+                    if self.jobs[i].io_live {
+                        self.jobs[i].blocked = true;
                         return;
                     }
                     self.jobs[i].phase += 1;
                     self.drain_pfs();
-                    let flow = self.pfs.submit(
-                        now,
-                        Channel::Write,
-                        FlowSpec {
-                            bytes,
-                            weight: self.jobs[i].spec.nodes as f64,
-                            cap: None,
-                            meter: Some(self.jobs[i].meter),
-                        },
-                    );
-                    self.flow_job.insert(flow, i);
-                    match self.jobs[i].spec.style {
-                        IoStyle::Sync => {
-                            self.jobs[i].blocked_on = Some(flow);
-                            self.update_contention_caps();
-                            self.resync_pfs();
-                            return;
-                        }
-                        IoStyle::Async => {
-                            self.jobs[i].inflight = Some(flow);
-                            self.update_contention_caps();
-                            self.resync_pfs();
-                            // continue with the next phase immediately
-                        }
+                    let spec = FlowSpec {
+                        bytes,
+                        weight: self.jobs[i].spec.nodes as f64,
+                        cap: None,
+                        meter: Some(self.jobs[i].meter),
+                    };
+                    self.pfs.submit(now, Channel::Write, spec, FlowId(i as u64));
+                    let sync = self.jobs[i].spec.style == IoStyle::Sync;
+                    self.jobs[i].io_live = true;
+                    self.jobs[i].blocked = sync;
+                    self.update_contention_caps();
+                    self.resync_pfs();
+                    if sync {
+                        return;
                     }
+                    // Async: continue with the next phase immediately.
                 }
             }
         }
@@ -386,24 +376,16 @@ impl Cluster {
     /// limited exactly while any *other* job has I/O in flight.
     fn update_contention_caps(&mut self) {
         let now = self.queue.now();
-        for i in 0..self.jobs.len() {
-            let Some(cap) = self.jobs[i].spec.contention_cap else {
+        let live = self.jobs.iter().filter(|j| j.io_live).count();
+        for (i, job) in self.jobs.iter().enumerate() {
+            let Some(cap) = job.spec.contention_cap else {
                 continue;
             };
-            let own: Vec<FlowId> = self.jobs[i]
-                .inflight
-                .iter()
-                .chain(self.jobs[i].blocked_on.iter())
-                .copied()
-                .filter(|f| self.flow_job.contains_key(f))
-                .collect();
-            if own.is_empty() {
-                continue;
-            }
-            let others_active = self.flow_job.values().any(|&j| j != i);
-            for f in own {
+            if job.io_live {
+                // The job's own flow is one of the `live`.
+                let others_active = live > 1;
                 self.pfs
-                    .set_cap(now, f, if others_active { Some(cap) } else { None });
+                    .set_cap(now, FlowId(i as u64), others_active.then_some(cap));
             }
         }
         self.resync_pfs();
@@ -423,24 +405,16 @@ impl Cluster {
     }
 
     fn on_flow_done(&mut self, flow: FlowId) {
-        let i = self
-            .flow_job
-            .remove(&flow)
-            .invariant("flow belongs to a job");
-        if self.jobs[i].inflight == Some(flow) {
-            self.jobs[i].inflight = None;
-        }
-        let was_blocked = self.jobs[i].blocked_on == Some(flow);
-        if was_blocked {
-            self.jobs[i].blocked_on = None;
-        }
+        let i = flow.0 as usize;
+        debug_assert!(self.jobs[i].io_live, "flow of a job without live I/O");
+        let was_blocked = self.jobs[i].blocked;
+        self.jobs[i].io_live = false;
+        self.jobs[i].blocked = false;
         self.update_contention_caps();
         if was_blocked {
             self.advance_job(i);
         } else if self.jobs[i].phase >= self.jobs[i].spec.profile.len()
             && self.jobs[i].state == JobState::Running
-            && self.jobs[i].inflight.is_none()
-            && self.jobs[i].blocked_on.is_none()
         {
             self.finish_job(i);
         }

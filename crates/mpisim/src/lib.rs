@@ -26,7 +26,7 @@ mod world;
 
 pub use hooks::{IoHooks, Limits, NoHooks};
 pub use ops::{FileId, Op, Program, ReqTag};
-pub use pfsim::Channel;
+pub use simcore::Channel;
 // Fault-plan vocabulary, re-exported so callers configuring faults don't
 // need a direct simcore dependency.
 pub use simcore::{FaultPlan, IoErrorKind, RetryPolicy, SimError, SimResult, StallSnapshot};

@@ -1,7 +1,7 @@
 //! Windowed map over monotonically assigned `u64` ids.
 //!
-//! The world hands out task and flow ids from a counter and drops each entry
-//! when it completes, so at any instant the live ids occupy a narrow window
+//! The world hands out task ids from a counter and drops each entry when
+//! it completes, so at any instant the live ids occupy a narrow window
 //! near the top of the sequence. [`SeqMap`] exploits that: entries live in a
 //! `VecDeque` indexed by `id - base`, giving O(1) hash-free insert/lookup/
 //! remove on the event hot path, with memory bounded by the *span* of live

@@ -19,10 +19,10 @@
 use crate::hooks::{IoHooks, Limits};
 use crate::ops::{FileId, Op, Program, ReqTag};
 use crate::seqmap::SeqMap;
-use pfsim::{BurstBuffer, BurstBufferConfig, Channel, FlowId, FlowSpec, Pfs, PfsConfig};
+use pfsim::{BurstBuffer, BurstBufferConfig, FlowId, FlowSpec, Pfs, PfsConfig};
 use simcore::{
-    rank_phase_stream, stream_rng, EventQueue, FaultPlan, Invariant, IoErrorKind, Noise, SimError,
-    SimResult, SimTime, SmallRng, StallSnapshot, StepSeries, TagMap,
+    rank_phase_stream, stream_rng, Channel, EventQueue, FaultPlan, Invariant, IoErrorKind, Noise,
+    SimError, SimResult, SimTime, SmallRng, StallSnapshot, StepSeries, TagMap,
 };
 use std::collections::HashMap;
 
@@ -218,18 +218,6 @@ impl WorldConfig {
         self.seed = seed;
         self
     }
-
-    /// Sets the fault plan (builder style).
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Sets the progress-watchdog thresholds (builder style).
-    pub fn with_watchdog(mut self, watchdog: WatchdogCfg) -> Self {
-        self.watchdog = watchdog;
-        self
-    }
 }
 
 /// Provides each rank's next op. [`ScriptedDriver`] replays pre-built
@@ -271,8 +259,16 @@ impl RankDriver for ScriptedDriver {
     }
 }
 
+/// An I/O task, numbered from 0 in creation order. A task has at most one
+/// sub-request on the PFS at a time, and that flow is named by the task's
+/// number, so a completion leads straight back to its task.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 struct TaskId(u64);
+
+/// The one name every burst-buffer drain flow shares. Nobody waits on a
+/// drain, so [`World::on_flow_complete`] ignores it; task numbers never
+/// reach it.
+const DRAIN_FLOW: FlowId = FlowId(u64::MAX);
 
 /// The per-request I/O-thread state (one in-flight MPI-IO operation).
 struct IoTask {
@@ -390,16 +386,6 @@ struct Collective {
     arrived: usize,
 }
 
-/// What a live PFS flow belongs to. Stored in a [`SeqMap`] keyed by
-/// [`FlowId`], replacing three hash containers on the completion hot path.
-#[derive(Clone, Copy, Debug)]
-enum FlowOwner {
-    /// A sub-request of an I/O task; completion drives pacing.
-    Task(TaskId),
-    /// A burst-buffer drain; nobody waits on it.
-    Background,
-}
-
 #[derive(Clone, Copy)]
 enum Event {
     Resume(usize),
@@ -483,9 +469,6 @@ pub struct World<H: IoHooks> {
     /// Live I/O tasks, keyed by the monotone [`TaskId`] counter.
     tasks: SeqMap<IoTask>,
     next_task: u64,
-    /// Live PFS flows and what they belong to, keyed by the monotone
-    /// [`FlowId`] counter.
-    flows: SeqMap<FlowOwner>,
     collectives: HashMap<u64, Collective>,
     /// Bytes written to each registered file, by [`FileId`].
     files: Vec<f64>,
@@ -531,7 +514,6 @@ impl<H: IoHooks> World<H> {
             pfs_done: Vec::with_capacity(16),
             tasks: SeqMap::with_capacity(16),
             next_task: 0,
-            flows: SeqMap::with_capacity(16),
             collectives: HashMap::new(),
             files: Vec::new(),
             bbs,
@@ -771,8 +753,8 @@ impl<H: IoHooks> World<H> {
                 self.drain_pfs();
                 let now = self.queue.now();
                 let t = now.as_secs();
-                for (idx, ch) in [(0usize, Channel::Write), (1usize, Channel::Read)] {
-                    let f = self.cfg.faults.capacity_factor(idx, t);
+                for ch in [Channel::Write, Channel::Read] {
+                    let f = self.cfg.faults.capacity_factor(ch, t);
                     if self.pfs.fault_factor(ch) != f {
                         self.pfs.set_fault_factor(now, ch, f);
                     }
@@ -1009,17 +991,13 @@ impl<H: IoHooks> World<H> {
             None => drain_rate,
         };
         self.drain_pfs();
-        let flow = self.pfs.submit(
-            now,
-            Channel::Write,
-            FlowSpec {
-                bytes,
-                weight: 1.0,
-                cap: Some(cap),
-                meter: None,
-            },
-        );
-        self.flows.insert(flow.0, FlowOwner::Background);
+        let spec = FlowSpec {
+            bytes,
+            weight: 1.0,
+            cap: Some(cap),
+            meter: None,
+        };
+        self.pfs.submit(now, Channel::Write, spec, DRAIN_FLOW);
     }
 
     fn exec_async_io(
@@ -1149,8 +1127,8 @@ impl<H: IoHooks> World<H> {
         task.subreq_bytes = size;
         task.subreq_started = now;
         let channel = task.channel;
-        let flow = self.pfs.submit(now, channel, FlowSpec::simple(size));
-        self.flows.insert(flow.0, FlowOwner::Task(id));
+        self.pfs
+            .submit(now, channel, FlowSpec::simple(size), FlowId(id.0));
     }
 
     /// A sub-request's PFS transfer finished: apply pacing, chain or finish.
@@ -1161,13 +1139,10 @@ impl<H: IoHooks> World<H> {
     fn on_flow_complete(&mut self, ct: SimTime, flow: FlowId) {
         // Bytes landed on the PFS: the run is advancing.
         self.note_progress();
-        let owner = self
-            .flows
-            .remove(flow.0)
-            .invariant("flow has a registered owner");
-        let FlowOwner::Task(id) = owner else {
+        if flow == DRAIN_FLOW {
             return; // a burst-buffer drain finished; nobody waits on it
-        };
+        }
+        let id = TaskId(flow.0);
         if self.apply_io_fault(ct, id) {
             return; // the sub-request failed; its bytes are discarded
         }

@@ -28,7 +28,10 @@ fn async_write_program(bytes: f64) -> Program {
 #[test]
 fn empty_plan_reproduces_baseline_exactly() {
     let mk = |faults: FaultPlan| {
-        let cfg = WorldConfig::new(4).with_faults(faults);
+        let cfg = WorldConfig {
+            faults,
+            ..WorldConfig::new(4)
+        };
         let programs = (0..4).map(|_| async_write_program(64e6)).collect();
         run_with(cfg, programs)
     };
@@ -66,7 +69,10 @@ fn transient_errors_retry_and_extend_the_run() {
         (0..2).map(|_| async_write_program(64e6)).collect(),
     );
     let faulty = run_with(
-        WorldConfig::new(2).with_faults(fail_some.clone()),
+        WorldConfig {
+            faults: fail_some.clone(),
+            ..WorldConfig::new(2)
+        },
         (0..2).map(|_| async_write_program(64e6)).collect(),
     );
     // prob 0.2 over 64 sub-requests per rank: some retries must happen, and
@@ -78,7 +84,10 @@ fn transient_errors_retry_and_extend_the_run() {
     assert!(faulty.end_time.as_secs() < base.end_time.as_secs() + 60.0);
     // Same plan, same seed: bit-identical replay.
     let replay = run_with(
-        WorldConfig::new(2).with_faults(fail_some),
+        WorldConfig {
+            faults: fail_some,
+            ..WorldConfig::new(2)
+        },
         (0..2).map(|_| async_write_program(64e6)).collect(),
     );
     assert_eq!(faulty.end_time, replay.end_time);
@@ -96,7 +105,10 @@ fn certain_failure_exhausts_retries_and_surfaces_error() {
         }),
         ..FaultPlan::default()
     };
-    let cfg = WorldConfig::new(1).with_faults(always_fail.clone());
+    let cfg = WorldConfig {
+        faults: always_fail.clone(),
+        ..WorldConfig::new(1)
+    };
     let summary = run_with(cfg, vec![async_write_program(4e6)]);
     assert_eq!(summary.op_errors.len(), 1, "one op, one terminal error");
     let err = summary.op_errors[0];
@@ -130,7 +142,13 @@ fn sync_op_failure_releases_the_rank() {
         },
         Op::Compute { seconds: 0.001 },
     ]);
-    let summary = run_with(WorldConfig::new(1).with_faults(always_fail), vec![program]);
+    let summary = run_with(
+        WorldConfig {
+            faults: always_fail,
+            ..WorldConfig::new(1)
+        },
+        vec![program],
+    );
     assert_eq!(summary.op_errors.len(), 1);
     assert_eq!(summary.op_errors[0].tag, None, "blocking call has no tag");
     assert_eq!(summary.op_errors[0].kind, IoErrorKind::NoSpace);
@@ -148,7 +166,10 @@ fn cancellation_aborts_request_with_ecanceled() {
         ..FaultPlan::default()
     };
     let summary = run_with(
-        WorldConfig::new(1).with_faults(plan),
+        WorldConfig {
+            faults: plan,
+            ..WorldConfig::new(1)
+        },
         vec![async_write_program(64e6)],
     );
     assert_eq!(summary.op_errors.len(), 1);
@@ -171,7 +192,13 @@ fn straggler_rank_slows_only_itself() {
     let programs: Vec<Program> = (0..2)
         .map(|_| Program::from_ops(vec![Op::Compute { seconds: 0.1 }]))
         .collect();
-    let summary = run_with(WorldConfig::new(2).with_faults(plan), programs);
+    let summary = run_with(
+        WorldConfig {
+            faults: plan,
+            ..WorldConfig::new(2)
+        },
+        programs,
+    );
     assert!((summary.accounting[0].compute - 0.1).abs() < 1e-12);
     assert!((summary.accounting[1].compute - 0.3).abs() < 1e-12);
 }
@@ -195,7 +222,13 @@ fn outage_window_freezes_then_run_completes() {
     }]);
     let base = run_with(WorldConfig::new(1), vec![program.clone()]);
     assert!(base.end_time.as_secs() < 0.02);
-    let faulty = run_with(WorldConfig::new(1).with_faults(plan), vec![program]);
+    let faulty = run_with(
+        WorldConfig {
+            faults: plan,
+            ..WorldConfig::new(1)
+        },
+        vec![program],
+    );
     assert!(
         faulty.end_time.as_secs() > 0.050,
         "outage must delay completion, got {}",
@@ -224,7 +257,13 @@ fn degraded_window_slows_reads_proportionally() {
         bytes: 1e9,
     }]);
     let base = run_with(WorldConfig::new(1), vec![program.clone()]);
-    let slow = run_with(WorldConfig::new(1).with_faults(plan), vec![program]);
+    let slow = run_with(
+        WorldConfig {
+            faults: plan,
+            ..WorldConfig::new(1)
+        },
+        vec![program],
+    );
     let ratio = slow.end_time.as_secs() / base.end_time.as_secs();
     assert!((ratio - 2.0).abs() < 1e-6, "ratio {ratio}");
 }
@@ -281,7 +320,10 @@ fn wait_and_test_report_failure_instead_of_hanging() {
         ..FaultPlan::default()
     };
     let mut world = World::new(
-        WorldConfig::new(1).with_faults(plan.clone()),
+        WorldConfig {
+            faults: plan.clone(),
+            ..WorldConfig::new(1)
+        },
         vec![async_write_program(4e6)],
         Obs::default(),
     );
@@ -317,7 +359,13 @@ fn fault_window_composes_with_capacity_noise_channel() {
             bytes: 2e8,
         },
     ]);
-    let summary = run_with(WorldConfig::new(1).with_faults(plan), vec![program]);
+    let summary = run_with(
+        WorldConfig {
+            faults: plan,
+            ..WorldConfig::new(1)
+        },
+        vec![program],
+    );
     assert!(summary.op_errors.is_empty());
     let _ = Channel::Write; // channel vocabulary re-exported for callers
     assert!(summary.end_time.as_secs() > 0.0);

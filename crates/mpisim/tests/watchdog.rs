@@ -28,12 +28,14 @@ fn endless_outage() -> FaultPlan {
 /// an endless outage: the tick chain keeps the event loop alive forever
 /// while no byte can move.
 fn ticking_outage(n_ranks: usize) -> WorldConfig {
-    let mut cfg = WorldConfig::new(n_ranks).with_faults(endless_outage());
-    cfg.capacity_noise = Some(CapacityNoiseCfg {
-        period: 0.001,
-        noise: Noise::UniformRel(0.1),
-    });
-    cfg
+    WorldConfig {
+        faults: endless_outage(),
+        capacity_noise: Some(CapacityNoiseCfg {
+            period: 0.001,
+            noise: Noise::UniformRel(0.1),
+        }),
+        ..WorldConfig::new(n_ranks)
+    }
 }
 
 /// Submits 8 MB to the frozen write channel and waits for it.
@@ -59,10 +61,13 @@ fn capacity_ticks_under_endless_outage_trip_the_watchdog() {
     // The rank waits on a frozen request while capacity ticks fire fresh
     // events, so the queue never drains: without the watchdog this run
     // spins forever in wall-clock time.
-    let cfg = ticking_outage(1).with_watchdog(WatchdogCfg {
-        max_futile_events: 500,
-        max_stall: f64::INFINITY,
-    });
+    let cfg = WorldConfig {
+        watchdog: WatchdogCfg {
+            max_futile_events: 500,
+            max_stall: f64::INFINITY,
+        },
+        ..ticking_outage(1)
+    };
     let err = try_run(cfg, frozen_write()).expect_err("outage-frozen tick loop must fail");
     assert!(err.to_string().contains("watchdog: no progress"), "{err}");
     let SimError::Stalled(snap) = err else {
@@ -95,10 +100,13 @@ fn stall_snapshot_counts_every_pending_event() {
         Op::Compute { seconds: 100.0 },
         Op::Wait { tag: ReqTag(0) },
     ]);
-    let cfg = ticking_outage(8).with_watchdog(WatchdogCfg {
-        max_futile_events: 3,
-        max_stall: f64::INFINITY,
-    });
+    let cfg = WorldConfig {
+        watchdog: WatchdogCfg {
+            max_futile_events: 3,
+            max_stall: f64::INFINITY,
+        },
+        ..ticking_outage(8)
+    };
     let mut world = World::new(cfg, vec![program; 8], NoHooks);
     world.create_file("f");
     let err = world
@@ -117,10 +125,13 @@ fn stall_time_bound_trips_independently_of_event_count() {
     // Same frozen tick loop, but bounded by virtual no-progress time: each
     // tick advances the clock 1 ms, so 1 s of stall is ~1000 ticks — well
     // under the generous event bound.
-    let cfg = ticking_outage(1).with_watchdog(WatchdogCfg {
-        max_futile_events: u64::MAX,
-        max_stall: 1.0,
-    });
+    let cfg = WorldConfig {
+        watchdog: WatchdogCfg {
+            max_futile_events: u64::MAX,
+            max_stall: 1.0,
+        },
+        ..ticking_outage(1)
+    };
     let err = try_run(cfg, frozen_write()).expect_err("stall-time bound must fail the run");
     let SimError::Stalled(snap) = err else {
         panic!("expected Stalled, got {err}");
@@ -133,7 +144,10 @@ fn frozen_wait_is_reported_as_deadlock() {
     // A blocking `Wait` on the frozen request fires no further events: the
     // queue drains with the rank still blocked — the deadlock shape, not
     // the live-lock shape.
-    let cfg = WorldConfig::new(1).with_faults(endless_outage());
+    let cfg = WorldConfig {
+        faults: endless_outage(),
+        ..WorldConfig::new(1)
+    };
     let err = try_run(cfg, frozen_write()).expect_err("frozen wait must fail");
     assert!(err.to_string().contains("deadlock"), "{err}");
     let SimError::Deadlock(snap) = err else {

@@ -26,4 +26,5 @@ pub mod burstbuffer;
 mod pfs;
 
 pub use burstbuffer::{BurstBuffer, BurstBufferConfig};
-pub use pfs::{Channel, FlowId, FlowSpec, MeterId, Pfs, PfsConfig};
+pub use pfs::{FlowId, FlowSpec, MeterId, Pfs, PfsConfig};
+pub use simcore::Channel;

@@ -34,34 +34,18 @@
 //!   solves uniformly.
 
 use crate::alloc::{water_fill_into, Demand, WaterFillScratch};
-use simcore::{SimTime, StepSeries};
+use simcore::{Channel, SimTime, StepSeries};
 
-/// Identifies a single flow (one logical transfer) for completion callbacks.
+/// Names a flow (one logical transfer) for its completion callback. The
+/// caller picks it at submission and a harvest hands it back unchanged:
+/// the engine never invents or interprets ids, so flows may share one, and
+/// each comes back once.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct FlowId(pub u64);
 
 /// Identifies a bandwidth meter (a recorded aggregate rate series).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct MeterId(usize);
-
-/// Transfer direction; the two channels have independent capacities, matching
-/// the paper's Lichtenberg numbers (106 GB/s write, 120 GB/s read).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum Channel {
-    /// Writes to the PFS.
-    Write,
-    /// Reads from the PFS.
-    Read,
-}
-
-impl Channel {
-    fn index(self) -> usize {
-        match self {
-            Channel::Write => 0,
-            Channel::Read => 1,
-        }
-    }
-}
 
 /// Specification of a new flow.
 #[derive(Clone, Copy, Debug)]
@@ -439,7 +423,6 @@ impl ChannelState {
 pub struct Pfs {
     channels: [ChannelState; 2],
     now: SimTime,
-    next_flow: u64,
     next_meter: usize,
     meter_series: Vec<StepSeries>,
     record: bool,
@@ -469,7 +452,6 @@ impl Pfs {
                 ChannelState::new(config.read_capacity),
             ],
             now: SimTime::ZERO,
-            next_flow: 0,
             next_meter: 0,
             meter_series: Vec::new(),
             record: true,
@@ -500,7 +482,7 @@ impl Pfs {
 
     /// The recorded aggregate rate of a whole channel.
     pub fn total_series(&self, channel: Channel) -> &StepSeries {
-        &self.channels[channel.index()].total_series
+        &self.channels[channel as usize].total_series
     }
 
     /// Consumes the PFS, returning the write and read channels' aggregate
@@ -522,24 +504,38 @@ impl Pfs {
 
     /// Number of in-flight flows on a channel. O(1).
     pub fn active_flows(&self, channel: Channel) -> usize {
-        self.channels[channel.index()].n_flows
+        self.channels[channel as usize].n_flows
     }
 
-    /// Submits `count` identical flows at time `t`; returns their ids.
+    /// Submits one identical flow per id in `ids` at time `t`.
     ///
     /// `t` must be ≥ all previously observed times. Like [`Pfs::submit`],
     /// zero-byte flows are not reported here: they complete at `t` and come
     /// back from the next [`Pfs::advance_to`] (or [`Pfs::advance_into`]).
-    pub fn submit_many(
+    pub fn submit_many(&mut self, t: SimTime, channel: Channel, spec: FlowSpec, ids: &[FlowId]) {
+        assert!(!ids.is_empty(), "need at least one flow");
+        self.submit_with(t, channel, spec, |members| members.extend_from_slice(ids));
+    }
+
+    /// Submits a single flow named `id`. See [`Pfs::submit_many`].
+    ///
+    /// Allocation-free in steady state: the id goes straight into a
+    /// (possibly recycled) group-member buffer.
+    pub fn submit(&mut self, t: SimTime, channel: Channel, spec: FlowSpec, id: FlowId) {
+        self.submit_with(t, channel, spec, |members| members.push(id));
+    }
+
+    /// Settles state up to `t`, lets `add` append the new flows' ids to the
+    /// members of the group they join, and reallocates `channel`.
+    fn submit_with(
         &mut self,
         t: SimTime,
         channel: Channel,
         spec: FlowSpec,
-        count: usize,
-    ) -> Vec<FlowId> {
+        add: impl FnOnce(&mut Vec<FlowId>),
+    ) {
         assert!(spec.bytes >= 0.0, "bytes must be non-negative");
         assert!(spec.weight > 0.0, "weight must be positive");
-        assert!(count > 0, "need at least one flow");
         // Settle state up to t (no completions may be pending before t).
         let done = self.advance_to(t);
         assert!(
@@ -547,80 +543,40 @@ impl Pfs {
             "advance_to before submit returned unharvested completions; \
              call advance_to(t) and handle them first"
         );
-
-        let ids: Vec<FlowId> = (0..count)
-            .map(|_| {
-                let id = FlowId(self.next_flow);
-                self.next_flow += 1;
-                id
-            })
-            .collect();
-
-        let ch = &mut self.channels[channel.index()];
+        let ch = &mut self.channels[channel as usize];
         // Merge with an existing identical group (same remaining/cap/weight/
         // meter) — the common case for synchronized bursts.
         match ch.find(&spec) {
             Ok(i) => {
-                ch.members[i].extend_from_slice(&ids);
-                ch.n_flows += count;
+                let before = ch.members[i].len();
+                add(&mut ch.members[i]);
+                ch.n_flows += ch.members[i].len() - before;
             }
             Err(at) => {
                 let mut members = self.member_pool.pop().unwrap_or_default();
-                members.extend_from_slice(&ids);
+                add(&mut members);
                 ch.push(members, spec.bytes, spec.weight, spec.cap, spec.meter, at);
             }
         }
         self.reallocate(channel);
-        ids
-    }
-
-    /// Submits a single flow. See [`Pfs::submit_many`].
-    ///
-    /// Unlike the batch variant this path is allocation-free in steady state:
-    /// the id goes straight into a (possibly recycled) group-member buffer.
-    pub fn submit(&mut self, t: SimTime, channel: Channel, spec: FlowSpec) -> FlowId {
-        assert!(spec.bytes >= 0.0, "bytes must be non-negative");
-        assert!(spec.weight > 0.0, "weight must be positive");
-        let done = self.advance_to(t);
-        assert!(
-            done.is_empty(),
-            "advance_to before submit returned unharvested completions; \
-             call advance_to(t) and handle them first"
-        );
-        let id = FlowId(self.next_flow);
-        self.next_flow += 1;
-        let ch = &mut self.channels[channel.index()];
-        match ch.find(&spec) {
-            Ok(i) => {
-                ch.members[i].push(id);
-                ch.n_flows += 1;
-            }
-            Err(at) => {
-                let mut members = self.member_pool.pop().unwrap_or_default();
-                members.push(id);
-                ch.push(members, spec.bytes, spec.weight, spec.cap, spec.meter, at);
-            }
-        }
-        self.reallocate(channel);
-        id
     }
 
     /// Changes the rate cap of one in-flight flow at time `t`.
     ///
     /// The flow is split out of its group if needed. No-op for unknown or
-    /// already-completed flows. Finds the flow by scanning both channels'
-    /// groups: no flow index is kept, so submission and completion never
-    /// hash.
+    /// already-completed flows; of flows sharing `flow`, the first found is
+    /// capped. Finds the flow by scanning both channels' groups: no flow
+    /// index is kept, so submission and completion never hash.
     pub fn set_cap(&mut self, t: SimTime, flow: FlowId, cap: Option<f64>) {
         let done = self.advance_to(t);
         assert!(done.is_empty(), "handle completions before set_cap");
         let Some((channel, gi)) = [Channel::Write, Channel::Read].into_iter().find_map(|c| {
-            let members = &self.channels[c.index()].members;
+            let members = &self.channels[c as usize].members;
             Some((c, members.iter().position(|m| m.contains(&flow))?))
         }) else {
             return;
         };
-        let ch = &mut self.channels[channel.index()];
+        let ch = &mut self.channels[channel as usize];
         if ch.cap[gi] == cap {
             return;
         }
@@ -647,7 +603,7 @@ impl Pfs {
         assert!(capacity >= 0.0);
         let done = self.advance_to(t);
         assert!(done.is_empty(), "handle completions before set_capacity");
-        self.channels[channel.index()].capacity = capacity;
+        self.channels[channel as usize].capacity = capacity;
         self.reallocate(channel);
     }
 
@@ -662,13 +618,13 @@ impl Pfs {
             done.is_empty(),
             "handle completions before set_fault_factor"
         );
-        self.channels[channel.index()].fault_factor = factor;
+        self.channels[channel as usize].fault_factor = factor;
         self.reallocate(channel);
     }
 
     /// The current fault-plan capacity multiplier of a channel.
     pub fn fault_factor(&self, channel: Channel) -> f64 {
-        self.channels[channel.index()].fault_factor
+        self.channels[channel as usize].fault_factor
     }
 
     /// Earliest future completion across both channels, if any flow is live.
@@ -714,7 +670,7 @@ impl Pfs {
             self.progress_all(step_to);
             self.now = step_to;
             for channel in [Channel::Write, Channel::Read] {
-                let idx = channel.index();
+                let idx = channel as usize;
                 // Only sweep a channel with a completion due now; the other
                 // channel's groups cannot have reached zero (its earliest
                 // completion lies strictly in the future).
@@ -762,7 +718,7 @@ impl Pfs {
     /// remain valid because channels never share capacity.
     fn reallocate(&mut self, channel: Channel) {
         let now = self.now;
-        let ch = &mut self.channels[channel.index()];
+        let ch = &mut self.channels[channel as usize];
         self.solves += 1;
         self.peak_groups = self.peak_groups.max(ch.members.len() as u64);
         let capacity = ch.capacity * ch.fault_factor;
@@ -802,7 +758,7 @@ impl Pfs {
 
     fn record_series(&mut self, channel: Channel) {
         let now = self.now;
-        let ch = &mut self.channels[channel.index()];
+        let ch = &mut self.channels[channel as usize];
         let total = ch.total_rate();
         ch.total_series.push(now, total);
         if self.meter_series.is_empty() {
@@ -834,6 +790,11 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    /// `count` consecutive ids from `first`.
+    fn flow_ids(first: u64, count: u64) -> Vec<FlowId> {
+        (first..first + count).map(FlowId).collect()
+    }
+
     fn pfs(cap: f64) -> Pfs {
         Pfs::new(PfsConfig {
             write_capacity: cap,
@@ -844,7 +805,8 @@ mod tests {
     #[test]
     fn single_flow_completes_at_bytes_over_capacity() {
         let mut p = pfs(100.0);
-        let id = p.submit(t(0.0), Channel::Write, FlowSpec::simple(1000.0));
+        let id = FlowId(0);
+        p.submit(t(0.0), Channel::Write, FlowSpec::simple(1000.0), id);
         assert_eq!(p.next_completion(), Some(t(10.0)));
         let done = p.advance_to(t(20.0));
         assert_eq!(done, vec![(t(10.0), id)]);
@@ -853,8 +815,10 @@ mod tests {
     #[test]
     fn two_flows_share_equally() {
         let mut p = pfs(100.0);
-        let a = p.submit(t(0.0), Channel::Write, FlowSpec::simple(1000.0));
-        let b = p.submit(t(0.0), Channel::Write, FlowSpec::simple(1000.0));
+        let a = FlowId(0);
+        p.submit(t(0.0), Channel::Write, FlowSpec::simple(1000.0), a);
+        let b = FlowId(1);
+        p.submit(t(0.0), Channel::Write, FlowSpec::simple(1000.0), b);
         // Each runs at 50 B/s -> both complete at 20 s.
         let done = p.advance_to(t(30.0));
         let times: Vec<f64> = done.iter().map(|d| d.0.as_secs()).collect();
@@ -867,9 +831,11 @@ mod tests {
     #[test]
     fn late_arrival_slows_first_flow() {
         let mut p = pfs(100.0);
-        let a = p.submit(t(0.0), Channel::Write, FlowSpec::simple(1000.0));
+        let a = FlowId(0);
+        p.submit(t(0.0), Channel::Write, FlowSpec::simple(1000.0), a);
         // At t=5, a has 500 left. New flow of 250 arrives; both at 50 B/s.
-        let b = p.submit(t(5.0), Channel::Write, FlowSpec::simple(250.0));
+        let b = FlowId(1);
+        p.submit(t(5.0), Channel::Write, FlowSpec::simple(250.0), b);
         // b finishes at 5 + 250/50 = 10; then a runs at 100 with 250 left
         // (a did 500 + 5*50 = 750 by t=10) -> finishes at 12.5.
         let done = p.advance_to(t(20.0));
@@ -883,8 +849,8 @@ mod tests {
     #[test]
     fn channels_are_independent() {
         let mut p = pfs(100.0);
-        p.submit(t(0.0), Channel::Write, FlowSpec::simple(1000.0));
-        p.submit(t(0.0), Channel::Read, FlowSpec::simple(1000.0));
+        p.submit(t(0.0), Channel::Write, FlowSpec::simple(1000.0), FlowId(0));
+        p.submit(t(0.0), Channel::Read, FlowSpec::simple(1000.0), FlowId(1));
         // No interference: both complete at t=10.
         let done = p.advance_to(t(15.0));
         assert_eq!(done.len(), 2);
@@ -902,7 +868,7 @@ mod tests {
             cap: Some(10.0),
             meter: None,
         };
-        p.submit(t(0.0), Channel::Write, spec);
+        p.submit(t(0.0), Channel::Write, spec, FlowId(0));
         let done = p.advance_to(t(20.0));
         assert!((done[0].0.as_secs() - 10.0).abs() < 1e-9);
     }
@@ -910,7 +876,8 @@ mod tests {
     #[test]
     fn cap_change_mid_flight() {
         let mut p = pfs(100.0);
-        let id = p.submit(t(0.0), Channel::Write, FlowSpec::simple(1000.0));
+        let id = FlowId(0);
+        p.submit(t(0.0), Channel::Write, FlowSpec::simple(1000.0), id);
         // After 5 s at 100 B/s: 500 left. Cap to 25 B/s -> 20 more seconds.
         p.set_cap(t(5.0), id, Some(25.0));
         let done = p.advance_to(t(100.0));
@@ -920,8 +887,8 @@ mod tests {
     #[test]
     fn group_merge_keeps_individual_ids() {
         let mut p = pfs(100.0);
-        let ids = p.submit_many(t(0.0), Channel::Write, FlowSpec::simple(50.0), 4);
-        assert_eq!(ids.len(), 4);
+        let ids = flow_ids(0, 4);
+        p.submit_many(t(0.0), Channel::Write, FlowSpec::simple(50.0), &ids);
         assert_eq!(p.active_flows(Channel::Write), 4);
         // One group internally.
         assert_eq!(p.channels[0].members.len(), 1);
@@ -932,17 +899,51 @@ mod tests {
     }
 
     #[test]
+    fn harvest_returns_exactly_the_submitted_ids() {
+        let mut p = pfs(100.0);
+        let ids = [FlowId(42), FlowId(7), FlowId(u64::MAX), FlowId(0)];
+        p.submit(t(0.0), Channel::Write, FlowSpec::simple(100.0), ids[0]);
+        p.submit_many(t(0.0), Channel::Read, FlowSpec::simple(50.0), &ids[1..3]);
+        p.submit(t(0.5), Channel::Write, FlowSpec::simple(0.0), ids[3]);
+        let mut got: Vec<FlowId> = p.advance_to(t(100.0)).iter().map(|d| d.1).collect();
+        got.sort();
+        let mut want = ids.to_vec();
+        want.sort();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn flows_sharing_an_id_merge_and_come_back_once_each() {
+        let mut p = pfs(100.0);
+        let shared = FlowId(u64::MAX);
+        let spec = FlowSpec {
+            bytes: 100.0,
+            weight: 1.0,
+            cap: Some(10.0),
+            meter: None,
+        };
+        p.submit(t(0.0), Channel::Write, spec, shared);
+        p.submit(t(0.0), Channel::Write, spec, shared);
+        assert_eq!(p.channels[0].members.len(), 1);
+        assert_eq!(p.active_flows(Channel::Write), 2);
+        let done = p.advance_to(t(100.0));
+        assert_eq!(done, vec![(t(10.0), shared), (t(10.0), shared)]);
+        assert_eq!(p.active_flows(Channel::Write), 0);
+    }
+
+    #[test]
     fn same_spec_same_time_submits_merge() {
         let mut p = pfs(100.0);
-        p.submit(t(0.0), Channel::Write, FlowSpec::simple(50.0));
-        p.submit(t(0.0), Channel::Write, FlowSpec::simple(50.0));
+        p.submit(t(0.0), Channel::Write, FlowSpec::simple(50.0), FlowId(0));
+        p.submit(t(0.0), Channel::Write, FlowSpec::simple(50.0), FlowId(1));
         assert_eq!(p.channels[0].members.len(), 1);
     }
 
     #[test]
     fn split_on_cap_change_in_group() {
         let mut p = pfs(100.0);
-        let ids = p.submit_many(t(0.0), Channel::Write, FlowSpec::simple(100.0), 2);
+        let ids = flow_ids(0, 2);
+        p.submit_many(t(0.0), Channel::Write, FlowSpec::simple(100.0), &ids);
         p.set_cap(t(0.0), ids[0], Some(10.0));
         // ids[0] at 10 B/s (done at 10 s); ids[1] at 90 B/s (done at ~1.11 s).
         let done = p.advance_to(t(20.0));
@@ -956,7 +957,7 @@ mod tests {
     #[test]
     fn capacity_change_respected() {
         let mut p = pfs(100.0);
-        p.submit(t(0.0), Channel::Write, FlowSpec::simple(1000.0));
+        p.submit(t(0.0), Channel::Write, FlowSpec::simple(1000.0), FlowId(0));
         p.set_capacity(t(5.0), Channel::Write, 50.0);
         // 500 left at 50 B/s -> completes at 15 s.
         let done = p.advance_to(t(30.0));
@@ -966,7 +967,7 @@ mod tests {
     #[test]
     fn fault_factor_degrades_effective_capacity() {
         let mut p = pfs(100.0);
-        p.submit(t(0.0), Channel::Write, FlowSpec::simple(1000.0));
+        p.submit(t(0.0), Channel::Write, FlowSpec::simple(1000.0), FlowId(0));
         // Half capacity from t = 5: 500 left at 50 B/s -> completes at 15 s.
         p.set_fault_factor(t(5.0), Channel::Write, 0.5);
         assert_eq!(p.fault_factor(Channel::Write), 0.5);
@@ -978,7 +979,8 @@ mod tests {
     #[test]
     fn fault_outage_freezes_then_resumes() {
         let mut p = pfs(100.0);
-        let id = p.submit(t(0.0), Channel::Write, FlowSpec::simple(100.0));
+        let id = FlowId(0);
+        p.submit(t(0.0), Channel::Write, FlowSpec::simple(100.0), id);
         // Dead channel: the flow water-fills to rate 0 and completions freeze.
         p.set_fault_factor(t(0.5), Channel::Write, 0.0);
         assert_eq!(p.next_completion(), None);
@@ -992,7 +994,7 @@ mod tests {
     #[test]
     fn fault_factor_composes_with_capacity_noise() {
         let mut p = pfs(100.0);
-        p.submit(t(0.0), Channel::Write, FlowSpec::simple(1000.0));
+        p.submit(t(0.0), Channel::Write, FlowSpec::simple(1000.0), FlowId(0));
         p.set_fault_factor(t(0.0), Channel::Write, 0.5);
         // Capacity noise halves the nominal too: effective 25 B/s.
         p.set_capacity(t(0.0), Channel::Write, 50.0);
@@ -1004,8 +1006,8 @@ mod tests {
     fn neutral_fault_factor_changes_nothing() {
         let mut a = pfs(100.0);
         let mut b = pfs(100.0);
-        a.submit(t(0.0), Channel::Write, FlowSpec::simple(777.0));
-        b.submit(t(0.0), Channel::Write, FlowSpec::simple(777.0));
+        a.submit(t(0.0), Channel::Write, FlowSpec::simple(777.0), FlowId(0));
+        b.submit(t(0.0), Channel::Write, FlowSpec::simple(777.0), FlowId(1));
         b.set_fault_factor(t(0.0), Channel::Write, 1.0);
         assert_eq!(a.next_completion(), b.next_completion());
         let da = a.advance_to(t(50.0));
@@ -1016,7 +1018,7 @@ mod tests {
     #[test]
     fn stalled_flow_resumes_on_capacity() {
         let mut p = pfs(100.0);
-        p.submit(t(0.0), Channel::Write, FlowSpec::simple(100.0));
+        p.submit(t(0.0), Channel::Write, FlowSpec::simple(100.0), FlowId(0));
         p.set_capacity(t(0.0), Channel::Write, 0.0);
         assert_eq!(p.next_completion(), None);
         p.set_capacity(t(10.0), Channel::Write, 100.0);
@@ -1027,7 +1029,8 @@ mod tests {
     #[test]
     fn weighted_jobs_share_by_weight() {
         let mut p = pfs(120.0);
-        let a = p.submit(
+        let a = FlowId(0);
+        p.submit(
             t(0.0),
             Channel::Write,
             FlowSpec {
@@ -1036,8 +1039,10 @@ mod tests {
                 cap: None,
                 meter: None,
             },
+            a,
         );
-        let b = p.submit(
+        let b = FlowId(1);
+        p.submit(
             t(0.0),
             Channel::Write,
             FlowSpec {
@@ -1046,6 +1051,7 @@ mod tests {
                 cap: None,
                 meter: None,
             },
+            b,
         );
         // a at 80, b at 40. a done at 3.75; then b at 120 with 150 left ->
         // 3.75 + 1.25 = 5.0.
@@ -1059,8 +1065,8 @@ mod tests {
     #[test]
     fn total_series_records_rates() {
         let mut p = pfs(100.0);
-        p.submit(t(0.0), Channel::Write, FlowSpec::simple(1000.0));
-        p.submit(t(5.0), Channel::Write, FlowSpec::simple(250.0));
+        p.submit(t(0.0), Channel::Write, FlowSpec::simple(1000.0), FlowId(0));
+        p.submit(t(5.0), Channel::Write, FlowSpec::simple(250.0), FlowId(1));
         p.advance_to(t(20.0));
         let s = p.total_series(Channel::Write);
         assert_eq!(s.value_at(t(1.0)), 100.0);
@@ -1083,8 +1089,9 @@ mod tests {
                 cap: None,
                 meter: Some(m),
             },
+            FlowId(0),
         );
-        p.submit(t(0.0), Channel::Write, FlowSpec::simple(500.0));
+        p.submit(t(0.0), Channel::Write, FlowSpec::simple(500.0), FlowId(1));
         p.advance_to(t(20.0));
         let s = p.meter_series(m);
         assert_eq!(s.value_at(t(1.0)), 50.0);
@@ -1102,7 +1109,12 @@ mod tests {
         let mut p = pfs(100.0);
         // Mixed state: several group shapes across both channels, with
         // progress and a cap change between submissions.
-        p.submit_many(t(0.0), Channel::Write, FlowSpec::simple(500.0), 3);
+        p.submit_many(
+            t(0.0),
+            Channel::Write,
+            FlowSpec::simple(500.0),
+            &flow_ids(0, 3),
+        );
         p.submit(
             t(0.0),
             Channel::Read,
@@ -1112,8 +1124,10 @@ mod tests {
                 cap: Some(30.0),
                 meter: None,
             },
+            FlowId(3),
         );
-        let capped = p.submit(
+        let capped = FlowId(4);
+        p.submit(
             t(1.0),
             Channel::Write,
             FlowSpec {
@@ -1122,6 +1136,7 @@ mod tests {
                 cap: Some(20.0),
                 meter: None,
             },
+            capped,
         );
         p.advance_to(t(2.0));
         p.set_cap(t(2.5), capped, Some(40.0));
@@ -1160,7 +1175,8 @@ mod tests {
     #[test]
     fn zero_byte_flow_completes_instantly() {
         let mut p = pfs(100.0);
-        let id = p.submit(t(1.0), Channel::Write, FlowSpec::simple(0.0));
+        let id = FlowId(0);
+        p.submit(t(1.0), Channel::Write, FlowSpec::simple(0.0), id);
         let done = p.advance_to(t(1.0));
         assert_eq!(done, vec![(t(1.0), id)]);
     }
@@ -1168,7 +1184,8 @@ mod tests {
     #[test]
     fn zero_byte_submit_many_flows_come_back_from_the_next_advance() {
         let mut p = pfs(100.0);
-        let ids = p.submit_many(t(2.0), Channel::Read, FlowSpec::simple(0.0), 3);
+        let ids = flow_ids(0, 3);
+        p.submit_many(t(2.0), Channel::Read, FlowSpec::simple(0.0), &ids);
         assert_eq!(p.next_completion(), Some(t(2.0)));
         let done = p.advance_to(t(2.0));
         assert_eq!(done, ids.iter().map(|&id| (t(2.0), id)).collect::<Vec<_>>());

@@ -190,7 +190,8 @@ proptest! {
             match *op {
                 Op::Submit { read, bytes, weight, cap } => {
                     let channel = if read { Channel::Read } else { Channel::Write };
-                    let id = p.submit(t(now), channel, FlowSpec { bytes, weight, cap, meter: None });
+                    let id = FlowId(submitted as u64);
+                    p.submit(t(now), channel, FlowSpec { bytes, weight, cap, meter: None }, id);
                     live.push(id);
                     submitted += 1;
                 }
@@ -281,25 +282,24 @@ proptest! {
             x.0.partial_cmp(&y.0).unwrap().then(x.1.is_none().cmp(&y.1.is_none()))
         });
 
-        let mut id_of = vec![None; flows.len()];
         let mut done: Vec<(SimTime, FlowId)> = Vec::new();
         for (at, what) in events {
             done.extend(p.advance_to(t(at)));
             p.validate_invariants();
             if let Some(i) = what {
                 let f = &flows[i];
-                let id = p.submit(
+                p.submit(
                     t(f.arrival),
                     Channel::Write,
                     FlowSpec { bytes: f.bytes, weight: f.weight, cap: f.cap, meter: None },
+                    FlowId(i as u64),
                 );
-                id_of[i] = Some(id);
             }
         }
         done.extend(p.advance_to(t(20_000.0)));
 
         for (i, f) in flows.iter().enumerate() {
-            let id = id_of[i].unwrap();
+            let id = FlowId(i as u64);
             let engine_time = done
                 .iter()
                 .find(|(_, d)| *d == id)

@@ -1,7 +1,8 @@
 //! Pins the engine's arithmetic, not just its tolerances: fixed seeded op
 //! programs drive a [`Pfs`], and every harvested `(time bits, flow id)` and
 //! every [`Pfs::next_completion`] observed after an op is folded into an
-//! FNV-1a digest. A change to how rates, completion times or harvest order
+//! FNV-1a digest; the programs name their flows from their own counter,
+//! in submit order. A change to how rates, completion times or harvest order
 //! are computed changes the digest, even when every result stays within
 //! the tolerances the other tests allow.
 //!
@@ -62,6 +63,20 @@ impl Rng {
 
     fn chance(&mut self, p: f64) -> bool {
         self.unit() < p
+    }
+}
+
+/// The programs' flow names: consecutive ids in submit order, from 0.
+struct Ids(u64);
+
+impl Ids {
+    fn one(&mut self) -> FlowId {
+        self.0 += 1;
+        FlowId(self.0 - 1)
+    }
+
+    fn many(&mut self, count: u64) -> Vec<FlowId> {
+        (0..count).map(|_| self.one()).collect()
     }
 }
 
@@ -131,6 +146,7 @@ fn run(seed: u64, mix: Mix) -> u64 {
     let mut d = Digest::new();
     let mut now = 0.0f64;
     let mut live: Vec<FlowId> = Vec::new();
+    let mut ids = Ids(0);
     let meters: Vec<MeterId> = (0..mix.meters).map(|_| p.meter()).collect();
     let harvest = |p: &mut Pfs, at: f64, live: &mut Vec<FlowId>, d: &mut Digest| {
         for (ct, id) in p.advance_to(t(at)) {
@@ -178,8 +194,9 @@ fn run(seed: u64, mix: Mix) -> u64 {
             Some(0) => {}
             Some(1) => {
                 let s = spec(&mut rng);
-                let count = 1 + (rng.next() % 8) as usize;
-                live.extend(p.submit_many(t(now), ch, s, count));
+                let batch = ids.many(1 + rng.next() % 8);
+                p.submit_many(t(now), ch, s, &batch);
+                live.extend(batch);
             }
             Some(2) => {
                 if !live.is_empty() {
@@ -198,7 +215,9 @@ fn run(seed: u64, mix: Mix) -> u64 {
             }
             _ => {
                 let s = spec(&mut rng);
-                live.push(p.submit(t(now), ch, s));
+                let id = ids.one();
+                p.submit(t(now), ch, s, id);
+                live.push(id);
             }
         }
         d.fold(
@@ -338,6 +357,7 @@ fn edge_cases() -> u64 {
         read_capacity: 64.0,
     });
     let m: Vec<MeterId> = (0..3).map(|_| p.meter()).collect();
+    let mut ids = Ids(0);
     let mut d = Digest::new();
     let spec = |bytes: f64, meter: Option<MeterId>| FlowSpec {
         bytes,
@@ -364,16 +384,16 @@ fn edge_cases() -> u64 {
     // groups apart only by meter. The merges below must pick D and E, not
     // A, and the harvest at t = 8 scans A, then E (swapped into A's hole),
     // then D (swapped into the same hole) before C lands there.
-    p.submit(t(0.0), w, spec(100.0, Some(m[0])));
-    p.submit(t(0.0), w, spec(900.0, None));
-    p.submit(t(0.0), w, spec(700.0, None));
-    p.submit(t(0.0), w, spec(100.0, Some(m[1])));
-    p.submit(t(0.0), w, spec(100.0, Some(m[2])));
-    p.submit(t(0.0), w, spec(100.0, Some(m[1])));
-    p.submit_many(t(0.0), w, spec(100.0, Some(m[2])), 2);
+    p.submit(t(0.0), w, spec(100.0, Some(m[0])), ids.one());
+    p.submit(t(0.0), w, spec(900.0, None), ids.one());
+    p.submit(t(0.0), w, spec(700.0, None), ids.one());
+    p.submit(t(0.0), w, spec(100.0, Some(m[1])), ids.one());
+    p.submit(t(0.0), w, spec(100.0, Some(m[2])), ids.one());
+    p.submit(t(0.0), w, spec(100.0, Some(m[1])), ids.one());
+    p.submit_many(t(0.0), w, spec(100.0, Some(m[2])), &ids.many(2));
     fold_next(&p, &mut d);
     harvest(&mut p, 7.0, &mut d);
-    p.submit(t(7.0), w, spec(12.5, Some(m[0])));
+    p.submit(t(7.0), w, spec(12.5, Some(m[0])), ids.one());
     fold_next(&p, &mut d);
     harvest(&mut p, 10.0, &mut d);
     fold_next(&p, &mut d);
@@ -384,17 +404,17 @@ fn edge_cases() -> u64 {
     // with the smaller ones (columns 1 and 3) against their index order,
     // and a merge on meter m2 must pick column 2, not column 3.
     let big = 2f64.powi(54);
-    p.submit(t(10.0), r, spec(big + 12.0, Some(m[0])));
-    p.submit(t(10.0), r, spec(big + 8.0, Some(m[1])));
-    p.submit(t(10.0), r, spec(big + 12.0, Some(m[2])));
-    p.submit(t(10.0), r, spec(big + 8.0, Some(m[2])));
+    p.submit(t(10.0), r, spec(big + 12.0, Some(m[0])), ids.one());
+    p.submit(t(10.0), r, spec(big + 8.0, Some(m[1])), ids.one());
+    p.submit(t(10.0), r, spec(big + 12.0, Some(m[2])), ids.one());
+    p.submit(t(10.0), r, spec(big + 8.0, Some(m[2])), ids.one());
     fold_next(&p, &mut d);
     // 64 B/s over four flows for 1/8 s: exactly 2 bytes each.
     harvest(&mut p, 10.125, &mut d);
-    p.submit(t(10.125), r, spec(big + 8.0, Some(m[2])));
-    p.submit(t(10.125), r, spec(big + 8.0, Some(m[1])));
-    p.submit(t(10.125), r, spec(big + 8.0, Some(m[0])));
-    p.submit(t(10.125), r, spec(big + 8.0, None));
+    p.submit(t(10.125), r, spec(big + 8.0, Some(m[2])), ids.one());
+    p.submit(t(10.125), r, spec(big + 8.0, Some(m[1])), ids.one());
+    p.submit(t(10.125), r, spec(big + 8.0, Some(m[0])), ids.one());
+    p.submit(t(10.125), r, spec(big + 8.0, None), ids.one());
     fold_next(&p, &mut d);
     // Finish the five tied groups at one instant.
     p.set_capacity(t(10.125), r, big);
@@ -404,18 +424,19 @@ fn edge_cases() -> u64 {
 
     // Uniform -> capped -> uniform on the read channel, with submits and
     // a same-instant harvest while capped.
-    let a = p.submit(t(100.0), r, spec(640.0, None));
-    p.submit(t(100.0), r, spec(320.0, Some(m[2])));
-    p.submit(t(100.0), r, spec(960.0, None));
+    let a = ids.one();
+    p.submit(t(100.0), r, spec(640.0, None), a);
+    p.submit(t(100.0), r, spec(320.0, Some(m[2])), ids.one());
+    p.submit(t(100.0), r, spec(960.0, None), ids.one());
     p.set_cap(t(101.0), a, Some(8.0));
     fold_next(&p, &mut d);
-    p.submit(t(102.0), r, spec(200.0, None));
-    p.submit(t(102.0), r, spec(200.0, Some(m[1])));
+    p.submit(t(102.0), r, spec(200.0, None), ids.one());
+    p.submit(t(102.0), r, spec(200.0, Some(m[1])), ids.one());
     fold_next(&p, &mut d);
     harvest(&mut p, 110.0, &mut d);
     p.set_cap(t(110.0), a, None);
     fold_next(&p, &mut d);
-    p.submit(t(110.0), r, spec(50.0, None));
+    p.submit(t(110.0), r, spec(50.0, None), ids.one());
     fold_next(&p, &mut d);
     harvest(&mut p, 1e6, &mut d);
     harvest(&mut p, 1e6, &mut d);

@@ -47,23 +47,22 @@ proptest! {
         // Submit in arrival order; collect completions.
         let mut order: Vec<usize> = (0..flows.len()).collect();
         order.sort_by(|&a, &b| flows[a].arrival.partial_cmp(&flows[b].arrival).unwrap());
-        let mut id_of = vec![None; flows.len()];
         let mut done: Vec<(SimTime, pfsim::FlowId)> = Vec::new();
         for &i in &order {
             let f = &flows[i];
             // Drain completions that happen before this arrival.
             done.extend(p.advance_to(t(f.arrival)));
-            let id = p.submit(
+            p.submit(
                 t(f.arrival),
                 Channel::Write,
                 FlowSpec { bytes: f.bytes, weight: f.weight, cap: f.cap, meter: None },
+                pfsim::FlowId(i as u64),
             );
-            id_of[i] = Some(id);
         }
         done.extend(p.advance_to(t(20_000.0)));
 
         for (i, f) in flows.iter().enumerate() {
-            let id = id_of[i].unwrap();
+            let id = pfsim::FlowId(i as u64);
             let engine_time = done
                 .iter()
                 .find(|(_, d)| *d == id)
@@ -147,6 +146,7 @@ proptest! {
                 t(f.arrival),
                 Channel::Write,
                 FlowSpec { bytes: f.bytes, weight: f.weight, cap: f.cap, meter: None },
+                pfsim::FlowId(i as u64),
             );
             total_bytes += f.bytes;
         }
@@ -165,21 +165,20 @@ proptest! {
     #[test]
     fn smaller_flows_finish_first(bytes in prop::collection::vec(1.0f64..1000.0, 2..8)) {
         let mut p = Pfs::new(PfsConfig { write_capacity: 50.0, read_capacity: 50.0 });
-        let ids: Vec<_> = bytes
-            .iter()
-            .map(|&b| p.submit(t(0.0), Channel::Write, FlowSpec::simple(b)))
-            .collect();
+        for (i, &b) in bytes.iter().enumerate() {
+            p.submit(t(0.0), Channel::Write, FlowSpec::simple(b), pfsim::FlowId(i as u64));
+        }
         let done = p.advance_to(t(1e7));
-        let time_of = |id| {
+        let time_of = |i: usize| {
             done.iter()
-                .find(|(_, d)| *d == id)
+                .find(|(_, d)| d.0 == i as u64)
                 .map(|(ct, _)| ct.as_secs())
                 .unwrap()
         };
         for i in 0..bytes.len() {
             for j in 0..bytes.len() {
                 if bytes[i] < bytes[j] {
-                    prop_assert!(time_of(ids[i]) <= time_of(ids[j]) + 1e-9);
+                    prop_assert!(time_of(i) <= time_of(j) + 1e-9);
                 }
             }
         }

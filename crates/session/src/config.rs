@@ -141,12 +141,6 @@ impl ExpConfig {
         self
     }
 
-    /// Sets the compute-phase noise model.
-    pub fn with_noise(mut self, noise: Noise) -> Self {
-        self.compute_noise = noise;
-        self
-    }
-
     /// Sets the PFS channel capacities.
     pub fn with_pfs(mut self, pfs: PfsConfig) -> Self {
         self.pfs = pfs;
@@ -210,12 +204,6 @@ impl ExpConfig {
     /// Installs a fault plan.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Sets the progress-watchdog thresholds.
-    pub fn with_watchdog(mut self, watchdog: WatchdogCfg) -> Self {
-        self.watchdog = watchdog;
         self
     }
 

@@ -11,9 +11,9 @@
 //!    ([`HaccIo`], [`Wacomm`]) and stream their ops in closed form; new
 //!    workloads plug in without touching the runners, and [`RawWorkload`]
 //!    lifts ad-hoc op lists into the pipeline.
-//! 2. [`ExpConfig`] — how it runs: the knobs the paper varies, with a full
-//!    builder surface (`with_seed`, `with_noise`, `with_pfs`, …) and the
-//!    seeded [`simcore::FaultPlan`] for chaos runs.
+//! 2. [`ExpConfig`] — how it runs: the knobs the paper varies, as public
+//!    fields with builders for the ones frontends set (`with_seed`,
+//!    `with_pfs`, …), and the seeded [`simcore::FaultPlan`] for chaos runs.
 //! 3. [`Session`] / [`SessionBuilder`] — one execution entry point that
 //!    composes the config, the workload, the tracer and the fault plan
 //!    into a [`RunOutput`].

@@ -14,6 +14,7 @@
 
 use crate::error::{SimError, SimResult};
 use crate::rng::{stream_rng, SmallRng};
+use crate::Channel;
 
 /// Which PFS channel a fault window applies to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -27,12 +28,11 @@ pub enum FaultChannel {
 }
 
 impl FaultChannel {
-    /// Whether the window applies to the channel with the given index
-    /// (0 = write, 1 = read; mirrors `pfsim::Channel::index`).
-    pub fn applies_to(self, index: usize) -> bool {
+    /// Whether the window applies to `channel`.
+    pub fn applies_to(self, channel: Channel) -> bool {
         match self {
-            FaultChannel::Write => index == 0,
-            FaultChannel::Read => index == 1,
+            FaultChannel::Write => channel == Channel::Write,
+            FaultChannel::Read => channel == Channel::Read,
             FaultChannel::Both => true,
         }
     }
@@ -125,8 +125,8 @@ impl IoErrorModel {
             !self.kinds.is_empty(),
             "error model needs at least one kind"
         );
-        if rng.gen::<f64>() < self.prob {
-            let i = rng.gen_range(0..self.kinds.len());
+        if rng.next_f64() < self.prob {
+            let i = rng.below(self.kinds.len() as u64) as usize;
             Some(self.kinds[i])
         } else {
             None
@@ -227,12 +227,11 @@ impl FaultPlan {
         self.io_errors.as_ref().is_some_and(|m| m.prob > 0.0)
     }
 
-    /// The compound capacity factor on channel `index` (0 = write, 1 = read)
-    /// at time `t`: the product of every active window containing `t`
-    /// (windows are right-open).
-    pub fn capacity_factor(&self, index: usize, t: f64) -> f64 {
+    /// The compound capacity factor on `channel` at time `t`: the product
+    /// of every active window containing `t` (windows are right-open).
+    pub fn capacity_factor(&self, channel: Channel, t: f64) -> f64 {
         self.active_channel_faults()
-            .filter(|w| w.channel.applies_to(index) && w.start <= t && t < w.end)
+            .filter(|w| w.channel.applies_to(channel) && w.start <= t && t < w.end)
             .map(|w| w.factor)
             .product()
     }
@@ -296,8 +295,9 @@ impl FaultPlan {
         let active: Vec<&ChannelFaultWindow> = self.active_channel_faults().collect();
         for (i, a) in active.iter().enumerate() {
             for b in active.iter().skip(i + 1) {
-                let share_channel =
-                    (0..2).any(|c| a.channel.applies_to(c) && b.channel.applies_to(c));
+                let share_channel = [Channel::Write, Channel::Read]
+                    .into_iter()
+                    .any(|c| a.channel.applies_to(c) && b.channel.applies_to(c));
                 if share_channel && a.start < b.end && b.start < a.end {
                     return bad(
                         "faults.channel_faults",
@@ -390,7 +390,7 @@ mod tests {
             ..FaultPlan::default()
         };
         assert!(inert(&plan));
-        assert_eq!(plan.capacity_factor(0, 1.5), 1.0);
+        assert_eq!(plan.capacity_factor(Channel::Write, 1.5), 1.0);
         assert_eq!(plan.straggler_factor(0), 1.0);
     }
 
@@ -406,12 +406,37 @@ mod tests {
             ..FaultPlan::default()
         };
         assert!(!inert(&plan));
-        assert_eq!(plan.capacity_factor(0, 0.5), 1.0);
-        assert_eq!(plan.capacity_factor(0, 1.0), 0.0);
-        assert_eq!(plan.capacity_factor(0, 1.999), 0.0);
-        assert_eq!(plan.capacity_factor(0, 2.0), 1.0);
+        assert_eq!(plan.capacity_factor(Channel::Write, 0.5), 1.0);
+        assert_eq!(plan.capacity_factor(Channel::Write, 1.0), 0.0);
+        assert_eq!(plan.capacity_factor(Channel::Write, 1.999), 0.0);
+        assert_eq!(plan.capacity_factor(Channel::Write, 2.0), 1.0);
         // Read channel untouched.
-        assert_eq!(plan.capacity_factor(1, 1.5), 1.0);
+        assert_eq!(plan.capacity_factor(Channel::Read, 1.5), 1.0);
+    }
+
+    #[test]
+    fn capacity_factor_selects_the_window_channel() {
+        let cases = [
+            (FaultChannel::Write, [0.5, 1.0]),
+            (FaultChannel::Read, [1.0, 0.5]),
+            (FaultChannel::Both, [0.5, 0.5]),
+        ];
+        for (fc, want) in cases {
+            let plan = FaultPlan {
+                channel_faults: vec![ChannelFaultWindow {
+                    channel: fc,
+                    start: 1.0,
+                    end: 2.0,
+                    factor: 0.5,
+                }],
+                ..FaultPlan::default()
+            };
+            for (ch, w) in [Channel::Write, Channel::Read].into_iter().zip(want) {
+                assert_eq!(fc.applies_to(ch), w < 1.0, "{fc:?} on {ch:?}");
+                assert_eq!(plan.capacity_factor(ch, 1.5), w, "{fc:?} on {ch:?}");
+                assert_eq!(plan.capacity_factor(ch, 2.0), 1.0, "{fc:?} on {ch:?}");
+            }
+        }
     }
 
     #[test]
@@ -426,8 +451,8 @@ mod tests {
             channel_faults: vec![w(0.0, 10.0, 0.5), w(5.0, 6.0, 0.5)],
             ..FaultPlan::default()
         };
-        assert_eq!(plan.capacity_factor(0, 1.0), 0.5);
-        assert_eq!(plan.capacity_factor(1, 5.5), 0.25);
+        assert_eq!(plan.capacity_factor(Channel::Write, 1.0), 0.5);
+        assert_eq!(plan.capacity_factor(Channel::Read, 5.5), 0.25);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * [`stream_rng`] / [`Noise`] — reproducible per-stream randomness from
 //!   one generator ([`SmallRng`], xoshiro256++),
 //! * [`StepSeries`] — step-function time series for bandwidth plots,
-//! * [`TagMap`] — a hash-free map keyed by request tag.
+//! * [`TagMap`] — a hash-free map keyed by request tag,
+//! * [`Channel`] — the transfer direction every layer names a PFS channel by.
 //!
 //! The engine is intentionally minimal: world state lives in the crates that
 //! own it (`pfsim`, `mpisim`, `clustersim`); `simcore` only guarantees that
@@ -39,3 +40,14 @@ pub use rng::{rank_phase_stream, stream_rng, Noise, SmallRng};
 pub use series::StepSeries;
 pub use tags::TagMap;
 pub use time::SimTime;
+
+/// Transfer direction. The PFS's two channels have independent capacities,
+/// matching the paper's Lichtenberg numbers (106 GB/s write, 120 GB/s
+/// read); the discriminant is the channel's index.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum Channel {
+    /// Writes to the PFS.
+    Write = 0,
+    /// Reads from the PFS.
+    Read = 1,
+}

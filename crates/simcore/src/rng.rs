@@ -5,8 +5,6 @@
 //! master seed plus a stable stream identifier, so any figure can be
 //! regenerated bit-identically while streams stay statistically independent.
 
-use std::ops::{Range, RangeInclusive};
-
 /// The simulator's one generator: xoshiro256++, with its state expanded
 /// from a 64-bit seed through SplitMix64 so that similar seeds produce
 /// uncorrelated streams. Build one with [`stream_rng`].
@@ -51,68 +49,29 @@ impl SmallRng {
         result
     }
 
-    /// Draws a value of type `T` from its standard distribution.
-    #[inline]
-    pub fn gen<T: Sample>(&mut self) -> T {
-        T::sample(self)
-    }
-
-    /// Draws uniformly from `range`; panics on an empty range.
-    #[inline]
-    pub fn gen_range<R: SampleRange>(&mut self, range: R) -> R::Output {
-        range.sample(self)
-    }
-}
-
-/// Types [`SmallRng::gen`] can draw.
-pub trait Sample {
-    /// Draws one value from `rng`.
-    fn sample(rng: &mut SmallRng) -> Self;
-}
-
-impl Sample for f64 {
     /// Uniform in `[0, 1)` from 53 random mantissa bits.
     #[inline]
-    fn sample(rng: &mut SmallRng) -> f64 {
-        (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    pub fn next_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
-}
 
-/// Ranges [`SmallRng::gen_range`] can draw from.
-pub trait SampleRange {
-    /// The sampled value type.
-    type Output;
-    /// Draws one value from `rng`; panics on an empty range.
-    fn sample(self, rng: &mut SmallRng) -> Self::Output;
-}
-
-impl SampleRange for RangeInclusive<f64> {
-    type Output = f64;
+    /// Uniform in `[lo, hi]`: `lo + next_f64()·(hi − lo)`. Panics if
+    /// `lo > hi`.
     #[inline]
-    fn sample(self, rng: &mut SmallRng) -> f64 {
-        let (start, end) = self.into_inner();
-        assert!(start <= end, "cannot sample empty range");
-        start + rng.gen::<f64>() * (end - start)
+    pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
+        assert!(lo <= hi, "cannot sample empty range");
+        lo + self.next_f64() * (hi - lo)
+    }
+
+    /// Uniform in `0..n` by a modulo draw on 64 fresh bits: the bias is
+    /// below n / 2^64, far below what any check here can resolve. Panics
+    /// if `n` is 0.
+    #[inline]
+    pub fn below(&mut self, n: u64) -> u64 {
+        assert!(n > 0, "cannot sample empty range");
+        self.next_u64() % n
     }
 }
-
-macro_rules! int_sample_range {
-    ($($t:ty),*) => {$(
-        impl SampleRange for Range<$t> {
-            type Output = $t;
-            /// A modulo draw on 64 fresh bits: the bias is below
-            /// span / 2^64, far below what any check here can resolve.
-            #[inline]
-            fn sample(self, rng: &mut SmallRng) -> $t {
-                assert!(self.start < self.end, "cannot sample empty range");
-                let span = (self.end - self.start) as u128;
-                self.start + (u128::from(rng.next_u64()) % span) as $t
-            }
-        }
-    )*};
-}
-
-int_sample_range!(u32, usize);
 
 /// Mixes a master seed with a stream identifier into an independent RNG.
 ///
@@ -174,11 +133,11 @@ impl Noise {
             Noise::None => 1.0,
             Noise::UniformRel(a) => {
                 debug_assert!((0.0..1.0).contains(&a));
-                1.0 + rng.gen_range(-a..=a)
+                1.0 + rng.uniform(-a, a)
             }
             Noise::Spike { prob, factor } => {
                 debug_assert!((0.0..=1.0).contains(&prob));
-                if rng.gen::<f64>() < prob {
+                if rng.next_f64() < prob {
                     factor
                 } else {
                     1.0
@@ -186,7 +145,7 @@ impl Noise {
             }
             Noise::QuantizedRel { amplitude, levels } => {
                 debug_assert!(levels >= 1);
-                let level = rng.gen_range(0..levels);
+                let level = rng.below(u64::from(levels));
                 if levels == 1 {
                     1.0
                 } else {
@@ -231,12 +190,12 @@ mod tests {
     fn draws_stay_in_their_ranges() {
         let mut r = stream_rng(42, 0);
         for _ in 0..10_000 {
-            let x: f64 = r.gen();
+            let x = r.next_f64();
             assert!((0.0..1.0).contains(&x));
-            let y = r.gen_range(-0.25..=0.25);
+            let y = r.uniform(-0.25, 0.25);
             assert!((-0.25..=0.25).contains(&y));
-            let k = r.gen_range(3u32..9);
-            assert!((3..9).contains(&k));
+            let k = r.below(9);
+            assert!(k < 9);
         }
     }
 
@@ -245,7 +204,7 @@ mod tests {
         let mut r = stream_rng(1, 0);
         let mut seen = [false; 8];
         for _ in 0..1000 {
-            seen[r.gen_range(0usize..8)] = true;
+            seen[r.below(8) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
     }
@@ -254,7 +213,7 @@ mod tests {
     fn unit_mean_is_centered() {
         let mut r = stream_rng(5, 0);
         let n = 50_000;
-        let mean = (0..n).map(|_| r.gen::<f64>()).sum::<f64>() / n as f64;
+        let mean = (0..n).map(|_| r.next_f64()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
     }
 
@@ -350,10 +309,10 @@ mod tests {
         }
         let calls: [(&str, Draw); 11] = [
             ("next_u64", |r| r.next_u64()),
-            ("gen_f64", |r| r.gen::<f64>().to_bits()),
-            ("range_f64", |r| r.gen_range(-0.1..=0.1).to_bits()),
-            ("range_u32", |r| u64::from(r.gen_range(0..7u32))),
-            ("range_usize", |r| r.gen_range(0..5usize) as u64),
+            ("gen_f64", |r| r.next_f64().to_bits()),
+            ("range_f64", |r| r.uniform(-0.1, 0.1).to_bits()),
+            ("range_u32", |r| r.below(7)),
+            ("range_usize", |r| r.below(5)),
             ("none", |r| noise(Noise::None, r)),
             ("uniform", |r| noise(Noise::UniformRel(0.1), r)),
             ("spike", |r| {

@@ -55,6 +55,6 @@ pub use regions::{IncrementalSweep, Interval, Opened};
 pub use report::{Decomposition, FaultEventRecord, Report};
 pub use strategy::{Strategy, StrategyState, LIMIT_FLOOR};
 pub use tracer::{
-    Aggregation, AsyncSpan, ChannelKind, PhaseRecord, RecordCounts, SyncInterval, TeMode,
-    ThroughputWindow, Tracer, TracerConfig,
+    Aggregation, AsyncSpan, PhaseRecord, RecordCounts, SyncInterval, TeMode, ThroughputWindow,
+    Tracer, TracerConfig,
 };

@@ -4,8 +4,8 @@
 
 use crate::json::Json;
 use crate::regions::IncrementalSweep;
-use crate::tracer::{AsyncSpan, ChannelKind, PhaseRecord, SyncInterval, ThroughputWindow};
-use simcore::{Invariant, StepSeries};
+use crate::tracer::{AsyncSpan, PhaseRecord, SyncInterval, ThroughputWindow};
+use simcore::{Channel, Invariant, StepSeries};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Everything TMIO recorded about one run, plus modeled overheads.
@@ -234,17 +234,17 @@ impl Report {
         for s in &self.syncs {
             let dur = (s.end - s.begin).max(0.0);
             match s.channel {
-                ChannelKind::Write => d.sync_write += dur,
-                ChannelKind::Read => d.sync_read += dur,
+                Channel::Write => d.sync_write += dur,
+                Channel::Read => d.sync_read += dur,
             }
         }
         for sp in &self.spans {
             match sp.channel {
-                ChannelKind::Write => {
+                Channel::Write => {
                     d.async_write_lost += sp.lost();
                     d.async_write_exploit += sp.exploit();
                 }
-                ChannelKind::Read => {
+                Channel::Read => {
                     d.async_read_lost += sp.lost();
                     d.async_read_exploit += sp.exploit();
                 }
@@ -339,10 +339,10 @@ impl Report {
 }
 
 /// The trace's name of a channel.
-fn channel_name(c: ChannelKind) -> &'static str {
+fn channel_name(c: Channel) -> &'static str {
     match c {
-        ChannelKind::Write => "Write",
-        ChannelKind::Read => "Read",
+        Channel::Write => "Write",
+        Channel::Read => "Read",
     }
 }
 
@@ -350,7 +350,7 @@ fn channel_name(c: ChannelKind) -> &'static str {
 mod tests {
     use super::*;
     use crate::regions::Interval;
-    use crate::tracer::{AsyncSpan, ChannelKind, PhaseRecord, SyncInterval, ThroughputWindow};
+    use crate::tracer::{AsyncSpan, PhaseRecord, SyncInterval, ThroughputWindow};
 
     /// A series over `rows`, whose starts and ends both come in time
     /// order: every row opens, then every row closes.
@@ -415,14 +415,14 @@ mod tests {
                 complete: 1.0,
                 wait_enter: 2.0,
                 bytes: 200.0,
-                channel: ChannelKind::Write,
+                channel: Channel::Write,
             }],
             syncs: vec![SyncInterval {
                 rank: 1,
                 begin: 3.0,
                 end: 3.5,
                 bytes: 10.0,
-                channel: ChannelKind::Read,
+                channel: Channel::Read,
             }],
             rank_end: vec![4.0, 4.0],
             calls: 6,
@@ -554,7 +554,7 @@ mod tests {
             complete: 3.0,
             wait_enter: 1.0,
             bytes: 1.0,
-            channel: ChannelKind::Read,
+            channel: Channel::Read,
         };
         assert_eq!(sp.exploit(), 1.0);
         assert_eq!(sp.lost(), 2.0);

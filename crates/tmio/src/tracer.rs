@@ -170,7 +170,7 @@ pub struct AsyncSpan {
     /// Request payload bytes.
     pub bytes: f64,
     /// Direction.
-    pub channel: ChannelKind,
+    pub channel: Channel,
 }
 
 impl AsyncSpan {
@@ -186,25 +186,6 @@ impl AsyncSpan {
     }
 }
 
-/// Direction of a trace row (mirror of [`mpisim::Channel`]); the JSON trace
-/// writes it as `"Write"` or `"Read"`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChannelKind {
-    /// Write direction.
-    Write,
-    /// Read direction.
-    Read,
-}
-
-impl From<Channel> for ChannelKind {
-    fn from(c: Channel) -> Self {
-        match c {
-            Channel::Write => ChannelKind::Write,
-            Channel::Read => ChannelKind::Read,
-        }
-    }
-}
-
 /// One blocking I/O interval (sync tracing).
 #[derive(Clone, Copy, Debug)]
 pub struct SyncInterval {
@@ -217,7 +198,7 @@ pub struct SyncInterval {
     /// Bytes.
     pub bytes: f64,
     /// Direction.
-    pub channel: ChannelKind,
+    pub channel: Channel,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -580,7 +561,7 @@ impl IoHooks for Tracer {
             begin: begin.as_secs(),
             end: t.as_secs(),
             bytes,
-            channel: channel.into(),
+            channel,
         });
         self.call_overhead()
     }
@@ -654,7 +635,7 @@ impl Tracer {
             complete: complete.as_secs(),
             wait_enter: wait_enter.as_secs(),
             bytes: s.bytes,
-            channel: s.channel.into(),
+            channel: s.channel,
         });
     }
 }
@@ -681,14 +662,14 @@ mod tests {
         faults: FaultPlan,
     ) -> Tracer {
         let n = programs.len();
-        let wc = WorldConfig::new(n)
+        let mut wc = WorldConfig::new(n)
             .with_limiter(strategy.limits())
             .with_compute_noise(Noise::QuantizedRel {
                 amplitude: 0.03,
                 levels: 8,
             })
-            .with_seed(seed)
-            .with_faults(faults);
+            .with_seed(seed);
+        wc.faults = faults;
         let tracer = Tracer::new(n, TracerConfig::with_strategy(strategy));
         let mut world = World::new(wc, programs, tracer);
         for f in 0..files {

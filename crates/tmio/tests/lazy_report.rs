@@ -21,14 +21,14 @@ fn trace(
     live: bool,
 ) -> Tracer {
     let n = programs.len();
-    let wc = WorldConfig::new(n)
+    let mut wc = WorldConfig::new(n)
         .with_limiter(strategy.limits())
         .with_compute_noise(Noise::QuantizedRel {
             amplitude: 0.03,
             levels: 8,
         })
-        .with_seed(17)
-        .with_faults(faults);
+        .with_seed(17);
+    wc.faults = faults;
     let mut world = World::new(
         wc,
         programs,

@@ -25,15 +25,15 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let out = &mut io::stdout().lock();
-    let result = read_opts(args).and_then(|opts| {
+    let result = read_opts(&cmd, args).and_then(|opts| {
         check_json_dir(&opts)?;
         match cmd.as_str() {
             "hacc" => cmd_hacc(out, &opts),
             "wacomm" => cmd_wacomm(out, &opts),
             "cluster" => cmd_cluster(out, &opts),
             "period" => cmd_period(out, &opts),
-            "help" | "--help" | "-h" => Ok(writeln!(out, "{USAGE}")?),
-            other => Err(Failure::Usage(format!("unknown command `{other}`"))),
+            // `read_opts` has rejected every other command.
+            _ => Ok(writeln!(out, "{USAGE}")?),
         }?;
         Ok(out.flush()?)
     });
@@ -147,13 +147,29 @@ impl Opts {
     }
 }
 
-fn read_opts(args: impl Iterator<Item = String>) -> Result<Opts, Failure> {
+/// The options each command reads; any other is a usage error, so a
+/// misspelt or misplaced option never runs with a silent default.
+fn options_of(cmd: &str) -> Result<&'static str, Failure> {
+    Ok(match cmd {
+        "hacc" => "ranks particles loops strategy tol seed json",
+        "wacomm" => "ranks iterations strategy tol seed json",
+        "cluster" => "limit",
+        "period" => "ranks particles loops",
+        "help" | "--help" | "-h" => "",
+        other => return Err(Failure::Usage(format!("unknown command `{other}`"))),
+    })
+}
+
+fn read_opts(cmd: &str, mut args: impl Iterator<Item = String>) -> Result<Opts, Failure> {
+    let known = options_of(cmd)?;
     let mut map = HashMap::new();
-    let mut args = args.peekable();
     while let Some(a) = args.next() {
         let Some(key) = a.strip_prefix("--") else {
             return Err(Failure::Usage(format!("unexpected argument `{a}`")));
         };
+        if !known.split_whitespace().any(|k| k == key) {
+            return Err(Failure::Usage(format!("`{cmd}` takes no option `--{key}`")));
+        }
         // Flags without values.
         if key == "limit" {
             map.insert(key.to_string(), "true".to_string());

@@ -2,8 +2,9 @@
 //! staged through a temp sibling, and a path that cannot be written is a
 //! one-line error that names it, raised before the run starts. An invalid
 //! config is likewise one error line with nothing printed before it. Only
-//! command-line mistakes are answered with the usage text. A reader that
-//! closes stdout early ends the run quietly.
+//! command-line mistakes are answered with the usage text; an option the
+//! command does not read is one. A reader that closes stdout early ends the
+//! run quietly.
 
 use iobts::prelude::*;
 use std::fs;
@@ -91,6 +92,42 @@ fn bad_option_value_prints_usage() {
         "{stderr}"
     );
     assert!(stderr.contains("USAGE"), "{stderr}");
+}
+
+/// Asserts a usage failure: exit 1, nothing on stdout, and one `error:`
+/// line naming `option`, followed by the usage text.
+fn assert_rejects_option(out: &Output, option: &str) {
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let first = stderr.lines().next().unwrap_or_default();
+    assert!(first.starts_with("error: "), "{stderr}");
+    assert!(first.contains(option), "{stderr}");
+    assert_eq!(stderr.matches("error:").count(), 1, "{stderr}");
+    assert!(stderr.contains("USAGE"), "{stderr}");
+}
+
+#[test]
+fn misspelt_option_is_a_usage_error_not_a_default_run() {
+    let out = Command::new(env!("CARGO_BIN_EXE_iobts"))
+        .args(["hacc", "--rnaks", "2", "--loops", "1", "--particles", "10"])
+        .output()
+        .unwrap();
+    assert_rejects_option(&out, "--rnaks");
+}
+
+#[test]
+fn option_the_command_does_not_read_is_a_usage_error() {
+    let dir = scratch("cluster");
+    let path = dir.join("x.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_iobts"))
+        .args(["cluster", "--json"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert_rejects_option(&out, "--json");
+    assert!(!path.exists());
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

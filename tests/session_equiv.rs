@@ -132,8 +132,8 @@ proptest! {
     }
 }
 
-/// The builder surface translates every knob: a config exercising all
-/// builders still matches the hand-wired run (single deterministic case —
+/// The builder surface translates every knob: a config exercising the
+/// builders and the compute-noise field still matches the hand-wired run (single deterministic case —
 /// capacity noise + interference + subreq + sync-limit off together).
 #[test]
 fn session_matches_legacy_all_knobs() {
@@ -142,12 +142,8 @@ fn session_matches_legacy_all_knobs() {
         loops: 3,
         ..Default::default()
     };
-    let cfg = ExpConfig::new(3, Strategy::UpOnly { tol: 1.2 })
+    let mut cfg = ExpConfig::new(3, Strategy::UpOnly { tol: 1.2 })
         .with_seed(42)
-        .with_noise(simcore::Noise::QuantizedRel {
-            amplitude: 0.05,
-            levels: 4,
-        })
         .with_subreq_bytes(256.0 * 1024.0)
         .with_capacity_noise(mpisim::CapacityNoiseCfg {
             period: 0.5,
@@ -159,6 +155,10 @@ fn session_matches_legacy_all_knobs() {
         .with_interference(1e3)
         .with_limit_sync(false)
         .with_record_pfs(true);
+    cfg.compute_noise = simcore::Noise::QuantizedRel {
+        amplitude: 0.05,
+        levels: 4,
+    };
     let programs = (0..3).map(|r| hacc.program(FileId(r as u32))).collect();
     let files: Vec<String> = (0..3).map(|r| format!("hacc.{r}.dat")).collect();
     assert_eq!(
