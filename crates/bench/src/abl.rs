@@ -42,7 +42,7 @@ fn stats(out: &RunOutput) -> (f64, f64, f64) {
     )
 }
 
-/// Peak PFS write rate over any 100 ms window after `start`.
+/// Peak PFS write rate over any 100 ms window after `start` (needs `record_pfs`).
 fn sustained_peak(out: &RunOutput, start: f64) -> f64 {
     let mut peak = 0.0f64;
     let mut x = start;
@@ -91,7 +91,9 @@ pub fn subreq_sweep(_ctx: &ScenarioCtx) -> Result<(), String> {
     );
     let mut rows = Vec::new();
     for kib in [256.0, 1024.0, 4096.0, 16384.0] {
-        let cfg = ExpConfig::new(16, Strategy::UpOnly { tol: 1.1 }).with_subreq_bytes(kib * 1024.0);
+        let cfg = ExpConfig::new(16, Strategy::UpOnly { tol: 1.1 })
+            .with_subreq_bytes(kib * 1024.0)
+            .with_record_pfs(true);
         let out = run(cfg, HaccIo::new(hacc()));
         let (t, lost, _) = stats(&out);
         // Peak bytes in any 100 ms window after the limiter engages.
@@ -307,10 +309,12 @@ pub fn burst_buffer(_ctx: &ScenarioCtx) -> Result<(), String> {
     for with_bb in [false, true] {
         // A modest mid-range PFS (1 GB/s) where checkpoint bursts hurt —
         // the tier is pointless on an idle 106 GB/s system.
-        let mut cfg = ExpConfig::new(16, Strategy::None).with_pfs(pfsim::PfsConfig {
-            write_capacity: 1e9,
-            read_capacity: 1e9,
-        });
+        let mut cfg = ExpConfig::new(16, Strategy::None)
+            .with_pfs(pfsim::PfsConfig {
+                write_capacity: 1e9,
+                read_capacity: 1e9,
+            })
+            .with_record_pfs(true);
         if with_bb {
             cfg = cfg.with_burst_buffer(bb);
         }

@@ -254,9 +254,7 @@ fn check_plan(
     base: &RunOutput,
     pf: &PlannedFault,
 ) -> ChaosRow {
-    let cfg = ExpConfig::new(case.ranks(), strategy)
-        .with_faults(pf.plan.clone())
-        .with_record_pfs(false);
+    let cfg = ExpConfig::new(case.ranks(), strategy).with_faults(pf.plan.clone());
     let out = case.run(cfg.clone());
     let mut violations = Vec::new();
 
@@ -351,7 +349,7 @@ fn base_run(case: Case, strategy_name: &str, strategy: Strategy, quick: bool) ->
     if let Some(hit) = cache.lock().invariant("chaos cache lock").get(&key) {
         return Arc::clone(hit);
     }
-    let cfg = ExpConfig::new(case.ranks(), strategy).with_record_pfs(false);
+    let cfg = ExpConfig::new(case.ranks(), strategy);
     let base = Arc::new(case.run(cfg));
     cache
         .lock()

@@ -283,12 +283,10 @@ fn dump_series(out: &RunOutput, name: &str) -> Result<(), String> {
     println!("  B   {}", crate::sparkline(b_series, 0.0, horizon, 72));
     let p = write_csv(name, SERIES_HEADER, &series_csv_rows(out)).map_err(|e| e.to_string())?;
     println!(
-        "series: peak T = {:.1} MB/s, max B = {:.1} MB/s, max B_L = {:.1} MB/s, \
-         physical PFS peak = {:.1} MB/s{}",
+        "series: peak T = {:.1} MB/s, max B = {:.1} MB/s, max B_L = {:.1} MB/s{}",
         t_series.max_value() / 1e6,
         b_series.max_value() / 1e6,
         l_series.max_value() / 1e6,
-        out.pfs_write.max_value().max(out.pfs_read.max_value()) / 1e6,
         out.report
             .limit_start_time()
             .map(|t| format!(", limit starts at {t:.2} s"))

@@ -109,7 +109,7 @@ pub const OVERHEAD_RUNS: [(&str, Strategy); 2] = [
 
 /// One Figs. 5 & 6 sweep point: HACC-IO at `n` ranks under `strategy`.
 pub fn hacc_overhead_run(n: usize, strategy: Strategy, particles: u64) -> RunOutput {
-    let cfg = ExpConfig::new(n, strategy).with_record_pfs(false);
+    let cfg = ExpConfig::new(n, strategy);
     let hacc = HaccConfig {
         particles_per_rank: particles,
         ..Default::default()
@@ -217,9 +217,7 @@ pub const HACC_RUNS: [(&str, Strategy); 8] = [
 /// The config of run `run` of a distribution figure under `strategy`:
 /// repeated runs differ by seed.
 fn dist_config(n: usize, run: usize, strategy: Strategy) -> ExpConfig {
-    ExpConfig::new(n, strategy)
-        .with_seed(2024 + run as u64)
-        .with_record_pfs(false)
+    ExpConfig::new(n, strategy).with_seed(2024 + run as u64)
 }
 
 /// One Fig. 7 sweep point: run `i` of [`WACOMM_RUNS`] at `n` ranks.
@@ -275,14 +273,14 @@ pub fn hacc_distribution(ranks: &[usize], particles: u64) -> Vec<DistRow> {
     distribution(ranks, &HACC_RUNS, |n, i| hacc_dist_run(n, i, particles))
 }
 
-/// Figs. 8/9/10: one WaComM run with full series recording.
+/// Figs. 8/9/10: one WaComM run; its report carries the `T`/`B_L`/`B` series.
 pub fn wacomm_series(ranks: usize, strategy: Strategy, interference: f64) -> RunOutput {
     let cfg = ExpConfig::new(ranks, strategy).with_interference(interference);
     run(cfg, Wacomm::new(WacommConfig::default()))
 }
 
-/// Figs. 13/14: one HACC-IO run with full series recording; optional PFS
-/// capacity noise reproduces the I/O-variability of Fig. 14.
+/// Figs. 13/14: one HACC-IO run; its report carries the `T`/`B_L`/`B` series.
+/// Optional PFS capacity noise reproduces the I/O-variability of Fig. 14.
 pub fn hacc_series(
     ranks: usize,
     particles: u64,

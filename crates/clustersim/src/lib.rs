@@ -254,11 +254,8 @@ impl Cluster {
             .iter()
             .map(|j| j.end.as_secs())
             .fold(0.0, f64::max);
-        let job_bandwidth = self
-            .jobs
-            .iter()
-            .map(|j| self.pfs.meter_series(j.meter).clone())
-            .collect();
+        // `new` allocates one meter per job, in job order.
+        let ([total_bandwidth, _], job_bandwidth) = self.pfs.into_series();
         ClusterResult {
             jobs: self
                 .jobs
@@ -270,7 +267,7 @@ impl Cluster {
                     end: j.end.as_secs(),
                 })
                 .collect(),
-            total_bandwidth: self.pfs.total_series(Channel::Write).clone(),
+            total_bandwidth,
             job_bandwidth,
             makespan,
         }

@@ -68,7 +68,7 @@ pub struct WorldConfig {
     /// operations alike (Sec. V), so this defaults to true; set false to
     /// ablate the cost of throttled trailing sync writes.
     pub limit_sync_ops: bool,
-    /// Record PFS rate series (disable for large sweeps).
+    /// Record the PFS rate series (off by default: only their readers pay).
     pub record_pfs: bool,
     /// Seeded fault schedule replayed against the run. The default (empty)
     /// plan reproduces the fault-free run bit-for-bit.
@@ -138,7 +138,7 @@ impl WorldConfig {
             interference_alpha: 0.0,
             burst_buffer: None,
             limit_sync_ops: true,
-            record_pfs: true,
+            record_pfs: false,
             faults: FaultPlan::default(),
             watchdog: WatchdogCfg::default(),
         }
@@ -561,7 +561,7 @@ impl<H: IoHooks> World<H> {
     /// Consumes the world, returning the observer and the PFS write and
     /// read rate series, moved rather than copied.
     pub fn into_parts(self) -> (H, StepSeries, StepSeries) {
-        let [write, read] = self.pfs.into_total_series();
+        let ([write, read], _) = self.pfs.into_series();
         (self.hooks, write, read)
     }
 

@@ -58,11 +58,9 @@ fn drain_reaches_the_pfs_in_background() {
         },
         Op::Compute { seconds: 20.0 },
     ];
-    let mut w = World::new(
-        cfg_with_bb(1, 1e9, bb),
-        vec![Program::from_ops(ops)],
-        NoHooks,
-    );
+    let mut cfg = cfg_with_bb(1, 1e9, bb);
+    cfg.record_pfs = true;
+    let mut w = World::new(cfg, vec![Program::from_ops(ops)], NoHooks);
     w.create_file("f");
     w.try_run().unwrap();
     let (_, s, _) = w.into_parts();
@@ -219,6 +217,7 @@ fn limiter_paces_the_drain() {
     };
     let mut cfg = cfg_with_bb(1, 1e9, bb);
     cfg.limiter_enabled = true;
+    cfg.record_pfs = true;
     let ops = vec![
         Op::Write {
             file: FileId(0),

@@ -310,14 +310,13 @@ fn mismatched_collectives_are_rejected() {
 
 #[test]
 fn pfs_series_recorded() {
-    let mut w = uniform_world(
-        1,
-        100.0 * MB,
-        vec![Op::Write {
-            file: mpisim::FileId(0),
-            bytes: 100.0 * MB,
-        }],
-    );
+    let mut c = cfg(1, 100.0 * MB);
+    c.record_pfs = true;
+    let ops = vec![Op::Write {
+        file: mpisim::FileId(0),
+        bytes: 100.0 * MB,
+    }];
+    let mut w = World::new(c, vec![Program::from_ops(ops)], NoHooks);
     w.create_file("f");
     w.try_run().unwrap();
     let (_, s, _) = w.into_parts();
@@ -347,6 +346,7 @@ fn limited_async_write_stretches_to_limit() {
     let mut c = cfg(1, 100.0 * MB);
     c.limiter_enabled = true;
     c.subreq_bytes = MB;
+    c.record_pfs = true;
     let ops = vec![
         Op::IWrite {
             file: mpisim::FileId(0),

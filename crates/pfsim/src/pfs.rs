@@ -423,7 +423,6 @@ impl ChannelState {
 pub struct Pfs {
     channels: [ChannelState; 2],
     now: SimTime,
-    next_meter: usize,
     meter_series: Vec<StepSeries>,
     record: bool,
     /// Resident per-meter rate buffer for series recording.
@@ -452,7 +451,6 @@ impl Pfs {
                 ChannelState::new(config.read_capacity),
             ],
             now: SimTime::ZERO,
-            next_meter: 0,
             meter_series: Vec::new(),
             record: true,
             meter_rates: Vec::new(),
@@ -462,33 +460,24 @@ impl Pfs {
         }
     }
 
-    /// Disables rate-series recording (large sweeps that only need times).
+    /// Enables or disables rate-series recording (off for runs that read no
+    /// series).
     pub fn set_recording(&mut self, on: bool) {
         self.record = on;
     }
 
     /// Allocates a new bandwidth meter.
     pub fn meter(&mut self) -> MeterId {
-        let id = MeterId(self.next_meter);
-        self.next_meter += 1;
+        let id = MeterId(self.meter_series.len());
         self.meter_series.push(StepSeries::new());
         id
     }
 
-    /// The recorded aggregate rate of a meter.
-    pub fn meter_series(&self, meter: MeterId) -> &StepSeries {
-        &self.meter_series[meter.0]
-    }
-
-    /// The recorded aggregate rate of a whole channel.
-    pub fn total_series(&self, channel: Channel) -> &StepSeries {
-        &self.channels[channel as usize].total_series
-    }
-
-    /// Consumes the PFS, returning the write and read channels' aggregate
-    /// rate series.
-    pub fn into_total_series(self) -> [StepSeries; 2] {
-        self.channels.map(|c| c.total_series)
+    /// Consumes the PFS, returning its recorded rate series, moved rather
+    /// than copied: the write and read channels' aggregates, and each
+    /// meter's aggregate in the order [`Pfs::meter`] allocated them.
+    pub fn into_series(self) -> ([StepSeries; 2], Vec<StepSeries>) {
+        (self.channels.map(|c| c.total_series), self.meter_series)
     }
 
     /// Allocation solves so far, both channels: one per submission, cap,
@@ -1068,7 +1057,7 @@ mod tests {
         p.submit(t(0.0), Channel::Write, FlowSpec::simple(1000.0), FlowId(0));
         p.submit(t(5.0), Channel::Write, FlowSpec::simple(250.0), FlowId(1));
         p.advance_to(t(20.0));
-        let s = p.total_series(Channel::Write);
+        let ([s, _], _) = p.into_series();
         assert_eq!(s.value_at(t(1.0)), 100.0);
         assert_eq!(s.value_at(t(6.0)), 100.0); // still work-conserving
         assert_eq!(s.value_at(t(15.0)), 0.0);
@@ -1093,7 +1082,8 @@ mod tests {
         );
         p.submit(t(0.0), Channel::Write, FlowSpec::simple(500.0), FlowId(1));
         p.advance_to(t(20.0));
-        let s = p.meter_series(m);
+        let (_, meters) = p.into_series();
+        let s = &meters[m.0];
         assert_eq!(s.value_at(t(1.0)), 50.0);
         assert!((s.integral(t(0.0), t(20.0)) - 500.0).abs() < 1e-6);
     }

@@ -151,9 +151,8 @@ proptest! {
             total_bytes += f.bytes;
         }
         let _ = p.advance_to(t(100_000.0));
-        let moved = p
-            .total_series(Channel::Write)
-            .integral(t(0.0), t(100_000.0));
+        let ([write, _], _) = p.into_series();
+        let moved = write.integral(t(0.0), t(100_000.0));
         prop_assert!(
             (moved - total_bytes).abs() < 1e-3 * total_bytes.max(1.0),
             "moved {moved} vs submitted {total_bytes}"

@@ -38,7 +38,7 @@ pub struct ExpConfig {
     pub te_mode: tmio::TeMode,
     /// Per-request aggregation into `B_{i,j}` (paper default: sum).
     pub aggregation: tmio::Aggregation,
-    /// Record PFS rate series (disable in large sweeps).
+    /// Record the PFS rate series (off by default: only their readers pay).
     pub record_pfs: bool,
     /// Override for TMIO's per-call peri-runtime overhead, seconds
     /// (`None` = the paper-default 2 µs of [`TracerConfig`]).
@@ -71,7 +71,7 @@ impl ExpConfig {
             burst_buffer: None,
             te_mode: tmio::TeMode::FirstWait,
             aggregation: tmio::Aggregation::Sum,
-            record_pfs: true,
+            record_pfs: false,
             peri_call_overhead: None,
             faults: FaultPlan::default(),
             watchdog: WatchdogCfg::default(),

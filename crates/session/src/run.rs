@@ -13,9 +13,9 @@ pub struct RunOutput {
     pub summary: RunSummary,
     /// The TMIO report (phases, windows, decomposition, overheads).
     pub report: Report,
-    /// Physical PFS write-rate series.
+    /// Physical PFS write-rate series; empty unless `record_pfs` is set.
     pub pfs_write: StepSeries,
-    /// Physical PFS read-rate series.
+    /// Physical PFS read-rate series; empty unless `record_pfs` is set.
     pub pfs_read: StepSeries,
 }
 

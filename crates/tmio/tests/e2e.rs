@@ -353,6 +353,7 @@ fn ftio_detects_hacc_loop_period() {
         write_capacity: 500.0 * MB,
         read_capacity: 500.0 * MB,
     };
+    wc.record_pfs = true;
     let tc = TracerConfig::trace_only();
     let mut w = World::new(
         wc,

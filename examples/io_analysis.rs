@@ -19,10 +19,11 @@ fn main() -> Result<(), SimError> {
     // ------------------------------------------------------------------
     // 1. FTIO: detect the application's I/O period from the PFS signal.
     println!("=== FTIO period detection (HACC-IO, 16 ranks, 12 loops) ===");
-    let out = Session::builder(ExpConfig::new(16, Strategy::None))
+    let out = Session::builder(ExpConfig::new(16, Strategy::None).with_record_pfs(true))
         .workload(HaccIo::new(hacc))
         .try_build()?
         .try_run()?;
+    assert!(!out.pfs_write.is_empty(), "no PFS write series recorded");
     let loop_period = hacc.compute_seconds() + hacc.verify_seconds() + hacc.data_bytes() / 10e9; // + memcpy
     match ftio::detect_period(&out.pfs_write, 0.0, out.app_time(), 2048) {
         Some(est) => {

@@ -13,6 +13,7 @@
 //! format the real TMIO emits at `MPI_Finalize`.
 
 use iobts::prelude::*;
+use iobts::simcore::Invariant;
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::Path;
@@ -95,34 +96,38 @@ iobts — \"I/O Behind the Scenes\" (CLUSTER'24) reproduction
 USAGE:
     iobts <COMMAND> [OPTIONS]
 
-COMMANDS:
+COMMANDS (each with the options it reads and their [defaults]):
     hacc      run the modified HACC-IO benchmark under TMIO
+              --ranks [64] --particles [100000] --loops [10] --strategy [direct]
+              --tol [1.1] --seed [2024] --json PATH
     wacomm    run the WaComM-like transport workload under TMIO
+              --ranks [96] --iterations [50] --strategy [direct] --tol [1.1]
+              --seed [2024] --json PATH
     cluster   run the 8-job motivation study (Figs. 1-2)
+              --limit
     period    FTIO-style period detection on a HACC-IO run
+              --ranks [16] --particles [500000] --loops [12]
     help      show this text
 
-OPTIONS (with defaults):
-    --ranks N          MPI ranks                      [64]
-    --particles N      particles per rank (hacc)      [100000]
-    --loops N          HACC-IO loops                  [10]
-    --iterations N     WaComM iterations              [50]
-    --strategy S       none|direct|up-only|adaptive|mfu  [direct]
-    --tol X            tolerance factor               [1.1]
-    --seed N           master seed                    [2024]
-    --limit            cluster: cap job 4 during contention
+OPTIONS:
+    --ranks N          MPI ranks
+    --particles N      particles per rank
+    --loops N          HACC-IO loops
+    --iterations N     WaComM iterations
+    --strategy S       none|direct|up-only|adaptive|mfu
+    --tol X            tolerance factor
+    --seed N           master seed
+    --limit            cap job 4 during contention
     --json PATH        write the TMIO trace as JSON";
 
+/// A command's options: its defaults, overridden by the command line.
 struct Opts(HashMap<String, String>);
 
 impl Opts {
-    fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, Failure> {
-        match self.0.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| Failure::Usage(format!("invalid value `{v}` for --{key}"))),
-        }
+    fn get<T: std::str::FromStr>(&self, key: &str) -> Result<T, Failure> {
+        let v = self.0.get(key).invariant("every option read has a default");
+        v.parse()
+            .map_err(|_| Failure::Usage(format!("invalid value `{v}` for --{key}")))
     }
 
     fn flag(&self, key: &str) -> bool {
@@ -130,13 +135,8 @@ impl Opts {
     }
 
     fn strategy(&self) -> Result<Strategy, Failure> {
-        let tol: f64 = self.get("tol", 1.1)?;
-        match self
-            .0
-            .get("strategy")
-            .map(|s| s.as_str())
-            .unwrap_or("direct")
-        {
+        let tol: f64 = self.get("tol")?;
+        match self.get::<String>("strategy")?.as_str() {
             "none" => Ok(Strategy::None),
             "direct" => Ok(Strategy::Direct { tol }),
             "up-only" | "uponly" => Ok(Strategy::UpOnly { tol }),
@@ -147,27 +147,34 @@ impl Opts {
     }
 }
 
-/// The options each command reads; any other is a usage error, so a
+/// The options each command reads, as `key=default` or, without a default,
+/// `key`; USAGE lists the same. Any other option is a usage error, so a
 /// misspelt or misplaced option never runs with a silent default.
 fn options_of(cmd: &str) -> Result<&'static str, Failure> {
     Ok(match cmd {
-        "hacc" => "ranks particles loops strategy tol seed json",
-        "wacomm" => "ranks iterations strategy tol seed json",
+        "hacc" => "ranks=64 particles=100000 loops=10 strategy=direct tol=1.1 seed=2024 json",
+        "wacomm" => "ranks=96 iterations=50 strategy=direct tol=1.1 seed=2024 json",
         "cluster" => "limit",
-        "period" => "ranks particles loops",
+        "period" => "ranks=16 particles=500000 loops=12",
         "help" | "--help" | "-h" => "",
         other => return Err(Failure::Usage(format!("unknown command `{other}`"))),
     })
 }
 
 fn read_opts(cmd: &str, mut args: impl Iterator<Item = String>) -> Result<Opts, Failure> {
-    let known = options_of(cmd)?;
-    let mut map = HashMap::new();
+    let known = options_of(cmd)?
+        .split_whitespace()
+        .map(|o| o.split_once('=').unwrap_or((o, "")));
+    let mut map: HashMap<_, _> = known
+        .clone()
+        .filter(|(_, v)| !v.is_empty())
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect();
     while let Some(a) = args.next() {
         let Some(key) = a.strip_prefix("--") else {
             return Err(Failure::Usage(format!("unexpected argument `{a}`")));
         };
-        if !known.split_whitespace().any(|k| k == key) {
+        if !known.clone().any(|(k, _)| k == key) {
             return Err(Failure::Usage(format!("`{cmd}` takes no option `--{key}`")));
         }
         // Flags without values.
@@ -242,14 +249,14 @@ fn run_and_report(out: &mut impl Write, opts: &Opts, session: &Session) -> Resul
 }
 
 fn cmd_hacc(out: &mut impl Write, opts: &Opts) -> Result<(), Failure> {
-    let ranks = opts.get("ranks", 64usize)?;
+    let ranks = opts.get::<usize>("ranks")?;
     let hacc = HaccConfig {
-        particles_per_rank: opts.get("particles", 100_000u64)?,
-        loops: opts.get("loops", 10usize)?,
+        particles_per_rank: opts.get("particles")?,
+        loops: opts.get("loops")?,
         ..Default::default()
     };
     let strategy = opts.strategy()?;
-    let cfg = ExpConfig::new(ranks, strategy).with_seed(opts.get("seed", 2024u64)?);
+    let cfg = ExpConfig::new(ranks, strategy).with_seed(opts.get("seed")?);
     let session = Session::builder(cfg)
         .workload(HaccIo::new(hacc))
         .try_build()
@@ -265,13 +272,13 @@ fn cmd_hacc(out: &mut impl Write, opts: &Opts) -> Result<(), Failure> {
 }
 
 fn cmd_wacomm(out: &mut impl Write, opts: &Opts) -> Result<(), Failure> {
-    let ranks = opts.get("ranks", 96usize)?;
+    let ranks = opts.get::<usize>("ranks")?;
     let wc = WacommConfig {
-        iterations: opts.get("iterations", 50usize)?,
+        iterations: opts.get("iterations")?,
         ..Default::default()
     };
     let strategy = opts.strategy()?;
-    let cfg = ExpConfig::new(ranks, strategy).with_seed(opts.get("seed", 2024u64)?);
+    let cfg = ExpConfig::new(ranks, strategy).with_seed(opts.get("seed")?);
     let session = Session::builder(cfg)
         .workload(Wacomm::new(wc))
         .try_build()
@@ -322,13 +329,14 @@ fn cmd_cluster(out: &mut impl Write, opts: &Opts) -> Result<(), Failure> {
 }
 
 fn cmd_period(out: &mut impl Write, opts: &Opts) -> Result<(), Failure> {
-    let ranks = opts.get("ranks", 16usize)?;
+    let ranks = opts.get::<usize>("ranks")?;
     let hacc = HaccConfig {
-        particles_per_rank: opts.get("particles", 500_000u64)?,
-        loops: opts.get("loops", 12usize)?,
+        particles_per_rank: opts.get("particles")?,
+        loops: opts.get("loops")?,
         ..Default::default()
     };
-    let cfg = ExpConfig::new(ranks, Strategy::None);
+    // FTIO reads the physical PFS write signal.
+    let cfg = ExpConfig::new(ranks, Strategy::None).with_record_pfs(true);
     let run = Session::builder(cfg)
         .workload(HaccIo::new(hacc))
         .try_build()

@@ -4,7 +4,8 @@
 //! config is likewise one error line with nothing printed before it. Only
 //! command-line mistakes are answered with the usage text; an option the
 //! command does not read is one. A reader that closes stdout early ends the
-//! run quietly.
+//! run quietly. `iobts help` lists the defaults each command reads, and
+//! `iobts period` finds the HACC-IO loop period.
 
 use iobts::prelude::*;
 use std::fs;
@@ -214,4 +215,81 @@ fn closed_stdout_ends_quietly_with_success() {
         assert!(out.status.success(), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+}
+
+fn iobts(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_iobts"))
+        .args(args)
+        .output()
+        .unwrap()
+}
+
+/// Each command `iobts help` lists, with the `--option [default]` pairs
+/// listed under it.
+fn help_defaults() -> Vec<(String, Vec<(String, String)>)> {
+    let help = String::from_utf8(iobts(&["help"]).stdout).unwrap();
+    let mut listed: Vec<(String, Vec<(String, String)>)> = Vec::new();
+    let section = help
+        .lines()
+        .skip_while(|l| !l.starts_with("COMMANDS"))
+        .skip(1)
+        .take_while(|l| !l.is_empty());
+    for line in section {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        if !words[0].starts_with("--") {
+            listed.push((words[0].to_string(), Vec::new()));
+            continue;
+        }
+        let defaults = &mut listed.last_mut().unwrap().1;
+        for pair in words.windows(2) {
+            if let Some(d) = pair[1].strip_prefix('[').and_then(|d| d.strip_suffix(']')) {
+                defaults.push((pair[0].to_string(), d.to_string()));
+            }
+        }
+    }
+    listed
+}
+
+#[test]
+fn help_lists_the_defaults_each_command_reads() {
+    let listed = help_defaults();
+    let defaults_of = |cmd: &str| {
+        let (_, d) = listed.iter().find(|(c, _)| c == cmd).unwrap();
+        d.iter()
+            .map(|(o, v)| format!("{o} {v}"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    assert_eq!(
+        defaults_of("period"),
+        "--ranks 16 --particles 500000 --loops 12"
+    );
+    assert!(defaults_of("wacomm").starts_with("--ranks 96 --iterations 50 "));
+    assert!(defaults_of("hacc").starts_with("--ranks 64 --particles 100000 --loops 10 "));
+    assert_eq!(defaults_of("cluster"), "");
+    // A command run with every listed default spelt out prints exactly what
+    // it prints when left to its own defaults.
+    for (cmd, defaults) in &listed {
+        if defaults.is_empty() {
+            continue;
+        }
+        let mut args = vec![cmd.as_str()];
+        args.extend(defaults.iter().flat_map(|(o, v)| [o.as_str(), v.as_str()]));
+        let own = iobts(&[cmd]);
+        let spelt = iobts(&args);
+        assert!(own.status.success() && spelt.status.success(), "{cmd}");
+        assert_eq!(
+            String::from_utf8_lossy(&own.stdout),
+            String::from_utf8_lossy(&spelt.stdout),
+            "{args:?}"
+        );
+    }
+}
+
+#[test]
+fn period_finds_the_hacc_loop_period() {
+    let out = iobts(&["period"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("dominant I/O period 4.64 s"), "{stdout}");
 }

@@ -40,7 +40,7 @@ fn run_output_totals_are_consistent() {
 #[test]
 fn pfs_series_cover_both_channels() {
     let out = run(
-        &ExpConfig::new(4, Strategy::None),
+        &ExpConfig::new(4, Strategy::None).with_record_pfs(true),
         HaccIo::new(small_hacc()),
     );
     let horizon = simcore::SimTime::from_secs(out.app_time() + 1.0);
@@ -74,6 +74,16 @@ fn record_pfs_off_yields_empty_series() {
         }),
     );
     assert!(out.pfs_write.is_empty());
+    assert!(out.report.required_bandwidth() > 0.0, "tracing still works");
+}
+
+#[test]
+fn default_session_records_no_pfs_series() {
+    let out = run(
+        &ExpConfig::new(2, Strategy::None),
+        HaccIo::new(small_hacc()),
+    );
+    assert!(out.pfs_write.is_empty() && out.pfs_read.is_empty());
     assert!(out.report.required_bandwidth() > 0.0, "tracing still works");
 }
 

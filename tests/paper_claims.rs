@@ -16,9 +16,12 @@ fn limiting_flattens_bursts_at_stable_runtime() {
         loops: 8,
         ..Default::default()
     };
-    let base = common::run(&ExpConfig::new(16, Strategy::None), HaccIo::new(hacc));
+    let base = common::run(
+        &ExpConfig::new(16, Strategy::None).with_record_pfs(true),
+        HaccIo::new(hacc),
+    );
     let lim = common::run(
-        &ExpConfig::new(16, Strategy::UpOnly { tol: 1.1 }),
+        &ExpConfig::new(16, Strategy::UpOnly { tol: 1.1 }).with_record_pfs(true),
         HaccIo::new(hacc),
     );
 

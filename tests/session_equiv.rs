@@ -96,7 +96,9 @@ proptest! {
             loops,
             ..Default::default()
         };
-        let cfg = ExpConfig::new(n_ranks, strategy).with_seed(seed);
+        let cfg = ExpConfig::new(n_ranks, strategy)
+            .with_seed(seed)
+            .with_record_pfs(true);
         let programs = (0..n_ranks)
             .map(|r| hacc.program(FileId(r as u32)))
             .collect();
@@ -118,7 +120,9 @@ proptest! {
             iterations: 4,
             ..Default::default()
         };
-        let cfg = ExpConfig::new(n_ranks, strategy).with_seed(seed);
+        let cfg = ExpConfig::new(n_ranks, strategy)
+            .with_seed(seed)
+            .with_record_pfs(true);
         let input = FileId(0);
         let programs = (0..n_ranks)
             .map(|r| wc.program(r, n_ranks, input, FileId(1 + r as u32)))
