@@ -25,8 +25,6 @@ use simcore::{EventQueue, Invariant, SimTime, StepSeries};
 pub struct ClusterConfig {
     /// Number of compute nodes (paper: 500).
     pub nodes: usize,
-    /// Cores per node (paper: 96) — bookkeeping only.
-    pub cores_per_node: usize,
     /// The shared PFS (paper: 120 GB/s).
     pub pfs: PfsConfig,
 }
@@ -35,7 +33,6 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             nodes: 500,
-            cores_per_node: 96,
             pfs: PfsConfig {
                 write_capacity: 120e9,
                 read_capacity: 120e9,

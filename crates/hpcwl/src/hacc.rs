@@ -179,147 +179,9 @@ impl HaccConfig {
     }
 }
 
-/// The actual data kernel of HACC-IO, reproduced so examples and tests move
-/// real bytes: fill the particle arrays from the loop index, serialize,
-/// deserialize, verify — the same cycle the benchmark times.
-pub mod kernel {
-    use simcore::Invariant;
-
-    /// One HACC particle record.
-    #[derive(Clone, Copy, Debug, PartialEq)]
-    pub struct Particle {
-        /// Position.
-        pub xx: f32,
-        /// Position.
-        pub yy: f32,
-        /// Position.
-        pub zz: f32,
-        /// Velocity.
-        pub vx: f32,
-        /// Velocity.
-        pub vy: f32,
-        /// Velocity.
-        pub vz: f32,
-        /// Potential.
-        pub phi: f32,
-        /// Particle id.
-        pub pid: i64,
-        /// Mask bits.
-        pub mask: u16,
-    }
-
-    /// Fills `n` particles from the loop index, exactly like HACC-IO's
-    /// init loop (each array slot gets a value derived from its index).
-    pub fn fill(n: usize, rank: usize) -> Vec<Particle> {
-        (0..n)
-            .map(|i| {
-                let v = i as f32;
-                Particle {
-                    xx: v,
-                    yy: v + 1.0,
-                    zz: v + 2.0,
-                    vx: v + 3.0,
-                    vy: v + 4.0,
-                    vz: v + 5.0,
-                    phi: v + 6.0,
-                    pid: (rank as i64) << 32 | i as i64,
-                    mask: (i % 65_536) as u16,
-                }
-            })
-            .collect()
-    }
-
-    /// Serializes particles into the 38-byte wire format.
-    pub fn serialize(ps: &[Particle]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(ps.len() * 38);
-        for p in ps {
-            for f in [p.xx, p.yy, p.zz, p.vx, p.vy, p.vz, p.phi] {
-                out.extend_from_slice(&f.to_le_bytes());
-            }
-            out.extend_from_slice(&p.pid.to_le_bytes());
-            out.extend_from_slice(&p.mask.to_le_bytes());
-        }
-        out
-    }
-
-    /// Deserializes the wire format back into particles.
-    pub fn deserialize(bytes: &[u8]) -> Vec<Particle> {
-        assert_eq!(bytes.len() % 38, 0, "not a whole number of records");
-        bytes
-            .chunks_exact(38)
-            .map(|c| {
-                let f = |o: usize| {
-                    let b: [u8; 4] = c[o..o + 4].try_into().invariant("4 bytes");
-                    f32::from_le_bytes(b)
-                };
-                let pid_bytes: [u8; 8] = c[28..36].try_into().invariant("8 bytes");
-                let mask_bytes: [u8; 2] = c[36..38].try_into().invariant("2 bytes");
-                Particle {
-                    xx: f(0),
-                    yy: f(4),
-                    zz: f(8),
-                    vx: f(12),
-                    vy: f(16),
-                    vz: f(20),
-                    phi: f(24),
-                    pid: i64::from_le_bytes(pid_bytes),
-                    mask: u16::from_le_bytes(mask_bytes),
-                }
-            })
-            .collect()
-    }
-
-    /// HACC-IO's verify block: element-wise comparison against the data
-    /// still in memory. Returns the number of mismatching records.
-    pub fn verify(expected: &[Particle], got: &[Particle]) -> usize {
-        if expected.len() != got.len() {
-            return expected.len().max(got.len());
-        }
-        expected.iter().zip(got).filter(|(a, b)| a != b).count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn record_size_is_38_bytes() {
-        let ps = kernel::fill(10, 0);
-        assert_eq!(kernel::serialize(&ps).len(), 380);
-        assert_eq!(BYTES_PER_PARTICLE, 38.0);
-    }
-
-    #[test]
-    fn kernel_roundtrip_verifies_clean() {
-        let ps = kernel::fill(1000, 3);
-        let bytes = kernel::serialize(&ps);
-        let back = kernel::deserialize(&bytes);
-        assert_eq!(kernel::verify(&ps, &back), 0);
-    }
-
-    #[test]
-    fn kernel_detects_corruption() {
-        let ps = kernel::fill(100, 0);
-        let mut bytes = kernel::serialize(&ps);
-        bytes[40] ^= 0xFF;
-        let back = kernel::deserialize(&bytes);
-        assert_eq!(kernel::verify(&ps, &back), 1);
-    }
-
-    #[test]
-    fn kernel_detects_length_mismatch() {
-        let a = kernel::fill(10, 0);
-        let b = kernel::fill(8, 0);
-        assert_eq!(kernel::verify(&a, &b), 10);
-    }
-
-    #[test]
-    fn pids_are_rank_unique() {
-        let a = kernel::fill(4, 1);
-        let b = kernel::fill(4, 2);
-        assert!(a.iter().zip(&b).all(|(x, y)| x.pid != y.pid));
-    }
 
     #[test]
     fn program_structure_matches_fig12() {

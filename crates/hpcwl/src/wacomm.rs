@@ -184,90 +184,6 @@ impl WacommConfig {
     }
 }
 
-/// The actual Lagrangian transport kernel, so examples move real particle
-/// data: explicit-Euler advection in a steady analytic current field plus a
-/// deterministic turbulent kick — the numerical heart of WaComM.
-pub mod kernel {
-
-    /// One pollutant particle.
-    #[derive(Clone, Copy, Debug, PartialEq)]
-    pub struct Particle {
-        /// Position (lon-like), metres.
-        pub x: f64,
-        /// Position (lat-like), metres.
-        pub y: f64,
-        /// Depth, metres (≤ 0 at surface … positive down).
-        pub z: f64,
-        /// Pollutant health/concentration in [0, 1].
-        pub health: f64,
-        /// Stable particle id.
-        pub id: u64,
-    }
-
-    /// Steady analytic current field (a double-gyre-like circulation).
-    pub fn current(x: f64, y: f64, z: f64) -> (f64, f64, f64) {
-        let u = 0.4 * (0.002 * y).sin() + 0.05;
-        let v = 0.3 * (0.002 * x).cos();
-        let w = 0.01 * (0.001 * (x + y)).sin() - 0.002 * z.max(0.0);
-        (u, v, w)
-    }
-
-    /// Seeds `n` particles around a release point, deterministically.
-    pub fn seed(n: usize, release: (f64, f64, f64)) -> Vec<Particle> {
-        (0..n)
-            .map(|i| {
-                // Low-discrepancy spread via Weyl sequences.
-                let a = (i as f64 * 0.754_877_666_6) % 1.0;
-                let b = (i as f64 * 0.569_840_290_9) % 1.0;
-                Particle {
-                    x: release.0 + 50.0 * (a - 0.5),
-                    y: release.1 + 50.0 * (b - 0.5),
-                    z: release.2,
-                    health: 1.0,
-                    id: i as u64,
-                }
-            })
-            .collect()
-    }
-
-    /// Advects particles one step of `dt` seconds: Euler step through the
-    /// current field, a deterministic pseudo-turbulent kick, and first-order
-    /// pollutant decay.
-    pub fn advect(particles: &mut [Particle], dt: f64, decay_per_sec: f64) {
-        for p in particles.iter_mut() {
-            let (u, v, w) = current(p.x, p.y, p.z);
-            // Deterministic per-particle kick (hashed id + position).
-            let h = p.id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
-            let kick = (h as f64 / (1u64 << 24) as f64 - 0.5) * 0.02;
-            p.x += (u + kick) * dt;
-            p.y += (v - kick) * dt;
-            p.z = (p.z + w * dt).max(0.0);
-            p.health *= (-decay_per_sec * dt).exp();
-        }
-    }
-
-    /// Serializes particles to the 40-byte wire format.
-    pub fn serialize(ps: &[Particle]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(ps.len() * 40);
-        for p in ps {
-            out.extend_from_slice(&p.x.to_le_bytes());
-            out.extend_from_slice(&p.y.to_le_bytes());
-            out.extend_from_slice(&p.z.to_le_bytes());
-            out.extend_from_slice(&p.health.to_le_bytes());
-            out.extend_from_slice(&p.id.to_le_bytes());
-        }
-        out
-    }
-
-    /// Mean pollutant health of a population (a simple model observable).
-    pub fn mean_health(ps: &[Particle]) -> f64 {
-        if ps.is_empty() {
-            return 0.0;
-        }
-        ps.iter().map(|p| p.health).sum::<f64>() / ps.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,54 +229,5 @@ mod tests {
         let p1 = cfg.program_sync(1, 4, FileId(0), FileId(1));
         assert!(p0.ops().iter().any(|o| matches!(o, Op::Write { .. })));
         assert!(!p1.ops().iter().any(|o| matches!(o, Op::Write { .. })));
-    }
-
-    #[test]
-    fn kernel_advection_moves_particles() {
-        let mut ps = kernel::seed(100, (1000.0, 2000.0, 5.0));
-        let before = ps.clone();
-        kernel::advect(&mut ps, 60.0, 1e-5);
-        let moved = ps
-            .iter()
-            .zip(&before)
-            .filter(|(a, b)| (a.x - b.x).abs() > 1e-9 || (a.y - b.y).abs() > 1e-9)
-            .count();
-        assert_eq!(moved, 100, "all particles advect");
-    }
-
-    #[test]
-    fn kernel_decay_reduces_health() {
-        let mut ps = kernel::seed(10, (0.0, 0.0, 0.0));
-        kernel::advect(&mut ps, 3600.0, 1e-4);
-        let h = kernel::mean_health(&ps);
-        assert!(h < 1.0 && h > 0.0, "health {h}");
-        assert!((h - (-0.36f64).exp()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn kernel_is_deterministic() {
-        let mut a = kernel::seed(50, (0.0, 0.0, 1.0));
-        let mut b = kernel::seed(50, (0.0, 0.0, 1.0));
-        kernel::advect(&mut a, 60.0, 0.0);
-        kernel::advect(&mut b, 60.0, 0.0);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn kernel_depth_never_negative() {
-        let mut ps = kernel::seed(200, (0.0, 0.0, 0.1));
-        for _ in 0..100 {
-            kernel::advect(&mut ps, 600.0, 0.0);
-        }
-        assert!(ps.iter().all(|p| p.z >= 0.0));
-    }
-
-    #[test]
-    fn serialized_size_matches_constant() {
-        let ps = kernel::seed(7, (0.0, 0.0, 0.0));
-        assert_eq!(
-            kernel::serialize(&ps).len() as f64,
-            7.0 * BYTES_PER_PARTICLE
-        );
     }
 }

@@ -131,16 +131,6 @@ pub fn required_drain_bandwidth(
     Some(burst_bytes / period)
 }
 
-/// True when the periodic workload `(burst_bytes, period)` runs at absorb
-/// speed indefinitely under `cfg` (the steady-state check behind
-/// [`required_drain_bandwidth`]).
-pub fn sustainable(burst_bytes: f64, period: f64, cfg: &BurstBufferConfig) -> bool {
-    match required_drain_bandwidth(burst_bytes, period, cfg) {
-        Some(b) => b <= cfg.drain_rate,
-        None => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,9 +207,6 @@ mod tests {
         // 38 GB burst every 60 s -> 0.633 GB/s of drain.
         let b = required_drain_bandwidth(38e9, 60.0, &c).unwrap();
         assert!((b - 38e9 / 60.0).abs() < 1.0);
-        assert!(sustainable(38e9, 60.0, &c));
-        // Every 30 s it would need 1.27 GB/s > drain rate.
-        assert!(!sustainable(38e9, 30.0, &c));
         // A burst larger than the buffer cannot be hidden at all.
         assert_eq!(required_drain_bandwidth(200e9, 60.0, &c), None);
     }

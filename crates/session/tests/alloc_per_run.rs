@@ -9,23 +9,38 @@
 //! switched off.)
 //!
 //! The harness is its own integration-test binary with a single test, so
-//! no other test's allocations pollute the counter.
+//! no other test's allocations pollute the counter, and only the measuring
+//! thread's calls count, so the test harness's own threads do not either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hpcwl::wacomm::WacommConfig;
 use session::{ExpConfig, Session, Wacomm};
 use tmio::Strategy;
 
-/// Counts `alloc` + `realloc` calls; delegates all work to [`System`].
+/// Counts the `alloc` + `realloc` calls of the thread inside [`measure`];
+/// delegates all work to [`System`].
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set only around the measured call: the test harness's other threads
+    /// allocate at times of their own, and their calls must not count.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if MEASURING.get() {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -34,13 +49,23 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns its result with the allocator calls this thread
+/// made inside it.
+fn measure<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    MEASURING.set(true);
+    let out = f();
+    MEASURING.set(false);
+    (out, ALLOC_CALLS.load(Ordering::Relaxed) - before)
+}
 
 /// Allocator calls of one 48-rank WaComM run of `iterations` iterations,
 /// and the number of phases it traced.
@@ -56,10 +81,8 @@ fn alloc_calls(iterations: usize, strategy: Strategy) -> (u64, usize) {
         .workload(Wacomm::new(wacomm))
         .try_build()
         .unwrap();
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    let out = session.try_run().unwrap();
-    let after = ALLOC_CALLS.load(Ordering::Relaxed);
-    (after - before, out.report.phases.len())
+    let (out, calls) = measure(|| session.try_run());
+    (calls, out.unwrap().report.phases.len())
 }
 
 #[test]

@@ -11,23 +11,39 @@
 //! `Vec`/heap doubling in the resident containers.
 //!
 //! The run is single-threaded and the harness is its own integration-test
-//! binary, so no other test's allocations pollute the counter.
+//! binary, so no other test's allocations pollute the counter; only the
+//! measuring thread's calls count, so the test harness's own threads do not
+//! either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mpisim::{FileId, Op, Program, ReqTag, World, WorldConfig};
 use pfsim::PfsConfig;
 use tmio::{Strategy, Tracer, TracerConfig};
 
-/// Counts `alloc` + `realloc` calls; delegates all work to [`System`].
+/// Counts the `alloc` + `realloc` calls of the thread inside [`measure`];
+/// delegates all work to [`System`].
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set only around the measured call: the test harness's other threads
+    /// allocate at times of their own, and their calls must not count.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if MEASURING.get() {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -36,13 +52,23 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns its result with the allocator calls this thread
+/// made inside it.
+fn measure<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    MEASURING.set(true);
+    let out = f();
+    MEASURING.set(false);
+    (out, ALLOC_CALLS.load(Ordering::Relaxed) - before)
+}
 
 const MB: f64 = 1e6;
 
@@ -85,16 +111,14 @@ fn alloc_calls_for_run(phases: usize) -> u64 {
     let mut w = World::new(wc, vec![periodic_app(phases); n], tracer);
     w.create_file("out");
 
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    let summary = w.try_run().unwrap();
-    let after = ALLOC_CALLS.load(Ordering::Relaxed);
-    assert!(summary.makespan() > 0.0);
+    let (summary, calls) = measure(|| w.try_run());
+    assert!(summary.unwrap().makespan() > 0.0);
 
     // Sanity: the run actually did the work we think it did.
     let report = w.into_hooks().into_report();
     assert_eq!(report.phases.len(), phases * n);
 
-    after - before
+    calls
 }
 
 #[test]

@@ -4,8 +4,9 @@
 //! config is likewise one error line with nothing printed before it. Only
 //! command-line mistakes are answered with the usage text; an option the
 //! command does not read is one. A reader that closes stdout early ends the
-//! run quietly. `iobts help` lists the defaults each command reads, and
-//! `iobts period` finds the HACC-IO loop period.
+//! run quietly. `iobts help` lists the defaults each command reads,
+//! `iobts period` finds the HACC-IO loop period, and `iobts cluster` prints
+//! the job runtimes of the Fig. 1 CSV.
 
 use iobts::prelude::*;
 use std::fs;
@@ -292,4 +293,47 @@ fn period_finds_the_hacc_loop_period() {
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("dominant I/O period 4.64 s"), "{stdout}");
+}
+
+/// `(job, runtime)` of every job row `iobts cluster` prints.
+fn cluster_runtimes(args: &[&str]) -> Vec<(String, f64)> {
+    let out = iobts(args);
+    assert!(out.status.success(), "{args:?}");
+    String::from_utf8(out.stdout)
+        .unwrap()
+        .lines()
+        .filter(|l| l.starts_with("job") && !l.starts_with("job "))
+        .map(|l| {
+            let words: Vec<&str> = l.split_whitespace().collect();
+            (words[0].to_string(), words[4].parse().unwrap())
+        })
+        .collect()
+}
+
+#[test]
+fn cluster_runtimes_match_the_fig01_csv() {
+    let csv = fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/results/fig01_jobs.csv"
+    ))
+    .unwrap();
+    let rows: Vec<Vec<&str>> = csv
+        .lines()
+        .skip(1)
+        .map(|l| l.split(',').collect())
+        .collect();
+    assert_eq!(rows.len(), 8);
+    // The CLI prints one decimal and the CSV two, so they agree to 0.06 s.
+    for (args, column) in [(&["cluster"][..], 6), (&["cluster", "--limit"][..], 7)] {
+        let printed = cluster_runtimes(args);
+        assert_eq!(printed.len(), rows.len(), "{args:?}");
+        for ((job, runtime), row) in printed.iter().zip(&rows) {
+            assert_eq!(job, row[0], "{args:?}");
+            let want: f64 = row[column].parse().unwrap();
+            assert!(
+                (runtime - want).abs() <= 0.06,
+                "{args:?} {job}: printed {runtime} s, fig01_jobs.csv {want} s"
+            );
+        }
+    }
 }
