@@ -17,7 +17,7 @@ use crate::scenarios::run;
 use crate::write_csv;
 use hpcwl::hacc::HaccConfig;
 use hpcwl::wacomm::WacommConfig;
-use iobts::session::{ExpConfig, HaccIo, RawWorkload, RunOutput, Wacomm};
+use session::{ExpConfig, HaccIo, RawWorkload, RunOutput, Wacomm};
 use simcore::Invariant;
 use tmio::{Aggregation, Strategy, TeMode};
 
@@ -59,7 +59,7 @@ fn sustained_peak(out: &RunOutput, start: f64) -> f64 {
 
 /// Tolerance sweep: low tol = aggressive (waits appear), high tol = safe
 /// but less exploitation (the trade-off of Sec. IV-B).
-pub fn tol_sweep(_ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn tol_sweep(ctx: &mut ScenarioCtx) -> Result<(), String> {
     header("direct-strategy tolerance (HACC-IO, 16 ranks)");
     println!(
         "{:>6} {:>10} {:>8} {:>9}",
@@ -75,15 +75,19 @@ pub fn tol_sweep(_ctx: &ScenarioCtx) -> Result<(), String> {
         println!("{tol:>6.1} {t:>10.2} {lost:>8.1} {exploit:>9.1}");
         rows.push(format!("{tol},{t:.4},{lost:.2},{exploit:.2}"));
     }
-    write_csv("ablation_tol", "tol,time_s,lost_pct,exploit_pct", &rows)
-        .map_err(|e| e.to_string())?;
+    write_csv(
+        ctx,
+        "ablation_tol",
+        "tol,time_s,lost_pct,exploit_pct",
+        &rows,
+    )?;
     println!("(lower tol -> more waiting; higher tol -> less exploitation)");
     Ok(())
 }
 
 /// Sub-request size: smaller sub-requests pace more smoothly but cost more
 /// I/O-thread round trips; larger ones burst.
-pub fn subreq_sweep(_ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn subreq_sweep(ctx: &mut ScenarioCtx) -> Result<(), String> {
     header("ADIO sub-request size (HACC-IO, 16 ranks, up-only)");
     println!(
         "{:>12} {:>10} {:>9} {:>22}",
@@ -108,11 +112,11 @@ pub fn subreq_sweep(_ctx: &ScenarioCtx) -> Result<(), String> {
         rows.push(format!("{kib},{t:.4},{lost:.2},{:.1}", peak / 1e6));
     }
     write_csv(
+        ctx,
         "ablation_subreq",
         "subreq_kib,time_s,lost_pct,peak_mbs",
         &rows,
-    )
-    .map_err(|e| e.to_string())?;
+    )?;
     Ok(())
 }
 
@@ -120,7 +124,7 @@ pub fn subreq_sweep(_ctx: &ScenarioCtx) -> Result<(), String> {
 /// Needs multiple requests per phase with separated waits — a pattern of
 /// two iwrites whose waits close 1.0 s and 1.5 s after submission, run as a
 /// [`RawWorkload`] through the same session pipeline as everything else.
-pub fn semantics(_ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn semantics(ctx: &mut ScenarioCtx) -> Result<(), String> {
     use mpisim::{FileId, Op, Program, ReqTag};
     header("B window semantics: te-mode × aggregation (2 requests per phase)");
     println!(
@@ -164,14 +168,18 @@ pub fn semantics(_ctx: &ScenarioCtx) -> Result<(), String> {
             rows.push(format!("{te:?},{agg:?},{rank_b:.2},{app_b:.2}"));
         }
     }
-    write_csv("ablation_semantics", "te,agg,rank_B_mbs,app_B_mbs", &rows)
-        .map_err(|e| e.to_string())?;
+    write_csv(
+        ctx,
+        "ablation_semantics",
+        "te,agg,rank_B_mbs,app_B_mbs",
+        &rows,
+    )?;
     println!("(the paper picks FirstWait+Sum — the highest, most conservative B)");
     Ok(())
 }
 
 /// Pacing the trailing sync writes vs leaving them unthrottled.
-pub fn limit_sync(_ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn limit_sync(ctx: &mut ScenarioCtx) -> Result<(), String> {
     header("limit applies to blocking I/O too? (WaComM, 96 ranks, up-only)");
     println!(
         "{:<12} {:>10} {:>12}",
@@ -195,11 +203,11 @@ pub fn limit_sync(_ctx: &ScenarioCtx) -> Result<(), String> {
         ));
     }
     write_csv(
+        ctx,
         "ablation_limitsync",
         "limit_sync,time_s,sync_write_mean_s",
         &rows,
-    )
-    .map_err(|e| e.to_string())?;
+    )?;
     Ok(())
 }
 
@@ -210,7 +218,7 @@ pub fn limit_sync(_ctx: &ScenarioCtx) -> Result<(), String> {
 /// speedup does NOT emerge. The mechanism the paper suspects (I/O threads
 /// competing with compute threads for cores) lives below this substrate's
 /// abstraction level; see EXPERIMENTS.md.
-pub fn interference(_ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn interference(ctx: &mut ScenarioCtx) -> Result<(), String> {
     header("I/O↔compute interference alpha (WaComM, 96 ranks) — negative result");
     println!(
         "{:>8} {:>14} {:>14} {:>10}",
@@ -229,11 +237,11 @@ pub fn interference(_ctx: &ScenarioCtx) -> Result<(), String> {
         rows.push(format!("{alpha},{none:.4},{up:.4},{gain:.2}"));
     }
     write_csv(
+        ctx,
         "ablation_interference",
         "alpha,none_s,uponly_s,gain_pct",
         &rows,
-    )
-    .map_err(|e| e.to_string())?;
+    )?;
     println!(
         "(both runs slow equally: pacing preserves the burst microstructure, so\n\
          the paper's thread-competition speedup is not reproducible in a fluid\n\
@@ -244,7 +252,7 @@ pub fn interference(_ctx: &ScenarioCtx) -> Result<(), String> {
 
 /// MFU-table strategy (the paper's future-work idea) against the three
 /// published strategies on a workload with a recurring phase pattern.
-pub fn mfu(_ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn mfu(ctx: &mut ScenarioCtx) -> Result<(), String> {
     header("MFU-table strategy vs the paper's three (HACC-IO, 16 ranks)");
     println!(
         "{:<10} {:>10} {:>8} {:>9}",
@@ -270,16 +278,16 @@ pub fn mfu(_ctx: &ScenarioCtx) -> Result<(), String> {
         rows.push(format!("{},{t:.4},{lost:.2},{exploit:.2}", strategy.name()));
     }
     write_csv(
+        ctx,
         "ablation_mfu",
         "strategy,time_s,lost_pct,exploit_pct",
         &rows,
-    )
-    .map_err(|e| e.to_string())?;
+    )?;
     Ok(())
 }
 
 /// Burst buffer for synchronous I/O: the future-work extension.
-pub fn burst_buffer(_ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn burst_buffer(ctx: &mut ScenarioCtx) -> Result<(), String> {
     use pfsim::burstbuffer::required_drain_bandwidth;
     use pfsim::BurstBufferConfig;
     let hc = HaccConfig {
@@ -336,11 +344,11 @@ pub fn burst_buffer(_ctx: &ScenarioCtx) -> Result<(), String> {
         ));
     }
     write_csv(
+        ctx,
         "ablation_bb",
         "with_bb,time_s,sync_write_mean_s,peak_mbs",
         &rows,
-    )
-    .map_err(|e| e.to_string())?;
+    )?;
     println!(
         "(the buffer absorbs the bursts: visible sync-write time collapses and the\n\
          runtime improves; the same bytes still cross the PFS, so its saturation\n\

@@ -10,8 +10,8 @@
 //! * the **empty** plan reproduces the fault-free run bit-for-bit, so the
 //!   figure CSVs cannot drift when fault injection is compiled in.
 //!
-//! Fault-free base runs are computed once per (workload, strategy, scale)
-//! and shared across all plan entries in the process.
+//! Each plan entry computes its own fault-free base runs: they are cheap
+//! next to the fault runs and their replays.
 
 use crate::csv::CsvRow;
 use crate::par::par_map;
@@ -19,13 +19,11 @@ use crate::registry::ScenarioCtx;
 use crate::scenarios::run;
 use hpcwl::hacc::HaccConfig;
 use hpcwl::wacomm::WacommConfig;
-use iobts::session::{ExpConfig, HaccIo, RunOutput, Wacomm};
+use session::{ExpConfig, HaccIo, RunOutput, Wacomm};
 use simcore::{
-    CancelSpec, ChannelFaultWindow, FaultChannel, FaultPlan, Invariant, IoErrorKind, IoErrorModel,
+    CancelSpec, ChannelFaultWindow, FaultChannel, FaultPlan, IoErrorKind, IoErrorModel,
     StragglerSpec,
 };
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
 use tmio::Strategy;
 
 /// One scheduled fault plan plus its acceptance envelope.
@@ -340,36 +338,17 @@ fn cases(quick: bool) -> Vec<(Case, &'static str, Strategy)> {
         .collect()
 }
 
-/// Fault-free base runs, computed once per (workload, strategy, scale) and
-/// shared by every plan entry in the process.
-fn base_run(case: Case, strategy_name: &str, strategy: Strategy, quick: bool) -> Arc<RunOutput> {
-    static CACHE: OnceLock<Mutex<HashMap<String, Arc<RunOutput>>>> = OnceLock::new();
-    let key = format!("{}/{}/{}", case.label(), strategy_name, quick);
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(hit) = cache.lock().invariant("chaos cache lock").get(&key) {
-        return Arc::clone(hit);
-    }
-    let cfg = ExpConfig::new(case.ranks(), strategy);
-    let base = Arc::new(case.run(cfg));
-    cache
-        .lock()
-        .invariant("chaos cache lock")
-        .entry(key)
-        .or_insert(base)
-        .clone()
-}
-
 /// Runs one named fault plan over all (workload, strategy) cases; the
 /// registry's `chaos.<plan>` entries call this.
-pub fn run_plan(plan: &'static str, ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn run_plan(plan: &'static str, ctx: &mut ScenarioCtx) -> Result<(), String> {
     if plan == "combined" && ctx.quick {
         println!("chaos.combined: skipped in --quick mode (full sweep only)");
         return Ok(());
     }
     let cases = cases(ctx.quick);
     let t0 = std::time::Instant::now();
-    let rows: Vec<ChaosRow> = par_map(&cases, |&(case, name, strategy)| {
-        let base = base_run(case, name, strategy, ctx.quick);
+    let rows: Vec<ChaosRow> = par_map(ctx.jobs, &cases, |&(case, name, strategy)| {
+        let base = case.run(ExpConfig::new(case.ranks(), strategy));
         let pf = plan_spec(plan, base.app_time());
         check_plan(case, name, strategy, &base, &pf)
     });
@@ -410,7 +389,7 @@ pub fn run_plan(plan: &'static str, ctx: &ScenarioCtx) -> Result<(), String> {
             );
         }
     }
-    crate::csv::write_rows(&format!("chaos_{plan}"), &rows).map_err(|e| e.to_string())?;
+    crate::csv::write_rows(ctx, &format!("chaos_{plan}"), &rows)?;
     println!(
         "chaos.{plan}: {} fault runs x2 (replay) in {:.1} s, {failures} violation(s)",
         rows.len(),

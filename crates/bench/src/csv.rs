@@ -5,22 +5,13 @@
 //! implement [`CsvRow`]; [`write_rows`] dumps them and [`rows`] formats
 //! them for byte-identity tests. Free-form tables go through
 //! [`write_csv`], which writes each file whole through the session layer's
-//! crash-safe [`write_atomic`].
+//! crash-safe [`write_atomic`] into the sweep's results dir and records it
+//! among the running entry's outputs, both carried by the [`ScenarioCtx`].
 
-use iobts::session::write_atomic;
+use crate::registry::ScenarioCtx;
+use session::write_atomic;
 use simcore::{SimTime, StepSeries};
 use std::path::PathBuf;
-use std::sync::{Mutex, PoisonError};
-
-/// Every file [`write_csv`] finished since the last [`take_written`].
-static WRITTEN: Mutex<Vec<PathBuf>> = Mutex::new(Vec::new());
-
-/// Returns and forgets the files [`write_csv`] finished since the last
-/// call: the registry records them in the manifest entry of the scenario
-/// that wrote them.
-pub fn take_written() -> Vec<PathBuf> {
-    std::mem::take(&mut *WRITTEN.lock().unwrap_or_else(PoisonError::into_inner))
-}
 
 /// A struct that knows its CSV header and how to format itself as a row.
 pub trait CsvRow {
@@ -37,39 +28,37 @@ pub fn rows<R: CsvRow>(items: &[R]) -> Vec<String> {
     items.iter().map(CsvRow::row).collect()
 }
 
-/// Writes typed rows (header from the type) to `results/<name>.csv`
-/// atomically (temp file + rename; see [`write_csv`]).
-pub fn write_rows<R: CsvRow>(name: &str, items: &[R]) -> std::io::Result<PathBuf> {
-    write_csv(name, R::HEADER, &rows(items))
+/// Writes typed rows (header from the type) to `<results dir>/<name>.csv`
+/// (see [`write_csv`]).
+pub fn write_rows<R: CsvRow>(
+    ctx: &mut ScenarioCtx,
+    name: &str,
+    items: &[R],
+) -> Result<PathBuf, String> {
+    write_csv(ctx, name, R::HEADER, &rows(items))
 }
 
-/// Where figure CSVs are written (`results/` under the workspace root, or
-/// `$IOBTS_RESULTS_DIR`, which the CLI points at `results_full/` for
-/// `--full` sweeps when it is unset). Creation is attempted but not required here —
-/// the writer surfaces the error with the actual path if the directory
-/// cannot exist.
-pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("IOBTS_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
-    let p = PathBuf::from(dir);
-    let _ = std::fs::create_dir_all(&p);
-    p
-}
-
-/// Writes `header` and `rows`, one per line, to `results/<name>.csv`,
-/// returning the path. The file is replaced whole ([`write_atomic`]), so an
-/// interrupted run never leaves a truncated CSV.
-pub fn write_csv(name: &str, header: &str, rows: &[String]) -> std::io::Result<PathBuf> {
-    let path = results_dir().join(format!("{name}.csv"));
+/// Writes `header` and `rows`, one per line, to `<name>.csv` in
+/// `ctx.results_dir` (created if missing), records the path in
+/// `ctx.outputs` and returns it. The file is replaced whole
+/// ([`write_atomic`]), so an interrupted run never leaves a truncated CSV.
+/// The error names the path, ready to be an entry's failure.
+pub fn write_csv(
+    ctx: &mut ScenarioCtx,
+    name: &str,
+    header: &str,
+    rows: &[String],
+) -> Result<PathBuf, String> {
+    let path = ctx.results_dir.join(format!("{name}.csv"));
     let mut body = format!("{header}\n");
     for row in rows {
         body.push_str(row);
         body.push('\n');
     }
-    write_atomic(&path, body.as_bytes())?;
-    WRITTEN
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .push(path.clone());
+    std::fs::create_dir_all(&ctx.results_dir)
+        .and_then(|()| write_atomic(&path, body.as_bytes()))
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    ctx.outputs.push(path.clone());
     Ok(path)
 }
 

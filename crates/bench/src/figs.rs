@@ -8,7 +8,7 @@ use crate::csv::CsvRow;
 use crate::registry::ScenarioCtx;
 use crate::scenarios;
 use crate::{multi_series_rows, sweeps, write_csv};
-use iobts::session::RunOutput;
+use session::RunOutput;
 use simcore::Invariant;
 use tmio::Strategy;
 
@@ -19,7 +19,7 @@ fn header(id: &str, what: &str) {
 }
 
 /// Figs. 1 & 2: motivation — 8 jobs, job 4 async, limited during contention.
-pub fn fig01_02(_ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn fig01_02(ctx: &mut ScenarioCtx) -> Result<(), String> {
     let out = scenarios::motivation();
     header(
         "fig01",
@@ -53,11 +53,11 @@ pub fn fig01_02(_ctx: &ScenarioCtx) -> Result<(), String> {
         ));
     }
     let p = write_csv(
+        ctx,
         "fig01_jobs",
         "job,nodes,start_free,end_free,start_lim,end_lim,runtime_free,runtime_lim",
         &rows,
-    )
-    .map_err(|e| e.to_string())?;
+    )?;
     println!("-> {}", p.display());
 
     header("fig02", "total PFS bandwidth over time for both cases");
@@ -80,11 +80,11 @@ pub fn fig01_02(_ctx: &ScenarioCtx) -> Result<(), String> {
         crate::sparkline(&out.limited.total_bandwidth, 0.0, horizon, 72)
     );
     let p = write_csv(
+        ctx,
         "fig02_bandwidth",
         "t,without_limit_Bps,with_limit_Bps",
         &rows,
-    )
-    .map_err(|e| e.to_string())?;
+    )?;
     println!("-> {}", p.display());
     // Job-4 band for the stacked view.
     let rows4 = multi_series_rows(
@@ -93,14 +93,18 @@ pub fn fig01_02(_ctx: &ScenarioCtx) -> Result<(), String> {
         horizon,
         240,
     );
-    let p = write_csv("fig02_job4", "t,job4_free_Bps,job4_limited_Bps", &rows4)
-        .map_err(|e| e.to_string())?;
+    let p = write_csv(
+        ctx,
+        "fig02_job4",
+        "t,job4_free_Bps,job4_limited_Bps",
+        &rows4,
+    )?;
     println!("-> {}", p.display());
     Ok(())
 }
 
 /// Fig. 3: rank-0 timeline — Δt (available window) vs Δtᵃ (actual I/O).
-pub fn fig03(_ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn fig03(ctx: &mut ScenarioCtx) -> Result<(), String> {
     let out = scenarios::rank_timeline();
     header("fig03", "rank 0 async I/O during compute phases: Δt vs Δtᵃ");
     println!(
@@ -123,18 +127,18 @@ pub fn fig03(_ctx: &ScenarioCtx) -> Result<(), String> {
         ));
     }
     let p = write_csv(
+        ctx,
         "fig03_timeline",
         "phase,submit,complete,wait_enter,dt,dta",
         &rows,
-    )
-    .map_err(|e| e.to_string())?;
+    )?;
     println!("-> {}", p.display());
     println!("(Δtᵃ < Δt on every phase: the I/O is fully hidden, as in Fig. 3)");
     Ok(())
 }
 
 /// Fig. 4: the worked region example — B_r over five regions.
-pub fn fig04(_ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn fig04(ctx: &mut ScenarioCtx) -> Result<(), String> {
     use tmio::regions::{IncrementalSweep, Interval};
     let intervals = [
         Interval {
@@ -167,16 +171,16 @@ pub fn fig04(_ctx: &ScenarioCtx) -> Result<(), String> {
         println!("  region starts at t={t}: B_r = {v}");
         rows.push(format!("{t},{v}"));
     }
-    let p = write_csv("fig04_regions", "ts_r,B_r", &rows).map_err(|e| e.to_string())?;
+    let p = write_csv(ctx, "fig04_regions", "ts_r,B_r", &rows)?;
     println!("-> {}", p.display());
     Ok(())
 }
 
 /// Figs. 5 & 6: HACC-IO runtime and overhead split vs ranks.
-pub fn fig05_06(ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn fig05_06(ctx: &mut ScenarioCtx) -> Result<(), String> {
     let particles = if ctx.full { 1_000_000 } else { 100_000 };
     let ranks = sweeps::hacc_ranks(ctx.full);
-    let rows = scenarios::hacc_overheads(&ranks, particles);
+    let rows = scenarios::hacc_overheads(ctx.jobs, &ranks, particles);
     header("fig05", "HACC-IO runtime (Total/App/Overhead) vs ranks");
     println!(
         "{:>6} {:<7} {:>10} {:>10} {:>10} {:>10}",
@@ -189,8 +193,12 @@ pub fn fig05_06(ctx: &ScenarioCtx) -> Result<(), String> {
         );
     }
     let csv = crate::csv::rows(&rows);
-    let p = write_csv("fig05_06_overheads", scenarios::OverheadRow::HEADER, &csv)
-        .map_err(|e| e.to_string())?;
+    let p = write_csv(
+        ctx,
+        "fig05_06_overheads",
+        scenarios::OverheadRow::HEADER,
+        &csv,
+    )?;
     println!("-> {}", p.display());
 
     header("fig06", "HACC-IO total-time distribution (direct vs none)");
@@ -246,15 +254,14 @@ fn print_dist(rows: &[scenarios::DistRow]) -> Vec<String> {
 }
 
 /// Fig. 7: WaComM time distribution across ranks and strategies.
-pub fn fig07(ctx: &ScenarioCtx) -> Result<(), String> {
-    let rows = scenarios::wacomm_distribution(&sweeps::wacomm_ranks(ctx.full));
+pub fn fig07(ctx: &mut ScenarioCtx) -> Result<(), String> {
+    let rows = scenarios::wacomm_distribution(ctx.jobs, &sweeps::wacomm_ranks(ctx.full));
     header(
         "fig07",
         "WaComM time distribution (direct tol=2 / up-only tol=1.1 / none)",
     );
     let csv = print_dist(&rows);
-    let p = write_csv("fig07_wacomm_dist", scenarios::DistRow::HEADER, &csv)
-        .map_err(|e| e.to_string())?;
+    let p = write_csv(ctx, "fig07_wacomm_dist", scenarios::DistRow::HEADER, &csv)?;
     println!("-> {}", p.display());
     Ok(())
 }
@@ -273,7 +280,7 @@ pub fn series_csv_rows(out: &RunOutput) -> Vec<String> {
     multi_series_rows(&series, 0.0, out.app_time(), 400)
 }
 
-fn dump_series(out: &RunOutput, name: &str) -> Result<(), String> {
+fn dump_series(ctx: &mut ScenarioCtx, out: &RunOutput, name: &str) -> Result<(), String> {
     let horizon = out.app_time();
     let t_series = out.report.throughput_series();
     let b_series = out.report.required_series();
@@ -281,7 +288,7 @@ fn dump_series(out: &RunOutput, name: &str) -> Result<(), String> {
     println!("  T   {}", crate::sparkline(t_series, 0.0, horizon, 72));
     println!("  B_L {}", crate::sparkline(l_series, 0.0, horizon, 72));
     println!("  B   {}", crate::sparkline(b_series, 0.0, horizon, 72));
-    let p = write_csv(name, SERIES_HEADER, &series_csv_rows(out)).map_err(|e| e.to_string())?;
+    let p = write_csv(ctx, name, SERIES_HEADER, &series_csv_rows(out))?;
     println!(
         "series: peak T = {:.1} MB/s, max B = {:.1} MB/s, max B_L = {:.1} MB/s{}",
         t_series.max_value() / 1e6,
@@ -297,20 +304,20 @@ fn dump_series(out: &RunOutput, name: &str) -> Result<(), String> {
 }
 
 /// Fig. 8: WaComM 96 ranks without limit.
-pub fn fig08(_ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn fig08(ctx: &mut ScenarioCtx) -> Result<(), String> {
     let out = scenarios::wacomm_series(96, Strategy::None, 0.0);
     header("fig08", "WaComM 96 ranks, no limit: T and B over time");
     println!("runtime {:.2} s", out.app_time());
-    dump_series(&out, "fig08_series")?;
+    dump_series(ctx, &out, "fig08_series")?;
     Ok(())
 }
 
 /// Fig. 9: WaComM 96 ranks, up-only.
-pub fn fig09(_ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn fig09(ctx: &mut ScenarioCtx) -> Result<(), String> {
     let out = scenarios::wacomm_series(96, Strategy::UpOnly { tol: 1.1 }, 0.0);
     header("fig09", "WaComM 96 ranks, up-only tol=1.1: T follows B_L");
     println!("runtime {:.2} s", out.app_time());
-    dump_series(&out, "fig09_series")?;
+    dump_series(ctx, &out, "fig09_series")?;
     // Check each rank's T tracks that rank's in-effect limit: match every
     // throughput window to the phase of the same rank containing its start.
     let mut track = 0usize;
@@ -335,7 +342,7 @@ pub fn fig09(_ctx: &ScenarioCtx) -> Result<(), String> {
 }
 
 /// Fig. 10: WaComM at scale — up-only vs none.
-pub fn fig10(ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn fig10(ctx: &mut ScenarioCtx) -> Result<(), String> {
     let ranks = if ctx.full { 9216 } else { 384 };
     // The paper attributes its ≈11.6 % speedup to reduced resource
     // competition of the I/O threads [33] — an effect it defers to future
@@ -344,7 +351,7 @@ pub fn fig10(ctx: &ScenarioCtx) -> Result<(), String> {
     // (ablation `interference` in the benches).
     let alpha = 0.0;
     let strategies = [Strategy::None, Strategy::UpOnly { tol: 1.1 }];
-    let mut outs = crate::par::par_map(&strategies, |&strategy| {
+    let mut outs = crate::par::par_map(ctx.jobs, &strategies, |&strategy| {
         scenarios::wacomm_series(ranks, strategy, alpha)
     });
     header(
@@ -371,28 +378,27 @@ pub fn fig10(ctx: &ScenarioCtx) -> Result<(), String> {
          attributed to I/O-thread resource competition [33] that the paper defers; see\n\
          EXPERIMENTS.md — the exploitation gap above is the reproduced headline)"
     );
-    dump_series(&uponly, "fig10_uponly")?;
-    dump_series(&none, "fig10_none")?;
+    dump_series(ctx, &uponly, "fig10_uponly")?;
+    dump_series(ctx, &none, "fig10_none")?;
     Ok(())
 }
 
 /// Fig. 11: HACC-IO time distribution across ranks, four strategies.
-pub fn fig11(ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn fig11(ctx: &mut ScenarioCtx) -> Result<(), String> {
     let particles = if ctx.full { 100_000 } else { 50_000 };
-    let rows = scenarios::hacc_distribution(&sweeps::hacc_ranks(ctx.full), particles);
+    let rows = scenarios::hacc_distribution(ctx.jobs, &sweeps::hacc_ranks(ctx.full), particles);
     header(
         "fig11",
         "HACC-IO time distribution (direct/up-only/adaptive/none, tol=1.1)",
     );
     let csv = print_dist(&rows);
-    let p = write_csv("fig11_hacc_dist", scenarios::DistRow::HEADER, &csv)
-        .map_err(|e| e.to_string())?;
+    let p = write_csv(ctx, "fig11_hacc_dist", scenarios::DistRow::HEADER, &csv)?;
     println!("-> {}", p.display());
     Ok(())
 }
 
 /// Fig. 12: the modified HACC-IO structure.
-pub fn fig12(_ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn fig12(_ctx: &mut ScenarioCtx) -> Result<(), String> {
     use hpcwl::hacc::HaccConfig;
     let cfg = HaccConfig {
         loops: 2,
@@ -414,7 +420,7 @@ pub fn fig12(_ctx: &ScenarioCtx) -> Result<(), String> {
 }
 
 /// Fig. 13: HACC-IO at scale under all four strategies.
-pub fn fig13(ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn fig13(ctx: &mut ScenarioCtx) -> Result<(), String> {
     let ranks = if ctx.full { 9216 } else { 384 };
     let particles = 100_000;
     let runs = [
@@ -429,7 +435,7 @@ pub fn fig13(ctx: &ScenarioCtx) -> Result<(), String> {
         ),
         ("none", Strategy::None),
     ];
-    let outs = crate::par::par_map(&runs, |&(_, strategy)| {
+    let outs = crate::par::par_map(ctx.jobs, &runs, |&(_, strategy)| {
         scenarios::hacc_series(ranks, particles, strategy, false)
     });
     header("fig13", "HACC-IO at scale: T/B_L/B series per strategy");
@@ -441,15 +447,15 @@ pub fn fig13(ctx: &ScenarioCtx) -> Result<(), String> {
             100.0 * d.exploit() / d.total.max(1e-12),
             100.0 * (d.async_write_lost + d.async_read_lost) / d.total.max(1e-12)
         );
-        dump_series(out, &format!("fig13_{name}"))?;
+        dump_series(ctx, out, &format!("fig13_{name}"))?;
     }
     Ok(())
 }
 
 /// Fig. 14: HACC-IO 1536 ranks, direct strategy, I/O variability.
-pub fn fig14(ctx: &ScenarioCtx) -> Result<(), String> {
+pub fn fig14(ctx: &mut ScenarioCtx) -> Result<(), String> {
     let ranks = if ctx.full { 1536 } else { 192 };
-    let mut outs = crate::par::par_map(&[true, false], |&noise| {
+    let mut outs = crate::par::par_map(ctx.jobs, &[true, false], |&noise| {
         scenarios::hacc_series(ranks, 100_000, Strategy::Direct { tol: 1.1 }, noise)
     });
     header(
@@ -480,6 +486,6 @@ pub fn fig14(ctx: &ScenarioCtx) -> Result<(), String> {
         "I/O variability makes the limited transfers miss the window (T falls\n\
          outside the green B region of Fig. 14), prolonging the runtime slightly."
     );
-    dump_series(&noisy, "fig14_noisy")?;
+    dump_series(ctx, &noisy, "fig14_noisy")?;
     Ok(())
 }

@@ -4,8 +4,11 @@
 //! The layering (DESIGN.md §3): [`scenarios`] computes the paper's
 //! figures through the session pipeline, [`figs`]/[`abl`]/[`chaosrun`]
 //! wrap them as named registry entries, and [`registry`] gives every bin
-//! the same `--list`/`--only <glob>`/`--jobs` frontend. CSV emission is
-//! centralised in [`csv`]; [`par`] bounds the worker pool.
+//! the same `--list`/`--only <glob>`/`--jobs` frontend. A sweep's run
+//! state — results dir, worker count, build identity and the files each
+//! entry wrote — travels in one [`registry::ScenarioCtx`]; the harness
+//! keeps no process-global state. CSV emission is centralised in [`csv`];
+//! [`par`] bounds the worker pool.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), warn(unused_crate_dependencies))]
@@ -21,7 +24,7 @@ pub mod par;
 pub mod registry;
 pub mod scenarios;
 
-pub use csv::{multi_series_rows, results_dir, write_csv};
+pub use csv::{multi_series_rows, write_csv};
 
 /// Renders a step series as a unicode sparkline over `[from, to]` — the
 /// harness's terminal stand-in for the paper's plots. Values are binned by
@@ -76,11 +79,19 @@ mod tests {
 
     #[test]
     fn csv_written_to_results() {
-        std::env::set_var("IOBTS_RESULTS_DIR", "/tmp/iobts-test-results");
-        let p = write_csv("unit_test", "a,b", &["1,2".into(), "3,4".into()]).unwrap();
+        let dir = std::env::temp_dir().join(format!("iobts-csv-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut ctx = registry::ScenarioCtx::new(&dir, 1);
+        let p = write_csv(&mut ctx, "unit_test", "a,b", &["1,2".into(), "3,4".into()]).unwrap();
         assert_eq!(std::fs::read_to_string(&p).unwrap(), "a,b\n1,2\n3,4\n");
-        let p = write_csv("unit_test_empty", "a,b", &[]).unwrap();
-        assert_eq!(std::fs::read_to_string(&p).unwrap(), "a,b\n");
+        let q = write_csv(&mut ctx, "unit_test_empty", "a,b", &[]).unwrap();
+        assert_eq!(std::fs::read_to_string(&q).unwrap(), "a,b\n");
+        assert_eq!(ctx.outputs, [p, q], "both files recorded, in order");
+        assert!(ctx
+            .outputs
+            .iter()
+            .all(|f| f.parent() == Some(dir.as_path())));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

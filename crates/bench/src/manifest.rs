@@ -1,13 +1,13 @@
 //! Crash-safe sweep manifests: the registry's checkpoint/resume layer.
 //!
 //! As each scenario of a sweep completes, [`mark_done`] writes a tiny
-//! per-entry manifest file under `results/.manifest/` — crash-safe through
+//! per-entry manifest file under `<results dir>/.manifest/` — crash-safe through
 //! `session::write_atomic`, and written only *after* the
 //! scenario's CSVs are themselves atomically in place. A manifest entry
 //! therefore implies the scenario's outputs are whole.
 //!
 //! `--resume` ([`is_done`]) skips entries whose manifest matches the
-//! current [`fingerprint`] — the same code, the same entry and the same run
+//! current fingerprint — the same code, the same entry and the same run
 //! shape (`--full`/`--quick` flags) — and whose recorded outputs are still
 //! on disk as written: each CSV the entry finished is listed with its
 //! length and FNV-1a digest (the hash of the build identity), so a deleted
@@ -22,40 +22,37 @@ use crate::registry::ScenarioCtx;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 
-/// Where per-entry manifests live (inside the results dir, so
-/// `$IOBTS_RESULTS_DIR` isolates concurrent test sweeps too).
-pub fn manifest_dir() -> PathBuf {
-    crate::results_dir().join(".manifest")
+/// Where per-entry manifests live: inside the sweep's results dir, so two
+/// sweeps into two dirs never see each other's completions.
+fn manifest_dir(ctx: &ScenarioCtx) -> PathBuf {
+    ctx.results_dir.join(".manifest")
 }
 
 /// Identity of the code that computes every entry: the digest of the
-/// running binary, read once per process. A scenario's configs are code, so
-/// editing one — or the engine beneath it — changes this. A binary that
-/// cannot be read gets a per-process identity, so `--resume` recomputes.
-fn build_id() -> &'static str {
-    static ID: OnceLock<String> = OnceLock::new();
-    ID.get_or_init(|| match std::env::current_exe().and_then(fs::read) {
+/// running binary, which [`ScenarioCtx::new`] reads once per sweep. A
+/// scenario's configs are code, so editing one — or the engine beneath it —
+/// changes this. A binary that cannot be read gets a per-process identity,
+/// so `--resume` recomputes.
+pub fn build_id() -> String {
+    match std::env::current_exe().and_then(fs::read) {
         Ok(binary) => format!("{:016x}", fnv1a(&binary)),
         Err(_) => format!("unreadable-{}", std::process::id()),
-    })
+    }
 }
 
 /// The fingerprint stored in an entry's manifest: the build identity plus
 /// the entry's resolved configuration — which entry, at which run shape
 /// (completing a `--quick` sweep must not mark the full-scale variant done).
-pub fn fingerprint(group: &str, name: &str, ctx: &ScenarioCtx) -> String {
+fn fingerprint(group: &str, name: &str, ctx: &ScenarioCtx) -> String {
     format!(
         "v3 build={} entry={group}.{name} full={} quick={}",
-        build_id(),
-        ctx.full,
-        ctx.quick
+        ctx.build_id, ctx.full, ctx.quick
     )
 }
 
-fn entry_path(group: &str, name: &str) -> PathBuf {
-    manifest_dir().join(format!("{group}.{name}.done"))
+fn entry_path(group: &str, name: &str, ctx: &ScenarioCtx) -> PathBuf {
+    manifest_dir(ctx).join(format!("{group}.{name}.done"))
 }
 
 /// 64-bit FNV-1a of `bytes`.
@@ -84,38 +81,33 @@ fn output_line(path: &Path) -> io::Result<String> {
 /// output it recorded is still there with the recorded length and digest
 /// (for `--resume`).
 pub fn is_done(group: &str, name: &str, ctx: &ScenarioCtx) -> bool {
-    let Ok(body) = fs::read_to_string(entry_path(group, name)) else {
+    let Ok(body) = fs::read_to_string(entry_path(group, name, ctx)) else {
         return false;
     };
     let mut lines = body.lines();
     lines.next() == Some(fingerprint(group, name, ctx).as_str())
         && lines.all(|line| {
             let file = line.splitn(3, ' ').nth(2).unwrap_or_default();
-            output_line(&crate::results_dir().join(file)).is_ok_and(|now| now == line)
+            output_line(&ctx.results_dir.join(file)).is_ok_and(|now| now == line)
         })
 }
 
-/// Records `name` as complete with the `outputs` it wrote, crash-safe
-/// through `session::write_atomic` and only after the scenario's own
-/// outputs are in place.
-pub fn mark_done(
-    group: &str,
-    name: &str,
-    ctx: &ScenarioCtx,
-    outputs: &[PathBuf],
-) -> io::Result<()> {
-    fs::create_dir_all(manifest_dir())?;
+/// Records `name` as complete with the outputs it wrote (`ctx.outputs`),
+/// crash-safe through `session::write_atomic` and only after the
+/// scenario's own outputs are in place.
+pub fn mark_done(group: &str, name: &str, ctx: &ScenarioCtx) -> io::Result<()> {
+    fs::create_dir_all(manifest_dir(ctx))?;
     let mut body = fingerprint(group, name, ctx);
-    for path in outputs {
+    for path in &ctx.outputs {
         body.push('\n');
         body.push_str(&output_line(path)?);
     }
-    iobts::session::write_atomic(&entry_path(group, name), body.as_bytes())
+    session::write_atomic(&entry_path(group, name, ctx), body.as_bytes())
 }
 
 /// Drops every manifest entry of `group` (fresh, non-resume runs).
-pub fn clear_group(group: &str) {
-    let Ok(entries) = fs::read_dir(manifest_dir()) else {
+pub fn clear_group(group: &str, ctx: &ScenarioCtx) {
+    let Ok(entries) = fs::read_dir(manifest_dir(ctx)) else {
         return;
     };
     let prefix = format!("{group}.");
@@ -131,48 +123,57 @@ pub fn clear_group(group: &str) {
 mod tests {
     use super::*;
 
-    fn ctx(full: bool) -> ScenarioCtx {
-        ScenarioCtx { full, quick: false }
+    /// A quick- and a full-shape context over a fresh dir private to `test`.
+    fn ctxs(test: &str) -> (ScenarioCtx, ScenarioCtx) {
+        let dir =
+            std::env::temp_dir().join(format!("iobts-manifest-{}-{test}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let quick = ScenarioCtx::new(dir, 1);
+        let full = ScenarioCtx {
+            full: true,
+            ..quick.clone()
+        };
+        (quick, full)
     }
 
     #[test]
     fn roundtrip_and_fingerprint_mismatch() {
-        // Same value as the csv test in lib.rs: the env var is process
-        // global, so concurrent tests must agree on it.
-        std::env::set_var("IOBTS_RESULTS_DIR", "/tmp/iobts-test-results");
-        clear_group("g");
-        assert!(!is_done("g", "s1", &ctx(false)));
-        mark_done("g", "s1", &ctx(false), &[]).unwrap();
-        assert!(is_done("g", "s1", &ctx(false)));
+        let (ctx, full) = ctxs("roundtrip");
+        assert!(!is_done("g", "s1", &ctx));
+        mark_done("g", "s1", &ctx).unwrap();
+        assert!(is_done("g", "s1", &ctx));
         // A quick-shape completion does not satisfy a full-shape resume.
-        assert!(!is_done("g", "s1", &ctx(true)));
+        assert!(!is_done("g", "s1", &full));
         // Nor does one entry's completion mark another done.
-        assert!(!is_done("g", "s2", &ctx(false)));
+        assert!(!is_done("g", "s2", &ctx));
         // A manifest left by other code (another build identity, or the
         // shape-only format that predates it) is not a completion.
-        let other = fingerprint("g", "s1", &ctx(false)).replace(build_id(), "0123456789abcdef");
-        std::fs::write(entry_path("g", "s1"), other).unwrap();
-        assert!(!is_done("g", "s1", &ctx(false)));
-        std::fs::write(entry_path("g", "s1"), "v1 full=false quick=false").unwrap();
-        assert!(!is_done("g", "s1", &ctx(false)));
-        clear_group("g");
-        assert!(!is_done("g", "s1", &ctx(false)));
+        let other = fingerprint("g", "s1", &ctx).replace(&ctx.build_id, "0123456789abcdef");
+        fs::write(entry_path("g", "s1", &ctx), other).unwrap();
+        assert!(!is_done("g", "s1", &ctx));
+        fs::write(entry_path("g", "s1", &ctx), "v1 full=false quick=false").unwrap();
+        assert!(!is_done("g", "s1", &ctx));
+        clear_group("g", &ctx);
+        assert!(!is_done("g", "s1", &ctx));
+        fs::remove_dir_all(&ctx.results_dir).unwrap();
     }
 
     #[test]
     fn changed_or_missing_outputs_undo_a_completion() {
-        std::env::set_var("IOBTS_RESULTS_DIR", "/tmp/iobts-test-results");
-        let out = crate::results_dir().join("manifest_unit_test.csv");
-        std::fs::write(&out, "a,b\n1,2\n").unwrap();
-        mark_done("h", "s1", &ctx(false), std::slice::from_ref(&out)).unwrap();
-        assert!(is_done("h", "s1", &ctx(false)));
+        let (mut ctx, _) = ctxs("outputs");
+        fs::create_dir_all(&ctx.results_dir).unwrap();
+        let out = ctx.results_dir.join("manifest_unit_test.csv");
+        fs::write(&out, "a,b\n1,2\n").unwrap();
+        ctx.outputs.push(out.clone());
+        mark_done("h", "s1", &ctx).unwrap();
+        assert!(is_done("h", "s1", &ctx));
         // Same length, other bytes: caught by the digest.
-        std::fs::write(&out, "a,b\n1,3\n").unwrap();
-        assert!(!is_done("h", "s1", &ctx(false)));
-        std::fs::write(&out, "a,b\n1,2\n").unwrap();
-        assert!(is_done("h", "s1", &ctx(false)));
-        std::fs::remove_file(&out).unwrap();
-        assert!(!is_done("h", "s1", &ctx(false)));
-        clear_group("h");
+        fs::write(&out, "a,b\n1,3\n").unwrap();
+        assert!(!is_done("h", "s1", &ctx));
+        fs::write(&out, "a,b\n1,2\n").unwrap();
+        assert!(is_done("h", "s1", &ctx));
+        fs::remove_file(&out).unwrap();
+        assert!(!is_done("h", "s1", &ctx));
+        fs::remove_dir_all(&ctx.results_dir).unwrap();
     }
 }

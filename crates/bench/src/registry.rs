@@ -8,20 +8,54 @@
 //! ablations --only tol --only bb   # repeatable selection
 //! chaos     --quick --jobs 4       # CI smoke at bounded width
 //! ```
+//!
+//! [`cli_main`] resolves a sweep's run state once into a [`ScenarioCtx`]:
+//! the results dir, the worker count, the build identity, and the files
+//! the running entry has written. Every entry receives it; the harness
+//! keeps no process-global state, so two sweeps with two contexts can run
+//! side by side in one process.
 
 use std::collections::BTreeSet;
+use std::path::PathBuf;
+use std::process::ExitCode;
 
-/// Run-time context handed to every scenario.
-#[derive(Clone, Copy, Debug, Default)]
+/// The run state of a sweep, resolved once by [`cli_main`] and handed to
+/// every entry: the run shape, where outputs go, how wide sweeps fan out,
+/// and the files the running entry has written.
+#[derive(Clone, Debug)]
 pub struct ScenarioCtx {
     /// Paper-scale sweeps instead of the laptop-scale subsets.
     pub full: bool,
     /// CI smoke mode (chaos: fewer ranks, no `combined` plan).
     pub quick: bool,
+    /// Where CSVs and `--resume` manifests are written.
+    pub results_dir: PathBuf,
+    /// Worker count of every parallel sweep ([`crate::par::par_map`]), ≥ 1.
+    pub jobs: usize,
+    /// Identity of the code computing the entries ([`crate::manifest`]).
+    pub build_id: String,
+    /// Files the running entry has written so far ([`run_entry`] clears it
+    /// before each entry).
+    pub outputs: Vec<PathBuf>,
+}
+
+impl ScenarioCtx {
+    /// A quick-scale context of the running binary that writes under
+    /// `results_dir` and runs sweeps `jobs` wide (at least 1).
+    pub fn new(results_dir: impl Into<PathBuf>, jobs: usize) -> Self {
+        ScenarioCtx {
+            full: false,
+            quick: false,
+            results_dir: results_dir.into(),
+            jobs: jobs.max(1),
+            build_id: crate::manifest::build_id(),
+            outputs: Vec::new(),
+        }
+    }
 }
 
 /// The signature every registry entry implements.
-pub type ScenarioFn = fn(&ScenarioCtx) -> Result<(), String>;
+pub type ScenarioFn = fn(&mut ScenarioCtx) -> Result<(), String>;
 
 /// One named, individually runnable scenario.
 pub struct Scenario {
@@ -290,45 +324,72 @@ pub fn print_list(group: &str) {
     }
 }
 
+/// Runs entry `s` under `ctx`. A panic is caught and reported as the
+/// entry's failure, so one broken entry does not sink the sweep. On success
+/// `ctx.outputs` holds exactly the files the entry wrote, and the entry is
+/// checkpointed with them through [`crate::manifest::mark_done`].
+pub fn run_entry(s: &Scenario, ctx: &mut ScenarioCtx) -> Result<(), String> {
+    // Outputs of earlier entries (or of a failed one) are not this entry's.
+    ctx.outputs.clear();
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (s.run)(ctx))).unwrap_or_else(
+        |payload| {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|m| (*m).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "panic with non-string payload".into());
+            Err(format!("panicked: {msg}"))
+        },
+    )?;
+    // Checkpoint only after the scenario's outputs are final.
+    if let Err(e) = crate::manifest::mark_done(s.group, s.name, ctx) {
+        eprintln!("warning: cannot record completion of {}: {e}", s.name);
+    }
+    Ok(())
+}
+
 /// The shared CLI frontend: parses `--list`, `--full`, `--quick`,
 /// `--jobs N`, `--resume`, `--only <glob>` (repeatable) and positional
-/// patterns, then runs the selection. Returns the process exit code.
-/// Outputs go to `$IOBTS_RESULTS_DIR`, else `results_full/` under
-/// `--full` and `results/` otherwise.
+/// patterns, resolves the sweep's [`ScenarioCtx`] once, then runs the
+/// selection through [`run_entry`]. Returns the process exit code.
 ///
-/// Supervision: each scenario runs under `catch_unwind`, so one panicking
-/// entry is reported and the rest of the sweep still runs. Completion is
-/// checkpointed per entry through [`crate::manifest`], together with the
-/// CSVs the entry wrote; `--resume` skips entries already completed under
-/// the same `--full`/`--quick` shape whose CSVs are unchanged, and
-/// regenerates byte-identical outputs for the rest. The
-/// `IOBTS_FAIL_AFTER=<n>` hook kills the process (exit 137, as SIGKILL
-/// would) after `n` completed scenarios — the deterministic
-/// mid-sweep-crash used by the kill-and-resume CI smoke test.
-pub fn cli_main(group: &'static str, bin: &str) -> std::process::ExitCode {
+/// This is the one place that reads the environment knobs:
+/// * outputs go to `$IOBTS_RESULTS_DIR`, else `results_full/` under
+///   `--full` and `results/` otherwise;
+/// * sweeps run `--jobs N` wide, else `$IOBTS_JOBS` wide when it is a
+///   positive integer, else as wide as the available cores (at least 1);
+/// * `IOBTS_FAIL_AFTER=<n>` kills the process (exit 137, as SIGKILL
+///   would) after `n` completed scenarios — the deterministic
+///   mid-sweep-crash used by the kill-and-resume CI smoke test.
+///
+/// Completion is checkpointed per entry through [`crate::manifest`],
+/// together with the CSVs the entry wrote; `--resume` skips entries already
+/// completed under the same `--full`/`--quick` shape whose CSVs are
+/// unchanged, and regenerates byte-identical outputs for the rest.
+pub fn cli_main(group: &'static str, bin: &str) -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut ctx = ScenarioCtx::default();
+    let (mut full, mut quick, mut resume) = (false, false, false);
+    let mut jobs: Option<usize> = None;
     let mut patterns: Vec<String> = Vec::new();
-    let mut resume = false;
     let bad_flag = |msg: &str| {
         eprintln!("error: {msg}");
-        std::process::ExitCode::FAILURE
+        ExitCode::FAILURE
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--list" => {
                 print_list(group);
-                return std::process::ExitCode::SUCCESS;
+                return ExitCode::SUCCESS;
             }
-            "--full" => ctx.full = true,
-            "--quick" => ctx.quick = true,
+            "--full" => full = true,
+            "--quick" => quick = true,
             "--resume" => resume = true,
             "--jobs" => {
                 let Some(n) = it.next().and_then(|v| v.parse::<usize>().ok()) else {
                     return bad_flag("--jobs needs a positive integer");
                 };
-                crate::par::set_jobs(n.max(1));
+                jobs = Some(n);
             }
             "--only" => {
                 let Some(g) = it.next() else {
@@ -341,14 +402,14 @@ pub fn cli_main(group: &'static str, bin: &str) -> std::process::ExitCode {
                     "usage: {bin} [--list] [--full] [--quick] [--jobs N] \
                      [--resume] [--only <glob>]... [pattern]..."
                 );
-                return std::process::ExitCode::SUCCESS;
+                return ExitCode::SUCCESS;
             }
             other => {
                 if let Some(v) = other.strip_prefix("--jobs=") {
                     let Ok(n) = v.parse::<usize>() else {
                         return bad_flag("--jobs needs an integer");
                     };
-                    crate::par::set_jobs(n.max(1));
+                    jobs = Some(n);
                 } else if let Some(v) = other.strip_prefix("--only=") {
                     patterns.push(v.to_string());
                 } else if other.starts_with("--") {
@@ -360,22 +421,30 @@ pub fn cli_main(group: &'static str, bin: &str) -> std::process::ExitCode {
         }
     }
 
-    if ctx.full && std::env::var_os("IOBTS_RESULTS_DIR").is_none() {
-        // Paper-scale CSVs have their own home, so a bare `--full` never
-        // overwrites the quick-scale goldens in `results/`.
-        std::env::set_var("IOBTS_RESULTS_DIR", "results_full");
-    }
     let selection = match select(group, &patterns) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return std::process::ExitCode::FAILURE;
-        }
+        Err(e) => return bad_flag(&e),
+    };
+    // Paper-scale CSVs have their own home, so a bare `--full` never
+    // overwrites the quick-scale goldens in `results/`.
+    let results_dir = std::env::var_os("IOBTS_RESULTS_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| if full { "results_full" } else { "results" }.into());
+    let jobs = jobs
+        .or_else(|| {
+            let v = std::env::var("IOBTS_JOBS").ok()?;
+            v.trim().parse().ok().filter(|&n| n > 0)
+        })
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    let mut ctx = ScenarioCtx {
+        full,
+        quick,
+        ..ScenarioCtx::new(results_dir, jobs)
     };
 
     if !resume {
         // Fresh sweep: stale completion markers must not mask re-runs.
-        crate::manifest::clear_group(group);
+        crate::manifest::clear_group(group, &ctx);
     }
     let fail_after: Option<usize> = std::env::var("IOBTS_FAIL_AFTER")
         .ok()
@@ -391,27 +460,8 @@ pub fn cli_main(group: &'static str, bin: &str) -> std::process::ExitCode {
             skipped += 1;
             continue;
         }
-        // Outputs of earlier entries (or of a failed one) are not this
-        // entry's.
-        crate::csv::take_written();
-        // One panicking scenario must not sink the sweep: catch it, report
-        // it as a failure, move on.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (s.run)(&ctx)))
-            .unwrap_or_else(|payload| {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|m| (*m).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "panic with non-string payload".into());
-                Err(format!("panicked: {msg}"))
-            });
-        match outcome {
+        match run_entry(s, &mut ctx) {
             Ok(()) => {
-                // Checkpoint only after the scenario's outputs are final.
-                let outputs = crate::csv::take_written();
-                if let Err(e) = crate::manifest::mark_done(group, s.name, &ctx, &outputs) {
-                    eprintln!("warning: cannot record completion of {}: {e}", s.name);
-                }
                 completed += 1;
                 if fail_after == Some(completed) {
                     // Deterministic mid-sweep crash (CI kill-and-resume
@@ -434,9 +484,9 @@ pub fn cli_main(group: &'static str, bin: &str) -> std::process::ExitCode {
         t0.elapsed().as_secs_f64()
     );
     if failed.is_empty() {
-        std::process::ExitCode::SUCCESS
+        ExitCode::SUCCESS
     } else {
-        std::process::ExitCode::FAILURE
+        ExitCode::FAILURE
     }
 }
 

@@ -12,14 +12,14 @@ use crate::csv::CsvRow;
 use clustersim::{motivation_scenario, Cluster, ClusterResult};
 use hpcwl::hacc::HaccConfig;
 use hpcwl::wacomm::WacommConfig;
-use iobts::session::{ExpConfig, HaccIo, RunOutput, Session, Wacomm, Workload};
+use session::{ExpConfig, HaccIo, RunOutput, Session, Wacomm, Workload};
 use simcore::Noise;
 use tmio::Strategy;
 
 /// Runs `workload` under `cfg` through a [`Session`].
 ///
 /// # Panics
-/// With the [`SimError`](iobts::session::SimError)'s message on an invalid
+/// With the [`SimError`](session::SimError)'s message on an invalid
 /// config or an engine failure; the registry reports a panicking scenario
 /// as a failed entry.
 pub fn run(cfg: ExpConfig, workload: impl Workload + 'static) -> RunOutput {
@@ -118,13 +118,13 @@ pub fn hacc_overhead_run(n: usize, strategy: Strategy, particles: u64) -> RunOut
 }
 
 /// Figs. 5 & 6: HACC-IO runtime and overhead decomposition vs rank count,
-/// for each of [`OVERHEAD_RUNS`].
-pub fn hacc_overheads(ranks: &[usize], particles: u64) -> Vec<OverheadRow> {
+/// for each of [`OVERHEAD_RUNS`], computed `jobs` wide.
+pub fn hacc_overheads(jobs: usize, ranks: &[usize], particles: u64) -> Vec<OverheadRow> {
     let points: Vec<(usize, &'static str, Strategy)> = ranks
         .iter()
         .flat_map(|&n| OVERHEAD_RUNS.map(|(run, strategy)| (n, run, strategy)))
         .collect();
-    crate::par::par_map(&points, |&(n, run, strategy)| {
+    crate::par::par_map(jobs, &points, |&(n, run, strategy)| {
         let out = hacc_overhead_run(n, strategy, particles);
         let d = out.report.decomposition();
         let denom = d.total + out.report.post_overhead * n as f64;
@@ -238,8 +238,9 @@ pub fn hacc_dist_run(n: usize, i: usize, particles: u64) -> RunOutput {
 }
 
 /// The stacked bars of one distribution figure: every run of `runs` at
-/// every rank count, computed by `run_point(n, run)`.
+/// every rank count, computed by `run_point(n, run)`, `jobs` wide.
 fn distribution(
+    jobs: usize,
     ranks: &[usize],
     runs: &[(&'static str, Strategy)],
     run_point: impl Fn(usize, usize) -> RunOutput + Sync,
@@ -248,7 +249,7 @@ fn distribution(
         .iter()
         .flat_map(|&n| (0..runs.len()).map(move |i| (n, i)))
         .collect();
-    crate::par::par_map(&points, |&(n, i)| {
+    crate::par::par_map(jobs, &points, |&(n, i)| {
         let out = run_point(n, i);
         let d = out.report.decomposition();
         DistRow {
@@ -262,15 +263,17 @@ fn distribution(
 }
 
 /// Fig. 7: WaComM time distribution across ranks, one row per
-/// [`WACOMM_RUNS`] entry and rank count.
-pub fn wacomm_distribution(ranks: &[usize]) -> Vec<DistRow> {
-    distribution(ranks, &WACOMM_RUNS, wacomm_dist_run)
+/// [`WACOMM_RUNS`] entry and rank count, computed `jobs` wide.
+pub fn wacomm_distribution(jobs: usize, ranks: &[usize]) -> Vec<DistRow> {
+    distribution(jobs, ranks, &WACOMM_RUNS, wacomm_dist_run)
 }
 
 /// Fig. 11: HACC-IO time distribution, one row per [`HACC_RUNS`] entry and
-/// rank count.
-pub fn hacc_distribution(ranks: &[usize], particles: u64) -> Vec<DistRow> {
-    distribution(ranks, &HACC_RUNS, |n, i| hacc_dist_run(n, i, particles))
+/// rank count, computed `jobs` wide.
+pub fn hacc_distribution(jobs: usize, ranks: &[usize], particles: u64) -> Vec<DistRow> {
+    distribution(jobs, ranks, &HACC_RUNS, |n, i| {
+        hacc_dist_run(n, i, particles)
+    })
 }
 
 /// Figs. 8/9/10: one WaComM run; its report carries the `T`/`B_L`/`B` series.
@@ -334,7 +337,7 @@ mod tests {
 
     #[test]
     fn hacc_overhead_rows_cover_sweep() {
-        let rows = hacc_overheads(&[1, 4], 20_000);
+        let rows = hacc_overheads(2, &[1, 4], 20_000);
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(r.total >= r.app);
@@ -344,7 +347,7 @@ mod tests {
 
     #[test]
     fn distribution_percentages_sum_to_100() {
-        let rows = wacomm_distribution(&[24]);
+        let rows = wacomm_distribution(2, &[24]);
         assert_eq!(rows.len(), 6);
         for r in rows {
             let s: f64 = r.pct.iter().sum();

@@ -1,17 +1,16 @@
 //! Parallel sweep execution must be purely a wall-clock optimisation: the
 //! emitted CSV rows have to be byte-identical to a forced single-thread run,
 //! at any worker count, on every code path the `figures` binary exercises
-//! through `par_map`.
+//! through `par_map`. Each sweep takes its width as an argument.
 
 use bench::csv::rows;
-use bench::par::with_jobs;
 use bench::scenarios;
 
 #[test]
 fn distribution_rows_identical_serial_vs_parallel() {
     let ranks = [24usize, 48];
-    let serial = with_jobs(1, || rows(&scenarios::wacomm_distribution(&ranks)));
-    let parallel = with_jobs(4, || rows(&scenarios::wacomm_distribution(&ranks)));
+    let serial = rows(&scenarios::wacomm_distribution(1, &ranks));
+    let parallel = rows(&scenarios::wacomm_distribution(4, &ranks));
     assert_eq!(
         serial.join("\n"),
         parallel.join("\n"),
@@ -22,8 +21,8 @@ fn distribution_rows_identical_serial_vs_parallel() {
 #[test]
 fn overhead_rows_identical_serial_vs_parallel() {
     let ranks = [1usize, 4, 16];
-    let serial = with_jobs(1, || rows(&scenarios::hacc_overheads(&ranks, 20_000)));
-    let parallel = with_jobs(3, || rows(&scenarios::hacc_overheads(&ranks, 20_000)));
+    let serial = rows(&scenarios::hacc_overheads(1, &ranks, 20_000));
+    let parallel = rows(&scenarios::hacc_overheads(3, &ranks, 20_000));
     assert_eq!(
         serial.join("\n"),
         parallel.join("\n"),
@@ -34,8 +33,8 @@ fn overhead_rows_identical_serial_vs_parallel() {
 #[test]
 fn hacc_distribution_rows_identical_serial_vs_parallel() {
     let ranks = [1usize, 4];
-    let serial = with_jobs(1, || rows(&scenarios::hacc_distribution(&ranks, 20_000)));
-    let parallel = with_jobs(8, || rows(&scenarios::hacc_distribution(&ranks, 20_000)));
+    let serial = rows(&scenarios::hacc_distribution(1, &ranks, 20_000));
+    let parallel = rows(&scenarios::hacc_distribution(8, &ranks, 20_000));
     assert_eq!(
         serial.join("\n"),
         parallel.join("\n"),

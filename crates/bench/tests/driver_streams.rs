@@ -9,8 +9,8 @@
 use bench::sweeps;
 use hpcwl::hacc::HaccConfig;
 use hpcwl::wacomm::WacommConfig;
-use iobts::session::{HaccIo, Wacomm, Workload};
 use mpisim::{FileId, Op, Program, ReqTag};
+use session::{HaccIo, Wacomm, Workload};
 use simcore::SimTime;
 
 /// The modified HACC-IO program as a loop (Fig. 12): header write, then

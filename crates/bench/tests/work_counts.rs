@@ -18,8 +18,8 @@
 use bench::scenarios::{self, HACC_RUNS, OVERHEAD_RUNS, WACOMM_RUNS};
 use hpcwl::hacc::HaccConfig;
 use hpcwl::wacomm::WacommConfig;
-use iobts::session::{ExpConfig, HaccIo, RawWorkload, RunOutput, Wacomm};
 use mpisim::{FileId, Op, Program, ReqTag, RunStats};
+use session::{ExpConfig, HaccIo, RawWorkload, RunOutput, Wacomm};
 use simcore::{ChannelFaultWindow, FaultChannel, FaultPlan, IoErrorKind, IoErrorModel};
 use tmio::Strategy;
 

@@ -24,7 +24,6 @@ use simcore::{
     rank_phase_stream, stream_rng, Channel, EventQueue, FaultPlan, Invariant, IoErrorKind, Noise,
     SimError, SimResult, SimTime, SmallRng, StallSnapshot, StepSeries, TagMap,
 };
-use std::collections::HashMap;
 
 /// Latency of one tree level of a barrier or broadcast, seconds.
 const NET_LATENCY: f64 = 5e-6;
@@ -469,7 +468,10 @@ pub struct World<H: IoHooks> {
     /// Live I/O tasks, keyed by the monotone [`TaskId`] counter.
     tasks: SeqMap<IoTask>,
     next_task: u64,
-    collectives: HashMap<u64, Collective>,
+    /// The collective ranks are gathering in. At most one is open: it
+    /// releases only once every rank has arrived, so no rank can enter the
+    /// next one before.
+    collective: Option<Collective>,
     /// Bytes written to each registered file, by [`FileId`].
     files: Vec<f64>,
     /// Per-rank burst buffers when configured.
@@ -514,7 +516,7 @@ impl<H: IoHooks> World<H> {
             pfs_done: Vec::with_capacity(16),
             tasks: SeqMap::with_capacity(16),
             next_task: 0,
-            collectives: HashMap::new(),
+            collective: None,
             files: Vec::new(),
             bbs,
             live_ranks,
@@ -724,7 +726,7 @@ impl<H: IoHooks> World<H> {
             }
             Event::CollectiveRelease(id) => {
                 self.note_progress();
-                let coll = self.collectives.remove(&id).invariant("collective exists");
+                let coll = self.collective.take().invariant("collective exists");
                 debug_assert_eq!(coll.arrived, self.cfg.n_ranks);
                 for rank in 0..self.cfg.n_ranks {
                     if self.ranks[rank].status == Status::Blocked(BlockKind::Collective(id)) {
@@ -920,9 +922,8 @@ impl<H: IoHooks> World<H> {
         self.ranks[rank].collective_seq += 1;
         let n = self.cfg.n_ranks;
         let coll = self
-            .collectives
-            .entry(id)
-            .or_insert(Collective { kind, arrived: 0 });
+            .collective
+            .get_or_insert(Collective { kind, arrived: 0 });
         if coll.kind != kind {
             let existing = coll.kind;
             self.fail_run(SimError::invalid_program(

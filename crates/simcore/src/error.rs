@@ -104,14 +104,6 @@ impl SimError {
             reason: reason.into(),
         }
     }
-
-    /// The stall snapshot, when the error carries one.
-    pub fn snapshot(&self) -> Option<&StallSnapshot> {
-        match self {
-            SimError::Stalled(s) | SimError::Deadlock(s) => Some(s),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for SimError {
@@ -192,7 +184,6 @@ mod tests {
         assert!(msg.contains("watchdog"), "{msg}");
         assert!(msg.contains("rank 0: Wait(ReqTag(1))"), "{msg}");
         assert!(msg.contains("queue depth 3"), "{msg}");
-        assert_eq!(e.snapshot(), Some(&snap));
         let d = SimError::Deadlock(Box::new(snap));
         assert!(d.to_string().contains("deadlock"), "{d}");
     }

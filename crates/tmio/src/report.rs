@@ -216,11 +216,6 @@ impl Report {
             .fold(None, |acc, t| Some(acc.map_or(t, |a: f64| a.min(t))))
     }
 
-    /// The application makespan (max rank end), seconds.
-    pub fn makespan(&self) -> f64 {
-        self.rank_end.iter().copied().fold(0.0, f64::max)
-    }
-
     /// The stacked time decomposition (Figs. 6/7/11). Computed once and
     /// cached.
     pub fn decomposition(&self) -> Decomposition {
@@ -564,12 +559,5 @@ mod tests {
     fn limit_start_time_is_earliest_limited_phase() {
         let r = sample_report();
         assert_eq!(r.limit_start_time(), Some(1.0));
-    }
-
-    #[test]
-    fn makespan_is_the_latest_rank_end() {
-        let r = sample_report();
-        assert_eq!(r.makespan(), 4.0);
-        assert!(r.peri_overhead > 0.0);
     }
 }

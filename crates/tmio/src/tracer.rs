@@ -93,21 +93,14 @@ pub struct TracerConfig {
 }
 
 impl TracerConfig {
-    /// Trace-only configuration (no limiting), paper-default options.
-    pub fn trace_only() -> Self {
-        TracerConfig {
-            strategy: Strategy::None,
-            peri_call_overhead: 2e-6,
-            aggregation: Aggregation::Sum,
-            te_mode: TeMode::FirstWait,
-        }
-    }
-
-    /// Paper-default configuration with the given strategy.
+    /// Paper-default configuration with the given strategy
+    /// ([`Strategy::None`] traces without limiting).
     pub fn with_strategy(strategy: Strategy) -> Self {
         TracerConfig {
             strategy,
-            ..Self::trace_only()
+            peri_call_overhead: 2e-6,
+            aggregation: Aggregation::Sum,
+            te_mode: TeMode::FirstWait,
         }
     }
 }

@@ -52,7 +52,15 @@ fn run_app(
 #[test]
 fn required_bandwidth_matches_analytic() {
     // One rank: 10 MB hidden behind 1 s compute -> B = 10 MB/s per phase.
-    let (_, report) = run_app(1, 1e9, 3, 10.0 * MB, 1.0, TracerConfig::trace_only(), false);
+    let (_, report) = run_app(
+        1,
+        1e9,
+        3,
+        10.0 * MB,
+        1.0,
+        TracerConfig::with_strategy(Strategy::None),
+        false,
+    );
     assert_eq!(report.phases.len(), 3);
     for p in &report.phases {
         // Window = submit -> wait = compute duration (I/O finishes earlier).
@@ -74,7 +82,7 @@ fn throughput_reflects_actual_speed() {
         3,
         10.0 * MB,
         1.0,
-        TracerConfig::trace_only(),
+        TracerConfig::with_strategy(Strategy::None),
         false,
     );
     assert_eq!(report.windows.len(), 3);
@@ -123,7 +131,7 @@ fn limiting_flattens_burst_without_slowdown() {
         6,
         20.0 * MB,
         1.0,
-        TracerConfig::trace_only(),
+        TracerConfig::with_strategy(Strategy::None),
         false,
     );
     let cfg = TracerConfig::with_strategy(Strategy::Direct { tol: 1.2 });
@@ -180,7 +188,15 @@ fn too_tight_limit_causes_waiting() {
 
 #[test]
 fn multiple_ranks_all_report_phases() {
-    let (_, report) = run_app(8, 1e9, 4, 5.0 * MB, 0.5, TracerConfig::trace_only(), false);
+    let (_, report) = run_app(
+        8,
+        1e9,
+        4,
+        5.0 * MB,
+        0.5,
+        TracerConfig::with_strategy(Strategy::None),
+        false,
+    );
     assert_eq!(report.phases.len(), 8 * 4);
     for rank in 0..8 {
         let n = report.phases.iter().filter(|p| p.rank == rank).count();
@@ -219,7 +235,7 @@ fn aggregation_mean_vs_sum() {
             write_capacity: 1e9,
             read_capacity: 1e9,
         };
-        let mut tc = TracerConfig::trace_only();
+        let mut tc = TracerConfig::with_strategy(Strategy::None);
         tc.aggregation = agg;
         tc.peri_call_overhead = 0.0;
         let mut w = World::new(wc, vec![Program::from_ops(ops)], Tracer::new(1, tc));
@@ -263,7 +279,7 @@ fn te_mode_last_wait_gives_lower_b() {
             write_capacity: 1e9,
             read_capacity: 1e9,
         };
-        let mut tc = TracerConfig::trace_only();
+        let mut tc = TracerConfig::with_strategy(Strategy::None);
         tc.te_mode = mode;
         tc.peri_call_overhead = 0.0;
         let mut w = World::new(wc, vec![Program::from_ops(ops.clone())], Tracer::new(1, tc));
@@ -285,7 +301,7 @@ fn te_mode_last_wait_gives_lower_b() {
 
 #[test]
 fn peri_overhead_counts_calls() {
-    let mut tc = TracerConfig::trace_only();
+    let mut tc = TracerConfig::with_strategy(Strategy::None);
     tc.peri_call_overhead = 2e-6;
     let mut wc = WorldConfig::new(1);
     wc.pfs = PfsConfig {
@@ -308,7 +324,15 @@ fn peri_overhead_counts_calls() {
 
 #[test]
 fn exploit_dominates_when_hidden() {
-    let (s, report) = run_app(2, 1e9, 5, 10.0 * MB, 1.0, TracerConfig::trace_only(), false);
+    let (s, report) = run_app(
+        2,
+        1e9,
+        5,
+        10.0 * MB,
+        1.0,
+        TracerConfig::with_strategy(Strategy::None),
+        false,
+    );
     let d = report.decomposition();
     assert!(d.async_write_lost < 1e-6);
     assert!(d.async_write_exploit > 0.0);
@@ -331,7 +355,7 @@ fn sync_app_has_no_async_records() {
         write_capacity: 100.0 * MB,
         read_capacity: 100.0 * MB,
     };
-    let tc = TracerConfig::trace_only();
+    let tc = TracerConfig::with_strategy(Strategy::None);
     let mut w = World::new(wc, vec![Program::from_ops(ops); 2], Tracer::new(2, tc));
     w.create_file("out");
     w.try_run().unwrap();
@@ -354,7 +378,7 @@ fn ftio_detects_hacc_loop_period() {
         read_capacity: 500.0 * MB,
     };
     wc.record_pfs = true;
-    let tc = TracerConfig::trace_only();
+    let tc = TracerConfig::with_strategy(Strategy::None);
     let mut w = World::new(
         wc,
         vec![periodic_app(12, 20.0 * MB, 2.0); 4],
@@ -408,7 +432,7 @@ fn spans_match_dense_sparse_and_reused_tags() {
         write_capacity: 100.0 * MB,
         read_capacity: 100.0 * MB,
     };
-    let tc = TracerConfig::trace_only();
+    let tc = TracerConfig::with_strategy(Strategy::None);
     let mut w = World::new(wc, vec![Program::from_ops(ops)], Tracer::new(1, tc));
     w.create_file("out");
     w.try_run().unwrap();

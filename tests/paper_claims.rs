@@ -204,7 +204,7 @@ fn overhead_bounds_hold() {
             HaccIo::new(hacc),
         );
         let r = &out.report;
-        let (app, peri, post) = (r.makespan(), r.peri_overhead, r.post_overhead);
+        let (app, peri, post) = (out.app_time(), r.peri_overhead, r.post_overhead);
         let total = app + post;
         assert!(peri / (app * n as f64) < 0.001, "peri > 0.1 % at {n} ranks");
         assert!(
